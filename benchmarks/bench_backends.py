@@ -2,10 +2,10 @@
 
 Usage: python benchmarks/bench_backends.py [--repeat N]
 
-Times the four hot kernels on representative workloads (disc-quadrature
-closure accumulation, Brownian-bridge filling, Monte-Carlo phase
-averaging) and prints one row per kernel and backend.  The first numba
-call includes JIT compilation; it is timed separately as "warmup".
+Times the three hot kernels on representative workloads (coherent-amplitude
+batches, Brownian-bridge filling, Monte-Carlo phase averaging) and prints
+one row per kernel and backend.  The first numba call includes JIT
+compilation; it is timed separately as "warmup".
 """
 
 import argparse
@@ -30,8 +30,6 @@ def build_workloads(rng):
     alphas = np.ascontiguousarray(
         rng.uniform(0, 8, 200_000) * np.exp(1j * rng.uniform(0, 2 * math.pi, 200_000))
     )
-    vecs = _kernels.coherent_amp_matrix_np(alphas[:100_000], 40)
-    weights = np.ascontiguousarray(rng.uniform(0, 1e-4, vecs.shape[0]))
     start = np.zeros((100_000, 2))
     end = np.ones((100_000, 2))
     normals = np.ascontiguousarray(rng.standard_normal((100_000, 31, 2)))
@@ -42,7 +40,6 @@ def build_workloads(rng):
     )
     return {
         "coherent_amp_matrix": ((alphas, 40), "200k labels, nmax=40"),
-        "weighted_gram": ((vecs, weights), "100k x 41 closure sum"),
         "bridge_fill": ((start, end, normals, 1.0, 1.0 / 32.0), "100k bridges, 32 steps"),
         "phase_samples": ((taus, eigs, phase_w), "100k taus x 41 levels"),
     }

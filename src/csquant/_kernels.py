@@ -59,11 +59,6 @@ def coherent_amp_matrix_np(alphas, nmax):
     return out
 
 
-def weighted_gram_np(vecs, weights):
-    """sum_k w_k |v_k><v_k| for rows v_k of vecs; returns a dim x dim matrix."""
-    return (vecs.T * weights) @ vecs.conj()
-
-
 def bridge_fill_np(start, end, normals, nu, dt):
     """Brownian-bridge paths from pre-drawn standard normals.
 
@@ -112,18 +107,6 @@ if HAS_NUMBA:
         return out
 
     @numba.njit(cache=True)
-    def weighted_gram_nb(vecs, weights):
-        n_rows, dim = vecs.shape
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for k in range(n_rows):
-            w = weights[k]
-            for i in range(dim):
-                wv = w * vecs[k, i]
-                for j in range(dim):
-                    out[i, j] += wv * np.conj(vecs[k, j])
-        return out
-
-    @numba.njit(cache=True)
     def bridge_fill_nb(start, end, normals, nu, dt):
         n_paths, d = start.shape
         n_steps = normals.shape[1] + 1
@@ -153,11 +136,9 @@ if HAS_NUMBA:
 
 if BACKEND == "numba":
     coherent_amp_matrix = coherent_amp_matrix_nb
-    weighted_gram = weighted_gram_nb
     bridge_fill = bridge_fill_nb
     phase_samples = phase_samples_nb
 else:
     coherent_amp_matrix = coherent_amp_matrix_np
-    weighted_gram = weighted_gram_np
     bridge_fill = bridge_fill_np
     phase_samples = phase_samples_np

@@ -40,11 +40,18 @@ class ConfigError(ValueError):
 
 
 def _get(cfg: dict, field: str, default, kind, low=None, high=None):
+    """Config number `field` as `kind`; bools, strings, non-finite and, for int, fractional values exit 3."""
     value = cfg.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(field, f"expected {kind.__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(field, "must be finite")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(field, "expected int, got a fractional number")
     try:
         value = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"expected {kind.__name__}") from None
+    except OverflowError:
+        raise ConfigError(field, "out of range") from None
     if low is not None and value < low:
         raise ConfigError(field, f"must be >= {low}")
     if high is not None and value > high:
@@ -191,19 +198,27 @@ def _exp_correlations(cfg, seed):
     return rows, {"ratios": (["offset", "operator", "ratio_re", "ratio_im"], sweep)}
 
 
+def _largest_rise(values) -> float:
+    """Largest increase between consecutive values; 0 when they never increase."""
+    return max([0.0] + [b - a for a, b in zip(values, values[1:])])
+
+
 def _exp_classical_limit(cfg, seed):
     model = cfg.get("model", "single")
     if model not in ("single", "double"):
         raise ConfigError("model", "must be 'single' or 'double'")
     m_values = cfg.get("m_values", [4, 16, 64])
-    if not isinstance(m_values, list) or not all(isinstance(m, int) and m > 0 for m in m_values):
+    if not isinstance(m_values, list) or not all(
+        isinstance(m, int) and not isinstance(m, bool) and m > 0 for m in m_values
+    ):
         raise ConfigError("m_values", "must be a list of positive integers")
+    m_values = sorted(set(m_values))
+    if len(m_values) < 2:
+        raise ConfigError("m_values", "needs at least two distinct values to fit a scaling exponent")
     rows_data = correlators.classical_limit_check(model, tuple(m_values))
-    devs = [r.dev_abs for r in rows_data]
-    monotone_gap = max(b - a for a, b in zip(devs[1:], devs[:-1])) if len(devs) > 1 else 0.0
     exponent = correlators.deviation_scaling_exponent(rows_data)
     rows = [
-        CheckRow("deviation_monotone_decrease", max(0.0, -monotone_gap), 0.0),
+        CheckRow("deviation_monotone_decrease", _largest_rise([r.dev_abs for r in rows_data]), 0.0),
         CheckRow("scaling_exponent_offset_from_-0.5", abs(exponent + 0.5), 0.2),
         CheckRow("h_ratio_error", max(r.h_ratio_error for r in rows_data), 1e-10),
     ]
@@ -404,7 +419,7 @@ def run_experiment(config_path: str, out_dir: str | None, seed_override: int | N
         print(list_experiments(), file=sys.stderr)
         return 2
     seed = seed_override if seed_override is not None else cfg.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         print("config error: config field 'seed': must be a non-negative integer", file=sys.stderr)
         return 3
     out = out_dir if out_dir is not None else cfg.get("out", "results")

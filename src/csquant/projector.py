@@ -5,10 +5,12 @@ Two constructions of the projector are kept side by side:
 * spectral-interval (primary): eigenvalues of the constraint within
   (-eps, eps) get weight 1, exactly on the boundary weight 1/2, outside 0.
   For the diagonal constraints used here this is exact.
-* sin-kernel quadrature (oracle): composite Simpson evaluation of
-  int_{-L}^{L} exp(i t Phi) sin(eps t)/(pi t) dt, which converges to the
-  spectral answer as L grows.  The integrand decays only like 1/t, so L
-  must scale like 1/(eps * tol); the default is chosen from that bound.
+* sin-kernel measure (oracle): the finite-range integral
+  int_{-L}^{L} exp(i t Phi) sin(eps t)/(pi t) dt, evaluated exactly per
+  eigenvalue x as [Si(L(x+eps)) - Si(L(x-eps))]/pi (DLMF 6.2), which
+  converges to the spectral answer as L grows.  The integrand decays only
+  like 1/t, so L must scale like 1/(eps * tol); the default is chosen from
+  that bound.
 
 Both oscillator models carry a single diagonal constraint (number operator
 minus a real target), so projecting a coherent state keeps one
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 from scipy.linalg import expm
 
 from .coherent import CoherentLabel, KernelValue, coherent_vector
@@ -86,7 +89,6 @@ class ProjectorSpec:
     epsilon: float = 0.1
     measure: str = "spectral"
     lam_max: float | None = None
-    n_nodes: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.5:
@@ -126,35 +128,17 @@ def default_lam_max(epsilon: float, eigs=None, tol: float = SIN_KERNEL_TOL) -> f
     return 2.2 / (math.pi * tol * gap)
 
 
-def sin_kernel_weights(
-    eigs: np.ndarray, eps: float, lam_max: float, n_nodes: int | None = None
-) -> np.ndarray:
-    """Simpson quadrature of int_{-L}^{L} e^{i t x} sin(eps t)/(pi t) dt per eigenvalue."""
-    xmax = float(np.max(np.abs(eigs))) if eigs.size else 1.0
-    if n_nodes is None:
-        per_period = 24.0
-        n_nodes = int(per_period * lam_max * (xmax + eps) / (2.0 * math.pi)) + 1
-        n_nodes = max(n_nodes, 2001)
-    if n_nodes % 2 == 0:
-        n_nodes += 1
-    t = np.linspace(-lam_max, lam_max, n_nodes)
-    h = t[1] - t[0]
-    simp = np.ones(n_nodes)
-    simp[1:-1:2] = 4.0
-    simp[2:-1:2] = 2.0
-    simp *= h / 3.0
-    measure = np.empty_like(t)
-    nz = t != 0.0
-    measure[nz] = np.sin(eps * t[nz]) / (math.pi * t[nz])
-    measure[~nz] = eps / math.pi
-    coeff = simp * measure
-    # accumulate in chunks: weights[j] = sum_t coeff[t] * exp(i t x_j)
-    out = np.zeros(eigs.size, dtype=np.complex128)
-    chunk = max(1, 4_000_000 // max(1, eigs.size))
-    for lo in range(0, n_nodes, chunk):
-        hi = min(lo + chunk, n_nodes)
-        out += coeff[lo:hi] @ np.exp(1j * np.outer(t[lo:hi], eigs))
-    return out
+def sin_kernel_weights(eigs: np.ndarray, eps: float, lam_max: float) -> np.ndarray:
+    """int_{-L}^{L} e^{i t x} sin(eps t)/(pi t) dt per eigenvalue x, in closed form.
+
+    The integrand's odd part cancels, leaving
+    (1/pi) int_0^L [sin((x+eps) t) - sin((x-eps) t)]/t dt
+    = [Si(L(x+eps)) - Si(L(x-eps))]/pi, which is real.
+    """
+    eigs = np.asarray(eigs, dtype=np.float64)
+    si_hi, _ = special.sici(lam_max * (eigs + eps))
+    si_lo, _ = special.sici(lam_max * (eigs - eps))
+    return (si_hi - si_lo) / math.pi
 
 
 def build_projector(spec: ProjectorSpec) -> LinearOperator:
@@ -164,7 +148,7 @@ def build_projector(spec: ProjectorSpec) -> LinearOperator:
     if spec.measure == "spectral":
         return _assemble(spec.constraint.space, w_spec, vecs)
     lam_max = spec.lam_max if spec.lam_max is not None else default_lam_max(spec.epsilon, eigs)
-    w_sin = sin_kernel_weights(eigs, spec.epsilon, lam_max, spec.n_nodes)
+    w_sin = sin_kernel_weights(eigs, spec.epsilon, lam_max)
     resid = float(np.max(np.abs(w_sin - w_spec)))
     if resid > SIN_KERNEL_TOL:
         raise RuntimeError(
@@ -178,7 +162,7 @@ def sin_kernel_residual(spec: ProjectorSpec) -> float:
     """max |sin-kernel weights - spectral weights| at the constraint's spectrum."""
     eigs, _ = spec.constraint.eigensystem()
     lam_max = spec.lam_max if spec.lam_max is not None else default_lam_max(spec.epsilon, eigs)
-    w_sin = sin_kernel_weights(eigs, spec.epsilon, lam_max, spec.n_nodes)
+    w_sin = sin_kernel_weights(eigs, spec.epsilon, lam_max)
     return float(np.max(np.abs(w_sin - _spectral_weights(eigs, spec.epsilon))))
 
 

@@ -5,7 +5,8 @@ sampling for pinned phase-space paths, unpinned random-walk sampling for
 the Lagrange-multiplier direction, and two estimators of the projected
 propagator that must reproduce the spectral answer:
 
-* quadrature of the sin-kernel measure over the accumulated proper time,
+* the sin-kernel measure integrated over the accumulated proper time,
+  in closed form (projector.sin_kernel_weights),
 * Monte Carlo over lapse walks lambda(t), where only tau = int lambda dt
   enters.  The walk starts from a uniform prior on [-window, window] and
   adds Brownian increments of diffusion nu; averaging exp(-i tau x) over
@@ -14,12 +15,17 @@ propagator that must reproduce the spectral answer:
   for integer targets the estimate converges to the spectral projection
   and is stable under widening the prior window or changing nu.
 
+The heat kernel takes whole batches of points, so each Simpson check of
+its normalization, variance and semigroup rule is one array evaluation
+over a tensor-product grid.
+
 Randomness is counter-based (Philox keyed by seed and stream id), so
 parallel streams and reruns are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,16 +57,22 @@ class HeatKernelParams:
         return self.nu * (self.t2 - self.t1)
 
 
-def heat_kernel(params: HeatKernelParams, x1, x2) -> float:
-    """Spreading Gaussian density (2 pi nu dt)^(-d/2) exp(-|x2-x1|^2 / 2 nu dt)."""
+def heat_kernel(params: HeatKernelParams, x1, x2):
+    """Spreading Gaussian density (2 pi nu dt)^(-d/2) exp(-|x2-x1|^2 / 2 nu dt).
+
+    x1 and x2 are points of shape (..., d) whose leading axes broadcast
+    against each other; a scalar is a point with d = 1.  One pair of points
+    gives a float, a batch gives an array over the broadcast leading axes.
+    """
     x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
     x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
-    if x1.shape != x2.shape:
-        raise ValueError("endpoint shapes differ")
-    d = x1.size
+    if x1.shape[-1] != x2.shape[-1]:
+        raise ValueError("endpoint dimensions differ")
+    d = x1.shape[-1]
     var = params.variance
     norm = (2.0 * math.pi * var) ** (-d / 2.0)
-    return float(norm * np.exp(-np.sum((x2 - x1) ** 2) / (2.0 * var)))
+    vals = norm * np.exp(-np.sum((x2 - x1) ** 2, axis=-1) / (2.0 * var))
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def _simpson_grid(center: float, half_width: float, n: int):
@@ -74,30 +86,28 @@ def _simpson_grid(center: float, half_width: float, n: int):
     return x, w
 
 
+def _simpson_product_grid(centers, half_width: float, n: int):
+    """Tensor-product Simpson rule in d = 1 or 2: points (n, ..., n, d), weights (n, ..., n)."""
+    if len(centers) not in (1, 2):
+        raise ValueError("product quadrature supports d = 1 or 2")
+    grids = [_simpson_grid(c, half_width, n) for c in centers]
+    points = np.stack(np.meshgrid(*(x for x, _ in grids), indexing="ij"), axis=-1)
+    weights = functools.reduce(np.multiply.outer, (w for _, w in grids))
+    return points, weights
+
+
 def kernel_normalization_residual(params: HeatKernelParams, x1, n_nodes: int = 513) -> float:
     """|int rho(x1, x2) dx2 - 1| by wide Simpson quadrature (per dimension)."""
     x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
-    sigma = math.sqrt(params.variance)
-    grids = [_simpson_grid(c, 8.0 * sigma, n_nodes) for c in x1]
-    if x1.size == 1:
-        xs, ws = grids[0]
-        total = sum(w * heat_kernel(params, x1, [x]) for x, w in zip(xs, ws))
-    elif x1.size == 2:
-        (xa, wa), (xb, wb) = grids
-        total = 0.0
-        for x, w in zip(xa, wa):
-            vals = np.array([heat_kernel(params, x1, [x, y]) for y in xb])
-            total += w * float(wb @ vals)
-    else:
-        raise ValueError("normalization check supports d = 1 or 2")
+    points, weights = _simpson_product_grid(x1, 8.0 * math.sqrt(params.variance), n_nodes)
+    total = float(np.sum(weights * heat_kernel(params, x1, points)))
     return abs(total - 1.0)
 
 
 def kernel_variance(params: HeatKernelParams, n_nodes: int = 513) -> float:
     """Second moment of the 1-d kernel about its start, by quadrature."""
-    sigma = math.sqrt(params.variance)
-    xs, ws = _simpson_grid(0.0, 8.0 * sigma, n_nodes)
-    vals = np.array([heat_kernel(params, [0.0], [x]) for x in xs])
+    xs, ws = _simpson_grid(0.0, 8.0 * math.sqrt(params.variance), n_nodes)
+    vals = heat_kernel(params, [0.0], xs[:, None])
     return float(np.sum(ws * xs**2 * vals))
 
 
@@ -110,29 +120,10 @@ def semigroup_residual(nu: float, t1: float, t2: float, t3: float, x1, x3, n_nod
     first = HeatKernelParams(nu=nu, t1=t1, t2=t2)
     second = HeatKernelParams(nu=nu, t1=t2, t2=t3)
     direct = heat_kernel(HeatKernelParams(nu=nu, t1=t1, t2=t3), x1, x3)
-    center = 0.5 * (x1 + x3)
     spread = 8.0 * math.sqrt(nu * (t3 - t1)) + float(np.max(np.abs(x3 - x1)))
-    grids = [_simpson_grid(c, spread, n_nodes) for c in center]
-    if x1.size == 1:
-        xs, ws = grids[0]
-        total = sum(
-            w * heat_kernel(first, x1, [x]) * heat_kernel(second, [x], x3)
-            for x, w in zip(xs, ws)
-        )
-    elif x1.size == 2:
-        (xa, wa), (xb, wb) = grids
-        total = 0.0
-        for x, w in zip(xa, wa):
-            row = np.array(
-                [
-                    heat_kernel(first, x1, [x, y]) * heat_kernel(second, [x, y], x3)
-                    for y in xb
-                ]
-            )
-            total += w * float(wb @ row)
-    else:
-        raise ValueError("semigroup check supports d = 1 or 2")
-    return abs(total - direct)
+    points, weights = _simpson_product_grid(0.5 * (x1 + x3), spread, n_nodes)
+    integrand = heat_kernel(first, x1, points) * heat_kernel(second, points, x3)
+    return abs(float(np.sum(weights * integrand)) - direct)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from csquant import cli
 
 
@@ -81,3 +83,55 @@ def test_rerun_byte_identical(tmp_path):
     cli.main(["run", "--config", cfg, "--out", str(out1)])
     cli.main(["run", "--config", cfg, "--out", str(out2)])
     assert (out1 / "wiener.json").read_bytes() == (out2 / "wiener.json").read_bytes()
+
+
+def test_largest_rise_catches_non_monotone_sequence():
+    # the dev_abs sequence at m = 4, 64, 16: a drop, then a rise of 0.044
+    assert cli._largest_rise([0.172, 0.044, 0.088]) == pytest.approx(0.044)
+    assert cli._largest_rise([0.172, 0.088, 0.044]) == 0.0
+    assert cli._largest_rise([0.1]) == 0.0
+
+
+def test_classical_limit_sorts_m_values(tmp_path):
+    cfg = _write_config(tmp_path, {"experiment": "classical-limit", "m_values": [4, 64, 16]})
+    out = tmp_path / "res"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "classical-limit_deviation.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["4", "16", "64"]
+
+
+@pytest.mark.parametrize("m_values", [[4], [4, 4], []])
+def test_classical_limit_needs_two_distinct_m(tmp_path, capsys, m_values):
+    cfg = _write_config(tmp_path, {"experiment": "classical-limit", "m_values": m_values})
+    out = tmp_path / "never"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert "'m_values'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ('{"experiment": "project-single", "epsilon": NaN}', "epsilon"),
+        ('{"experiment": "project-single", "alpha_re": Infinity}', "alpha_re"),
+        ('{"experiment": "project-single", "epsilon": true}', "epsilon"),
+        ('{"experiment": "geometry", "n": true}', "n"),
+        ('{"experiment": "geometry", "n": 1.7}', "n"),
+        ('{"experiment": "geometry", "n": "1"}', "n"),
+        ('{"experiment": "project-single", "epsilon": 1' + "0" * 400 + "}", "epsilon"),
+        ('{"experiment": "classical-limit", "m_values": [true, 4]}', "m_values"),
+    ],
+    ids=["nan", "infinity", "bool-for-float", "bool-for-int", "fractional-int", "string", "overflow", "bool-in-list"],
+)
+def test_bad_numbers_exit_3_naming_field(tmp_path, capsys, payload, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(payload)
+    out = tmp_path / "never"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_accepted_for_int_field(tmp_path):
+    cfg = _write_config(tmp_path, {"experiment": "geometry", "n": 2.0})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from csquant import _kernels
 from csquant.coherent import (
     CoherentLabel,
     coherent_vector,
@@ -130,6 +131,17 @@ def test_resolution_finite_radius_diagonal_is_incomplete_gamma():
     diag = np.real(np.diag(report.matrix))
     expected = special.gammainc(np.arange(13) + 1, 4.0)
     assert np.max(np.abs(diag - expected)) < 1e-6
+
+
+def test_resolution_separable_gram_matches_dense_closure_sum():
+    # same polar rule summed node by node: (1/pi) sum_k w_k |a_k><a_k|
+    s = make_space(1, 12)
+    report = resolution_of_unity_check(s, 2.0)
+    grid = polar_disc_grid(2.0, 1024, 96)  # the check's default node counts at nmax=12, radius 2
+    vecs = _kernels.coherent_amp_matrix(grid.alphas, 12)
+    dense = (vecs.T * (grid.weights / math.pi)) @ vecs.conj()
+    assert np.max(np.abs(report.matrix - dense)) <= 1e-13
+    assert report.max_offdiag > 0.0  # off-diagonals come from numeric angular sums
 
 
 def test_resolution_quadrature_second_order_convergence():

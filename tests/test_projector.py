@@ -16,6 +16,7 @@ from csquant.projector import (
     projected_propagator,
     projector_identities,
     sin_kernel_residual,
+    sin_kernel_weights,
     single_constraint,
 )
 from csquant.spin import basis_map, su2_coherent
@@ -257,3 +258,34 @@ def test_null_criterion_matches_spectrum_scan():
         dim_phys = physical_subspace_dim(constraint, 0.1)
         state = project(spec, coherent_vector(s, 1.0))
         assert state.is_null == (dim_phys == 0)
+
+
+def _simpson_sin_kernel_weights(eigs, eps, lam_max):
+    """Composite Simpson quadrature of int_{-L}^{L} e^{i t x} sin(eps t)/(pi t) dt.
+
+    Reference for the closed form.  96 nodes per period of the fastest
+    oscillation put its own error near 1e-9, and the node count grows with
+    L, so it is only practical at small L.
+    """
+    xmax = float(np.max(np.abs(eigs)))
+    n_nodes = int(96.0 * lam_max * (xmax + eps) / (2.0 * math.pi)) + 1
+    n_nodes += 1 - n_nodes % 2
+    t = np.linspace(-lam_max, lam_max, n_nodes)
+    simp = np.ones(n_nodes)
+    simp[1:-1:2] = 4.0
+    simp[2:-1:2] = 2.0
+    simp *= (t[1] - t[0]) / 3.0
+    measure = np.full_like(t, eps / math.pi)
+    nz = t != 0.0
+    measure[nz] = np.sin(eps * t[nz]) / (math.pi * t[nz])
+    return (simp * measure) @ np.exp(1j * np.outer(t, eigs))
+
+
+@pytest.mark.parametrize("lam_max", [50.0, 400.0])
+@pytest.mark.parametrize("target", [2.0, 2.5, 2.05])
+def test_sin_kernel_weights_match_simpson_oracle(lam_max, target):
+    eigs = np.arange(13.0) - target
+    eps = 0.1
+    closed = sin_kernel_weights(eigs, eps, lam_max)
+    oracle = _simpson_sin_kernel_weights(eigs, eps, lam_max)
+    assert np.max(np.abs(closed - oracle)) <= 1e-8
