@@ -8,7 +8,8 @@ Exit codes: 0 all checks pass, 1 some check failed, 2 unknown experiment,
 3 config validation error (printed with the offending field).  Reruns with
 the same config and seed reproduce the output files byte for byte: every
 check is seeded, outputs carry no timestamps, and files are written via
-temp-file + rename.  TOOL_THREADS caps the numba thread pool.
+temp-file + rename.  A coherent state that leaks through the occupation
+cutoff is a config error naming `nmax`.
 """
 
 from __future__ import annotations
@@ -79,7 +80,10 @@ def _exp_resolution(cfg, seed):
     nmax = _get(cfg, "nmax", 40, int, 1)
     radius = _get(cfg, "radius", 8.0, float, 0.5)
     space = make_space(1, nmax)
-    report = coherent.resolution_of_unity_check(space, radius)
+    try:
+        report = coherent.resolution_of_unity_check(space, radius)
+    except ValueError as exc:  # the default polar grid is too coarse for this radius
+        raise ConfigError("radius", str(exc)) from None
     rows = [
         CheckRow("identity_block_residual", report.max_residual_block, 1e-6),
         CheckRow("offdiagonal_max", report.max_offdiag, 1e-8),
@@ -103,7 +107,8 @@ def _exp_project_single(cfg, seed):
     expected[mprime] = (
         math.exp(-0.5 * abs(alpha) ** 2) * alpha**mprime / math.sqrt(math.factorial(mprime))
     )
-    resid = float(np.max(np.abs(state.vec.amps - expected))) if state.vec is not None else math.inf
+    got = state.vec.amps if state.vec is not None else np.zeros(space.dim)  # null: the zero vector
+    resid = float(np.max(np.abs(got - expected)))
     norm_err = abs(state.norm_in_full_space - abs(expected[mprime]))
     null_norms = []
     for frac in (0.3, 0.5, 1.5):
@@ -125,16 +130,25 @@ def _exp_project_double(cfg, seed):
     eps = _get(cfg, "epsilon", 0.1, float, 1e-6, 0.499)
     alpha = complex(_get(cfg, "alpha_re", 0.6, float), _get(cfg, "alpha_im", 0.3, float))
     beta = complex(_get(cfg, "beta_re", 0.9, float), _get(cfg, "beta_im", -0.2, float))
+    if beta == 0:
+        raise ConfigError("beta_re", "beta must be nonzero: the SU(2) label is alpha/beta")
     space = make_space(2, nmax)
     spec = projector.ProjectorSpec(projector.double_constraint(space, float(mprime)), epsilon=eps)
-    state = projector.normalize_physical(
-        projector.project(spec, coherent_vector(space, [alpha, beta]))
-    )
+    state = projector.project(spec, coherent_vector(space, [alpha, beta]))
+    if not state.is_null:
+        state = projector.normalize_physical(state)
+    if state.gauge_phase is None:
+        raise ConfigError(
+            "beta_re",
+            f"the projected |0, {mprime}> amplitude vanishes, so the gauge phase (beta/|beta|)^mprime is undefined",
+        )
     sector = spin.basis_map(space, mprime)
     mapped = sector.restrict_vector(state.vec.amps)
-    reference = spin.su2_coherent(sector.j, alpha / beta).amps
-    phase = state.gauge_phase
-    resid = float(np.max(np.abs(mapped - phase * reference)))
+    try:
+        reference = spin.su2_coherent(sector.j, alpha / beta).amps
+    except OverflowError:
+        raise ConfigError("beta_re", "|alpha/beta| overflows the SU(2) coherent-state amplitudes") from None
+    resid = float(np.max(np.abs(mapped - state.gauge_phase * reference)))
     rows = [CheckRow("su2_state_match_residual", resid, 1e-10)]
     return rows, {}
 
@@ -428,6 +442,9 @@ def run_experiment(config_path: str, out_dir: str | None, seed_override: int | N
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
+    except coherent.TruncationLeakageError as exc:
+        print(f"config error: config field 'nmax': {exc}", file=sys.stderr)
+        return 3
     _write_outputs(out, name, rows, sweeps, cfg_bytes, seed)
     for r in rows:
         status = "pass" if r.passed else "FAIL"
@@ -436,14 +453,6 @@ def run_experiment(config_path: str, out_dir: str | None, seed_override: int | N
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("TOOL_THREADS")
-    if threads:
-        try:
-            import numba
-
-            numba.set_num_threads(max(1, int(threads)))
-        except (ImportError, ValueError):
-            pass
     parser = argparse.ArgumentParser(prog="csquant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run one experiment from a JSON config")

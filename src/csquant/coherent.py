@@ -35,6 +35,10 @@ TAIL_WARN = 1e-10
 TAIL_ERROR = 1e-6
 
 
+class TruncationLeakageError(ValueError):
+    """A coherent state loses more than TAIL_ERROR of its norm above the cutoff."""
+
+
 @dataclass(frozen=True)
 class CoherentLabel:
     """Phase-space label (p, q) with its units (omega, hbar) carried along."""
@@ -100,7 +104,7 @@ def coherent_vector(space: FockSpace, alphas) -> FockVector:
 
     Amplitudes are exactly the series coefficients up to the cutoff (no
     renormalization); the norm deficit is the truncation leakage.  Leakage
-    above TAIL_ERROR raises, above TAIL_WARN warns.
+    above TAIL_ERROR raises TruncationLeakageError, above TAIL_WARN warns.
     """
     if np.isscalar(alphas) or isinstance(alphas, complex):
         alphas = [alphas]
@@ -118,7 +122,9 @@ def coherent_vector(space: FockSpace, alphas) -> FockVector:
         survive *= 1.0 - tail
     leakage = 1.0 - survive
     if leakage > TAIL_ERROR:
-        raise ValueError(f"truncation leakage {leakage:.3e} exceeds {TAIL_ERROR:.0e}; raise nmax")
+        raise TruncationLeakageError(
+            f"truncation leakage {leakage:.3e} exceeds {TAIL_ERROR:.0e}; raise nmax"
+        )
     amps = single_mode_amplitudes(alphas[0], space.nmax)
     for a in alphas[1:]:
         # mode 0 varies fastest, so later modes go on the left of the kron
@@ -273,17 +279,17 @@ def reproducing_propagation(
     if space.modes != 1:
         raise ValueError("reproducing propagation is implemented for single-mode spaces")
     probe_alphas = np.asarray(probe_alphas, dtype=np.complex128)
-    pvecs = _kernels.coherent_amp_matrix(np.ascontiguousarray(probe_alphas), space.nmax)
+    probe_amps = _kernels.coherent_amp_matrix(np.ascontiguousarray(probe_alphas), space.nmax)
     reproduced = np.zeros(probe_alphas.size, dtype=np.complex128)
     chunk = 65536
     for lo in range(0, grid.alphas.size, chunk):
         hi = min(lo + chunk, grid.alphas.size)
-        vecs = _kernels.coherent_amp_matrix(np.ascontiguousarray(grid.alphas[lo:hi]), space.nmax)
-        f = vecs.conj() @ psi.amps
+        node_amps = _kernels.coherent_amp_matrix(np.ascontiguousarray(grid.alphas[lo:hi]), space.nmax)
+        f = node_amps.conj() @ psi.amps
         # K(a', a_k) = <a'|a_k> via the amplitude matrices (exact up to truncation)
-        kernel = pvecs.conj() @ vecs.T
+        kernel = probe_amps.conj() @ node_amps.T
         reproduced += kernel @ (grid.weights[lo:hi] / math.pi * f)
-    direct = pvecs.conj() @ psi.amps
+    direct = probe_amps.conj() @ psi.amps
     return PropagationReport(
         probe_alphas=probe_alphas,
         reproduced=reproduced,

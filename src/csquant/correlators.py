@@ -178,8 +178,7 @@ def correlation(
         raise ValueError(f"operator {operator!r} not available for the {model} model")
 
     spec = projector.ProjectorSpec(constraint=constraint, epsilon=epsilon)
-    proj = projector.build_projector(spec)
-    projected = proj.mat @ v_ket.amps
+    projected = projector.build_projector(spec) * v_ket.amps
     overlap = complex(np.vdot(v_eval.amps, projected))
     undefined = abs(overlap) < RATIO_FLOOR
     if undefined:
@@ -278,12 +277,12 @@ def classical_limit_check(
             nmax = int(m + 12 * math.sqrt(m) + 20)
             space = make_space(1, nmax)
             constraint = projector.single_constraint(space, float(m))
-            proj = projector.build_projector(projector.ProjectorSpec(constraint=constraint))
+            weights = projector.build_projector(projector.ProjectorSpec(constraint=constraint))
             q_op = fock.position_operator(space, 0, omega, hbar)
             p_op = fock.momentum_operator(space, 0, omega, hbar)
             h_op = fock.ho_hamiltonian(space, 0, omega, hbar)
             a_ket = math.sqrt(m)
-            projected = proj.mat @ coherent_vector(space, a_ket).amps
+            projected = weights * coherent_vector(space, a_ket).amps
             energy = hbar * omega * (m + 0.5)
             amp = math.sqrt(2.0 * energy) / omega
             amp_scale = amp

@@ -216,10 +216,6 @@ def number_operator(space: FockSpace, mode: int) -> LinearOperator:
     return from_diagonal(space, space.mode_occupations(mode).astype(np.float64))
 
 
-def total_number_operator(space: FockSpace) -> LinearOperator:
-    return from_diagonal(space, space.total_occupations().astype(np.float64))
-
-
 def ho_hamiltonian(space: FockSpace, mode: int, omega: float = 1.0, hbar: float = 1.0) -> LinearOperator:
     """hbar*omega*(n + 1/2) for one mode, diagonal in the occupation basis."""
     if omega <= 0:

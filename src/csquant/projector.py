@@ -1,10 +1,13 @@
 """Projection onto the near-kernel of a first-class constraint operator.
 
-Two constructions of the projector are kept side by side:
+Both oscillator models carry a single constraint, a number operator minus
+a real target, which is diagonal in the occupation basis.  A constraint is
+therefore stored as its eigenvalue per basis state, and its projector as a
+weight per basis state: projecting a vector is an elementwise product.
+Two constructions of the weights are kept side by side:
 
 * spectral-interval (primary): eigenvalues of the constraint within
   (-eps, eps) get weight 1, exactly on the boundary weight 1/2, outside 0.
-  For the diagonal constraints used here this is exact.
 * sin-kernel measure (oracle): the finite-range integral
   int_{-L}^{L} exp(i t Phi) sin(eps t)/(pi t) dt, evaluated exactly per
   eigenvalue x as [Si(L(x+eps)) - Si(L(x-eps))]/pi (DLMF 6.2), which
@@ -12,11 +15,9 @@ Two constructions of the projector are kept side by side:
   like 1/t, so L must scale like 1/(eps * tol); the default is chosen from
   that bound.
 
-Both oscillator models carry a single diagonal constraint (number operator
-minus a real target), so projecting a coherent state keeps one
-total-occupation sector: empty when the target is not near an integer,
-which is how energy quantization shows up here as observed behavior rather
-than an input.
+Projecting a coherent state keeps one total-occupation sector: empty when
+the target is not near an integer, which is how energy quantization shows
+up here as observed behavior rather than an input.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from scipy import special
 from scipy.linalg import expm
 
 from .coherent import CoherentLabel, KernelValue, coherent_vector
-from .fock import FockSpace, FockVector, LinearOperator, from_diagonal, total_number_operator, number_operator
+from .fock import FockSpace, FockVector, LinearOperator
 
 BOUNDARY_TOL = 1e-12
 NULL_NORM = 1e-12
@@ -38,47 +39,34 @@ SIN_KERNEL_TOL = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class ConstraintOp:
-    """Hermitian constraint operator with its target eigenvalue split off."""
+    """Diagonal constraint: its eigenvalue (occupation minus target) per basis state."""
 
-    op: LinearOperator
+    space: FockSpace
+    eigs: np.ndarray
     target: float
-    label: str
 
-    @property
-    def space(self) -> FockSpace:
-        return self.op.space
+    def __post_init__(self):
+        eigs = np.array(self.eigs, dtype=np.float64)
+        if eigs.shape != (self.space.dim,):
+            raise ValueError(f"constraint needs {self.space.dim} eigenvalues")
+        eigs.flags.writeable = False
+        object.__setattr__(self, "eigs", eigs)
 
-    def eigensystem(self):
-        """(eigenvalues, eigenvectors or None).  None means already diagonal."""
-        mat = self.op.mat
-        off = mat - np.diag(np.diag(mat))
-        if np.max(np.abs(off)) == 0.0:
-            return np.real(np.diag(mat)).copy(), None
-        vals, vecs = np.linalg.eigh(mat)
-        return vals, vecs
+    def eigensystem(self) -> np.ndarray:
+        """Eigenvalues in basis order; the occupation basis is the eigenbasis."""
+        return self.eigs
 
 
 def single_constraint(space: FockSpace, target: float, mode: int = 0) -> ConstraintOp:
     """Number operator of one mode minus target."""
-    n = number_operator(space, mode)
-    op = from_diagonal(space, np.real(np.diag(n.mat)) - target)
-    return ConstraintOp(op=op, target=float(target), label="single")
+    return ConstraintOp(space, space.mode_occupations(mode) - target, float(target))
+
 
 def double_constraint(space: FockSpace, target: float) -> ConstraintOp:
     """Total number operator of a two-mode space minus target."""
     if space.modes != 2:
         raise ValueError("double constraint needs a two-mode space")
-    n = total_number_operator(space)
-    op = from_diagonal(space, np.real(np.diag(n.mat)) - target)
-    return ConstraintOp(op=op, target=float(target), label="double")
-
-
-def model_constraint(model: str, space: FockSpace, target: float) -> ConstraintOp:
-    if model == "single":
-        return single_constraint(space, target)
-    if model == "double":
-        return double_constraint(space, target)
-    raise ValueError(f"unknown model {model!r}")
+    return ConstraintOp(space, space.total_occupations() - target, float(target))
 
 
 @dataclass(frozen=True)
@@ -101,12 +89,6 @@ def _spectral_weights(eigs: np.ndarray, eps: float) -> np.ndarray:
     w = np.where(np.abs(eigs) < eps, 1.0, 0.0)
     w[np.abs(np.abs(eigs) - eps) <= BOUNDARY_TOL] = 0.5
     return w
-
-
-def _assemble(space, weights, vecs) -> LinearOperator:
-    if vecs is None:
-        return from_diagonal(space, weights)
-    return LinearOperator(space, (vecs * weights) @ vecs.conj().T)
 
 
 def default_lam_max(epsilon: float, eigs=None, tol: float = SIN_KERNEL_TOL) -> float:
@@ -141,12 +123,12 @@ def sin_kernel_weights(eigs: np.ndarray, eps: float, lam_max: float) -> np.ndarr
     return (si_hi - si_lo) / math.pi
 
 
-def build_projector(spec: ProjectorSpec) -> LinearOperator:
-    """The projector for `spec`; sin-kernel mode is validated against spectral."""
-    eigs, vecs = spec.constraint.eigensystem()
+def build_projector(spec: ProjectorSpec) -> np.ndarray:
+    """The projector's weight per basis state; sin-kernel mode is validated against spectral."""
+    eigs = spec.constraint.eigensystem()
     w_spec = _spectral_weights(eigs, spec.epsilon)
     if spec.measure == "spectral":
-        return _assemble(spec.constraint.space, w_spec, vecs)
+        return w_spec
     lam_max = spec.lam_max if spec.lam_max is not None else default_lam_max(spec.epsilon, eigs)
     w_sin = sin_kernel_weights(eigs, spec.epsilon, lam_max)
     resid = float(np.max(np.abs(w_sin - w_spec)))
@@ -155,12 +137,12 @@ def build_projector(spec: ProjectorSpec) -> LinearOperator:
             f"sin-kernel quadrature residual {resid:.3e} exceeds {SIN_KERNEL_TOL:.0e} "
             f"(lam_max={lam_max:.3g} under-resolved; the tail decays like 1/lam_max)"
         )
-    return _assemble(spec.constraint.space, w_sin, vecs)
+    return w_sin
 
 
 def sin_kernel_residual(spec: ProjectorSpec) -> float:
     """max |sin-kernel weights - spectral weights| at the constraint's spectrum."""
-    eigs, _ = spec.constraint.eigensystem()
+    eigs = spec.constraint.eigensystem()
     lam_max = spec.lam_max if spec.lam_max is not None else default_lam_max(spec.epsilon, eigs)
     w_sin = sin_kernel_weights(eigs, spec.epsilon, lam_max)
     return float(np.max(np.abs(w_sin - _spectral_weights(eigs, spec.epsilon))))
@@ -183,12 +165,11 @@ class PhysicalState:
 def project(spec: ProjectorSpec, v: FockVector) -> PhysicalState:
     if v.space != spec.constraint.space:
         raise ValueError("vector lives on a different space than the constraint")
-    proj = build_projector(spec)
-    w = proj.mat @ v.amps
-    norm = float(np.linalg.norm(w))
+    amps = build_projector(spec) * v.amps
+    norm = float(np.linalg.norm(amps))
     if norm < NULL_NORM:
         return PhysicalState(spec=spec, vec=None, norm_in_full_space=norm)
-    return PhysicalState(spec=spec, vec=FockVector(v.space, w), norm_in_full_space=norm)
+    return PhysicalState(spec=spec, vec=FockVector(v.space, amps), norm_in_full_space=norm)
 
 
 def _extract_gauge_phase(state: PhysicalState) -> complex | None:
@@ -242,22 +223,23 @@ def projector_identities(
 ) -> IdentityReport:
     """Residuals of P^2 = P, P+ = P, exp(i s Phi) P = P and [P, U(t)] = 0.
 
-    The evolution check needs [H, Phi] = 0, which holds for both models
+    P and Phi are diagonal, so the first three are elementwise on the
+    weights w and eigenvalues x; [P, U]_ij = (w_i - w_j) U_ij.  The
+    evolution check needs [H, Phi] = 0, which holds for both models
     (H is an affine function of the constraint there).
     """
-    proj = build_projector(spec).mat
-    phi = spec.constraint.op.mat
-    report_gauge = {}
-    for s in sigmas:
-        g = expm(1j * s * phi)
-        report_gauge[s] = float(np.max(np.abs(g @ proj - proj)))
+    w = build_projector(spec)
+    eigs = spec.constraint.eigensystem()
+    report_gauge = {
+        sigma: float(np.max(np.abs((np.exp(1j * sigma * eigs) - 1.0) * w))) for sigma in sigmas
+    }
     report_evo = {}
     for t in times:
         u = expm(-1j * t / hbar * hamiltonian.mat)
-        report_evo[t] = float(np.max(np.abs(proj @ u - u @ proj)))
+        report_evo[t] = float(np.max(np.abs(np.subtract.outer(w, w) * u)))
     return IdentityReport(
-        idempotency=float(np.max(np.abs(proj @ proj - proj))),
-        hermiticity=float(np.max(np.abs(proj - proj.conj().T))),
+        idempotency=float(np.max(np.abs(w * w - w))),
+        hermiticity=float(np.max(np.abs(w - np.conj(w)))),
         gauge=report_gauge,
         evolution=report_evo,
     )
@@ -275,11 +257,9 @@ def projected_propagator(spec: ProjectorSpec, labels_bra, labels_ket) -> KernelV
     space = spec.constraint.space
     v_bra = _labels_to_vector(space, labels_bra)
     v_ket = _labels_to_vector(space, labels_ket)
-    proj = build_projector(spec)
-    return KernelValue(complex(np.vdot(v_bra.amps, proj.mat @ v_ket.amps)))
+    return KernelValue(complex(np.vdot(v_bra.amps, build_projector(spec) * v_ket.amps)))
 
 
 def physical_subspace_dim(constraint: ConstraintOp, epsilon: float) -> int:
     """Number of constraint eigenvalues within the epsilon window."""
-    eigs, _ = constraint.eigensystem()
-    return int(np.count_nonzero(np.abs(eigs) < epsilon))
+    return int(np.count_nonzero(np.abs(constraint.eigensystem()) < epsilon))

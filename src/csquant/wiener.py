@@ -195,18 +195,21 @@ def sample_lapse_proper_times(
 
     lambda(0) ~ Uniform(-window, window), increments N(0, nu dt); both ends
     are left free.  window = 0 and nu = 0 gives the degenerate tau = 0.
+    The trapezoid over lambda_k = lambda(0) + (sum of the first k
+    increments), k = 0..N, is linear in the draws: lambda(0) has weight N
+    and increment i (1-based) weight N - i + 1/2, so the walks themselves
+    are never stored.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     rng = rng_stream(seed, stream)
     lam0 = rng.uniform(-window, window, size=n_paths) if window > 0 else np.zeros(n_paths)
     dt = t_total / n_steps
+    tau = n_steps * lam0
     if nu > 0:
-        increments = rng.standard_normal((n_paths, n_steps)) * math.sqrt(nu * dt)
-    else:
-        increments = np.zeros((n_paths, n_steps))
-    lam = np.concatenate([lam0[:, None], lam0[:, None] + np.cumsum(increments, axis=1)], axis=1)
-    return np.trapezoid(lam, dx=dt, axis=1)
+        coeffs = math.sqrt(nu * dt) * (n_steps + 0.5 - np.arange(1, n_steps + 1))
+        tau += rng.standard_normal((n_paths, n_steps)) @ coeffs
+    return dt * tau
 
 
 @dataclass(frozen=True)
@@ -254,13 +257,8 @@ def lambda_average_propagator(
     space = spec.constraint.space
     v_bra = projector._labels_to_vector(space, labels_bra)
     v_ket = projector._labels_to_vector(space, labels_ket)
-    eigs, vecs = spec.constraint.eigensystem()
-    if vecs is not None:
-        amps_bra = vecs.conj().T @ v_bra.amps
-        amps_ket = vecs.conj().T @ v_ket.amps
-    else:
-        amps_bra, amps_ket = v_bra.amps, v_ket.amps
-    weights = np.conj(amps_bra) * amps_ket
+    eigs = spec.constraint.eigensystem()
+    weights = np.conj(v_bra.amps) * v_ket.amps
 
     spectral = complex(np.sum(weights * projector._spectral_weights(eigs, spec.epsilon)))
 
@@ -270,11 +268,7 @@ def lambda_average_propagator(
     quadrature = complex(np.sum(weights * quad_weights))
 
     taus = sample_lapse_proper_times(nu, t_total, n_steps, window, n_paths, seed, stream)
-    vals = _kernels.phase_samples(
-        np.ascontiguousarray(taus),
-        np.ascontiguousarray(eigs.astype(np.float64)),
-        np.ascontiguousarray(weights.astype(np.complex128)),
-    )
+    vals = _kernels.phase_samples(taus, eigs, weights)
     mc_value = complex(np.mean(vals))
     se = math.sqrt((np.var(vals.real) + np.var(vals.imag)) / n_paths)
     est = PropagatorEstimates(

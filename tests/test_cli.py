@@ -1,6 +1,11 @@
 import json
+import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csquant import cli
 
@@ -135,3 +140,130 @@ def test_bad_numbers_exit_3_naming_field(tmp_path, capsys, payload, field):
 def test_integral_float_accepted_for_int_field(tmp_path):
     cfg = _write_config(tmp_path, {"experiment": "geometry", "n": 2.0})
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"experiment": "project-single", "alpha_re": 9}, "nmax"),
+        ({"experiment": "project-double", "alpha_re": 9}, "nmax"),
+        ({"experiment": "project-double", "nmax": 1, "mprime": 1}, "nmax"),
+        ({"experiment": "spin-overlap", "nmax": 4, "mprime": 3}, "nmax"),
+        ({"experiment": "correlations", "nmax": 14}, "nmax"),
+        ({"experiment": "wiener", "nmax": 5, "n_paths": 1000}, "nmax"),
+        ({"experiment": "resolution", "nmax": 1, "radius": 10000}, "radius"),
+        ({"experiment": "project-double", "beta_re": 0, "beta_im": 0}, "beta_re"),
+        ({"experiment": "project-double", "beta_re": 1e-200, "beta_im": 0}, "beta_re"),
+        ({"experiment": "project-double", "mprime": 1, "beta_re": 1e-160, "beta_im": 0}, "beta_re"),
+        ({"experiment": "project-double", "alpha_re": 0, "alpha_im": 0, "beta_re": 1e-3, "beta_im": 0}, "beta_re"),
+    ],
+    ids=[
+        "single-leakage",
+        "double-leakage",
+        "double-nmax-1",
+        "spin-overlap-leakage",
+        "correlations-leakage",
+        "wiener-leakage",
+        "resolution-grid",
+        "beta-zero",
+        "beta-gauge-underflow",
+        "beta-label-overflow",
+        "double-null",
+    ],
+)
+def test_unusable_config_exit_3_naming_field(tmp_path, capsys, payload, field):
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "never"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_project_single_null_state_is_the_zero_vector(tmp_path):
+    # alpha = 0 has no |3> component: the projection is null and that is the right answer
+    cfg = _write_config(tmp_path, {"experiment": "project-single", "alpha_re": 0, "mprime": 3})
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    table = json.loads((out / "project-single.json").read_text())
+    values = {row["name"]: row["value"] for row in table["checks"]}
+    assert values["projected_component_residual"] == 0.0
+    assert values["physical_norm_error"] == 0.0
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_EPSILON = _floats(1e-6, 0.499)
+_CHEAP_CONFIGS = st.one_of(
+    st.fixed_dictionaries(
+        {"experiment": st.just("resolution")},
+        optional={"nmax": st.integers(0, 20), "radius": _floats(0.0, 6.0)},
+    ),
+    st.fixed_dictionaries(
+        {"experiment": st.just("project-single")},
+        optional={
+            "nmax": st.integers(0, 30),
+            "mprime": st.integers(-1, 30),
+            "epsilon": _EPSILON,
+            "alpha_re": _floats(-7.0, 7.0),
+            "alpha_im": _floats(-7.0, 7.0),
+        },
+    ),
+    st.fixed_dictionaries(
+        {"experiment": st.just("project-double")},
+        optional={
+            "nmax": st.integers(0, 12),
+            "mprime": st.integers(0, 12),
+            "epsilon": _EPSILON,
+            "alpha_re": _floats(-4.0, 4.0),
+            "alpha_im": _floats(-4.0, 4.0),
+            "beta_re": _floats(-4.0, 4.0),
+            "beta_im": _floats(-4.0, 4.0),
+        },
+    ),
+    st.fixed_dictionaries(
+        {"experiment": st.just("spin-overlap")},
+        optional={"nmax": st.integers(1, 10), "mprime": st.integers(0, 10), "n_pairs": st.integers(0, 2)},
+    ),
+    st.fixed_dictionaries(
+        {"experiment": st.just("correlations")},
+        optional={"nmax": st.integers(3, 30), "mprime": st.integers(-1, 22)},
+    ),
+    st.fixed_dictionaries(
+        {"experiment": st.just("classical-limit")},
+        optional={
+            "model": st.sampled_from(["single", "double", "triple"]),
+            "m_values": st.lists(st.integers(0, 32), max_size=3),
+        },
+    ),
+    st.fixed_dictionaries({"experiment": st.just("geometry")}, optional={"n": st.integers(0, 8)}),
+    st.fixed_dictionaries(
+        {"experiment": st.just("wiener")},
+        optional={
+            "nmax": st.integers(1, 12),
+            "mprime": st.integers(0, 12),
+            "epsilon": _floats(1e-3, 0.499),
+            "n_paths": st.integers(99, 2000),
+        },
+    ),
+    st.fixed_dictionaries({"experiment": st.sampled_from(["", "nope"])}),
+)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(cfg=_CHEAP_CONFIGS)
+def test_cli_contract_holds_for_generated_configs(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(cfg, handle)
+        out = os.path.join(tmp, "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # truncation-tail warnings are expected here
+            code = cli.main(["run", "--config", path, "--out", out])
+        assert code in (0, 1, 2, 3)
+        wrote = os.path.exists(os.path.join(out, f"{cfg['experiment']}.json"))
+        assert wrote == (code in (0, 1))

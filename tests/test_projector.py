@@ -24,23 +24,23 @@ from csquant.spin import basis_map, su2_coherent
 
 def test_spectral_table_selects_single_level():
     s = make_space(1, 10)
-    proj = build_projector(ProjectorSpec(single_constraint(s, 3.0), epsilon=0.1))
-    expected = np.zeros((11, 11))
-    expected[3, 3] = 1.0
-    assert np.array_equal(proj.mat, expected.astype(complex))
+    weights = build_projector(ProjectorSpec(single_constraint(s, 3.0), epsilon=0.1))
+    expected = np.zeros(11)
+    expected[3] = 1.0
+    assert np.array_equal(weights, expected)
 
 
 def test_spectral_table_null_for_half_integer():
     s = make_space(1, 10)
-    proj = build_projector(ProjectorSpec(single_constraint(s, 0.5), epsilon=0.1))
-    assert np.max(np.abs(proj.mat)) == 0.0
+    weights = build_projector(ProjectorSpec(single_constraint(s, 0.5), epsilon=0.1))
+    assert np.max(np.abs(weights)) == 0.0
 
 
 def test_spectral_boundary_case_weight_half():
     s = make_space(1, 4)
-    proj = build_projector(ProjectorSpec(single_constraint(s, 2.25), epsilon=0.25))
-    assert proj.mat[2, 2] == pytest.approx(0.5)
-    assert proj.mat[3, 3] == 0.0
+    weights = build_projector(ProjectorSpec(single_constraint(s, 2.25), epsilon=0.25))
+    assert weights[2] == pytest.approx(0.5)
+    assert weights[3] == 0.0
 
 
 def test_epsilon_validation():
@@ -54,10 +54,10 @@ def test_epsilon_validation():
 def test_sin_kernel_matches_spectral():
     s = make_space(1, 6)
     spec = ProjectorSpec(single_constraint(s, 2.0), epsilon=0.1, measure="sin-kernel")
-    proj = build_projector(spec)
+    weights = build_projector(spec)
     expected = np.zeros(7)
     expected[2] = 1.0
-    assert np.max(np.abs(np.diag(proj.mat) - expected)) < 1e-4
+    assert np.max(np.abs(weights - expected)) < 1e-4
     assert sin_kernel_residual(ProjectorSpec(single_constraint(s, 2.0), epsilon=0.1)) < 1e-4
 
 
@@ -230,12 +230,12 @@ def test_projected_propagator_double_su2_magnitude():
 
 def test_epsilon_independence_for_integer_target():
     s = make_space(1, 12)
-    mats = [
-        build_projector(ProjectorSpec(single_constraint(s, 4.0), epsilon=eps)).mat
+    weights = [
+        build_projector(ProjectorSpec(single_constraint(s, 4.0), epsilon=eps))
         for eps in (0.05, 0.2, 0.45)
     ]
-    assert np.array_equal(mats[0], mats[1])
-    assert np.array_equal(mats[0], mats[2])
+    assert np.array_equal(weights[0], weights[1])
+    assert np.array_equal(weights[0], weights[2])
 
 
 def test_projection_is_contraction():

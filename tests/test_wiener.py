@@ -147,6 +147,20 @@ def test_lapse_tau_distribution_moments():
     assert walk_var == pytest.approx(1.0 / 3.0, rel=0.1)
 
 
+@pytest.mark.parametrize("nu, window", [(1.0, 2000.0), (0.3, 0.0), (0.0, 5.0)])
+def test_lapse_weighted_sum_matches_trapezoid_oracle(nu, window):
+    n_paths, n_steps, t_total = 3000, 32, 1.3
+    taus = sample_lapse_proper_times(nu, t_total, n_steps, window, n_paths, seed=21, stream=4)
+    # the same draws, in the same order, accumulated into explicit walks
+    rng = rng_stream(21, 4)
+    lam0 = rng.uniform(-window, window, size=n_paths) if window > 0 else np.zeros(n_paths)
+    dt = t_total / n_steps
+    increments = rng.standard_normal((n_paths, n_steps)) * math.sqrt(nu * dt)
+    lam = np.concatenate([lam0[:, None], lam0[:, None] + np.cumsum(increments, axis=1)], axis=1)
+    oracle = np.trapezoid(lam, dx=dt, axis=1)
+    assert np.max(np.abs(taus - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
 @pytest.fixture(scope="module")
 def propagator_setup():
     space = make_space(1, 16)
