@@ -115,11 +115,6 @@ def constraint_value(state: ClassicalState, energy: float, omega: float = 1.0) -
     return h - energy
 
 
-def rescale_phase_space(p, q, omega: float = 1.0, hbar: float = 1.0):
-    """Physical (p, q) to the dimensionless coordinates used for geometry."""
-    return p / math.sqrt(omega * hbar), q * math.sqrt(omega / hbar)
-
-
 @dataclass(frozen=True)
 class SCoords:
     """Gauge-invariant quadratic coordinates of the two-oscillator model.

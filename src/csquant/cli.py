@@ -82,8 +82,12 @@ def _exp_resolution(cfg, seed):
     space = make_space(1, nmax)
     try:
         report = coherent.resolution_of_unity_check(space, radius)
-    except ValueError as exc:  # the default polar grid is too coarse for this radius
+    except ValueError as exc:  # the default polar grid is too coarse or too large for this radius
         raise ConfigError("radius", str(exc)) from None
+    if report.n_keep < 0:
+        raise ConfigError(
+            "radius", f"no occupation level closes to within 1e-8 at radius {radius} (needs radius > 4.29)"
+        )
     rows = [
         CheckRow("identity_block_residual", report.max_residual_block, 1e-6),
         CheckRow("offdiagonal_max", report.max_offdiag, 1e-8),
@@ -111,7 +115,8 @@ def _exp_project_single(cfg, seed):
     resid = float(np.max(np.abs(got - expected)))
     norm_err = abs(state.norm_in_full_space - abs(expected[mprime]))
     null_norms = []
-    for frac in (0.3, 0.5, 1.5):
+    # each probe target lies more than eps from every level, for any eps < 1/2
+    for frac in ((0.5 + eps) / 2, 0.5, 1.5):
         frac_spec = projector.ProjectorSpec(
             projector.single_constraint(space, frac), epsilon=eps
         )

@@ -33,6 +33,7 @@ from .fock import FockSpace, FockVector
 
 TAIL_WARN = 1e-10
 TAIL_ERROR = 1e-6
+RESOLUTION_MAX_BYTES = 64 * 2**20  # radial amplitude block of the resolution check
 
 
 class TruncationLeakageError(ValueError):
@@ -216,7 +217,9 @@ def resolution_of_unity_check(
     the block n <= n_keep, where n_keep is the largest level whose
     incomplete-gamma deficit 1 - P(n+1, R^2) stays below tail_tol.  The
     exact diagonal at finite radius is the regularized lower incomplete
-    gamma P(n+1, R^2), returned for finite-radius checks.
+    gamma P(n+1, R^2), returned for finite-radius checks.  A radial
+    amplitude block (16 n_radial (nmax + 1) bytes) larger than
+    RESOLUTION_MAX_BYTES is refused with ValueError before it is built.
     """
     if space.modes != 1:
         raise ValueError("resolution check is implemented for single-mode spaces")
@@ -225,6 +228,12 @@ def resolution_of_unity_check(
     if n_radial is None:
         # midpoint error ~ h^2/12 from the n = 0 integrand; keep it near 1e-7
         n_radial = max(256, int(512 * radius))
+    block_bytes = 16 * n_radial * (space.nmax + 1)
+    if block_bytes > RESOLUTION_MAX_BYTES:
+        raise ValueError(
+            f"radial amplitude block of {n_radial} nodes x {space.nmax + 1} levels needs "
+            f"{block_bytes / 2**20:.0f} MiB (> {RESOLUTION_MAX_BYTES / 2**20:.0f} MiB); lower radius or nmax"
+        )
     r, dr, th, dth = _polar_nodes(radius, n_radial, n_angular)
     # the polar_disc_grid closure sum, factored: node (r, theta) contributes
     # (r dr dtheta / pi) amp_n(r) amp_m(r) e^{i(n-m)theta} to entry (n, m)

@@ -13,7 +13,10 @@ propagator that must reproduce the spectral answer:
   the prior suppresses every constraint eigenvalue x != 0 by a sinc factor
   ~ 1/(window * T * x) times a Gaussian damping exp(-x^2 nu T^3 / 6), so
   for integer targets the estimate converges to the spectral projection
-  and is stable under widening the prior window or changing nu.
+  and is stable under widening the prior window or changing nu.  Every
+  constraint eigenvalue is an integer level minus the target, so the
+  phase average is a polynomial in exp(-i tau) with one coefficient per
+  level (_kernels.phase_samples), not one exponential per basis state.
 
 The heat kernel takes whole batches of points, so each Simpson check of
 its normalization, variance and semigroup rule is one array evaluation
@@ -258,6 +261,7 @@ def lambda_average_propagator(
     v_bra = projector._labels_to_vector(space, labels_bra)
     v_ket = projector._labels_to_vector(space, labels_ket)
     eigs = spec.constraint.eigensystem()
+    target = spec.constraint.target
     weights = np.conj(v_bra.amps) * v_ket.amps
 
     spectral = complex(np.sum(weights * projector._spectral_weights(eigs, spec.epsilon)))
@@ -268,7 +272,7 @@ def lambda_average_propagator(
     quadrature = complex(np.sum(weights * quad_weights))
 
     taus = sample_lapse_proper_times(nu, t_total, n_steps, window, n_paths, seed, stream)
-    vals = _kernels.phase_samples(taus, eigs, weights)
+    vals = _kernels.phase_samples(taus, np.rint(eigs + target).astype(np.int64), target, weights)
     mc_value = complex(np.mean(vals))
     se = math.sqrt((np.var(vals.real) + np.var(vals.imag)) / n_paths)
     est = PropagatorEstimates(

@@ -4,7 +4,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csquant import cli
@@ -152,6 +152,7 @@ def test_integral_float_accepted_for_int_field(tmp_path):
         ({"experiment": "correlations", "nmax": 14}, "nmax"),
         ({"experiment": "wiener", "nmax": 5, "n_paths": 1000}, "nmax"),
         ({"experiment": "resolution", "nmax": 1, "radius": 10000}, "radius"),
+        ({"experiment": "resolution", "radius": 3.57}, "radius"),
         ({"experiment": "project-double", "beta_re": 0, "beta_im": 0}, "beta_re"),
         ({"experiment": "project-double", "beta_re": 1e-200, "beta_im": 0}, "beta_re"),
         ({"experiment": "project-double", "mprime": 1, "beta_re": 1e-160, "beta_im": 0}, "beta_re"),
@@ -165,6 +166,7 @@ def test_integral_float_accepted_for_int_field(tmp_path):
         "correlations-leakage",
         "wiener-leakage",
         "resolution-grid",
+        "resolution-unclosed",
         "beta-zero",
         "beta-gauge-underflow",
         "beta-label-overflow",
@@ -255,6 +257,9 @@ _CHEAP_CONFIGS = st.one_of(
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(cfg=_CHEAP_CONFIGS)
+@example(cfg={"experiment": "project-single", "epsilon": 0.3805})
+@example(cfg={"experiment": "project-single", "epsilon": 0.499, "mprime": 5})
+@example(cfg={"experiment": "resolution", "radius": 3.57})
 def test_cli_contract_holds_for_generated_configs(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -264,6 +269,7 @@ def test_cli_contract_holds_for_generated_configs(cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # truncation-tail warnings are expected here
             code = cli.main(["run", "--config", path, "--out", out])
-        assert code in (0, 1, 2, 3)
+        # only the statistical wiener Monte-Carlo rows may fail on a valid config
+        assert code in ((0, 1, 2, 3) if cfg["experiment"] == "wiener" else (0, 2, 3))
         wrote = os.path.exists(os.path.join(out, f"{cfg['experiment']}.json"))
         assert wrote == (code in (0, 1))

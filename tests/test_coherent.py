@@ -125,6 +125,16 @@ def test_resolution_large_radius_block():
     assert report.max_offdiag < 1e-8  # angular symmetry kills the phases
 
 
+def test_resolution_refuses_radial_block_over_budget(monkeypatch):
+    # radius 2000 at nmax 40 needs a 1,024,000 x 41 complex block (~670 MB)
+    def never(*args):
+        raise AssertionError("the amplitude block was built")
+
+    monkeypatch.setattr(_kernels, "coherent_amp_matrix", never)
+    with pytest.raises(ValueError, match="MiB"):
+        resolution_of_unity_check(make_space(1, 40), 2000.0)
+
+
 def test_resolution_finite_radius_diagonal_is_incomplete_gamma():
     s = make_space(1, 12)
     report = resolution_of_unity_check(s, 2.0, n_radial=2048, n_angular=128)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from csquant.coherent import CoherentLabel, coherent_vector
-from csquant.fock import basis_vector, ho_hamiltonian, make_space
+from csquant.fock import basis_vector, ho_hamiltonian, make_space, position_operator
 from csquant.projector import (
     ProjectorSpec,
     build_projector,
@@ -169,6 +169,13 @@ def test_projector_identities_gauge_zero_sigma():
         ProjectorSpec(single_constraint(s, 2.0)), ho_hamiltonian(s, 0), sigmas=(0.0,)
     )
     assert report.gauge[0.0] == 0.0
+
+
+def test_projector_identities_evolution_detects_noncommuting_hamiltonian():
+    # Q = (a + a+)/sqrt(2) changes the occupation, so [P, exp(-itQ)] != 0
+    s = make_space(1, 14)
+    report = projector_identities(ProjectorSpec(single_constraint(s, 4.0), epsilon=0.1), position_operator(s, 0))
+    assert all(residual > 1e-10 for residual in report.evolution.values())
 
 
 def test_projector_identities_sin_kernel_bounded_by_quadrature():

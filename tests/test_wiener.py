@@ -6,7 +6,7 @@ import pytest
 from csquant import _kernels, wiener
 from csquant.coherent import CoherentLabel
 from csquant.fock import make_space
-from csquant.projector import ProjectorSpec, single_constraint
+from csquant.projector import ProjectorSpec, double_constraint, single_constraint
 from csquant.wiener import (
     HeatKernelParams,
     heat_kernel,
@@ -223,29 +223,16 @@ def test_rng_stream_is_counter_based_and_stable():
     assert not np.array_equal(a, c)
 
 
-# backend equivalence: the numba kernels and the numpy fallbacks must agree
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_kernel_backends_agree():
-    rng = np.random.default_rng(55)
-    alphas = np.ascontiguousarray(
-        rng.uniform(0, 2, 64) * np.exp(1j * rng.uniform(0, 2 * math.pi, 64))
-    )
-    v_nb = _kernels.coherent_amp_matrix_nb(alphas, 12)
-    v_np = _kernels.coherent_amp_matrix_np(alphas, 12)
-    assert np.max(np.abs(v_nb - v_np)) < 1e-14
-
-    start = np.zeros((8, 2))
-    end = np.ones((8, 2))
-    normals = np.ascontiguousarray(rng.standard_normal((8, 15, 2)))
-    b_nb = _kernels.bridge_fill_nb(start, end, normals, 1.0, 1.0 / 16.0)
-    b_np = _kernels.bridge_fill_np(start, end, normals, 1.0, 1.0 / 16.0)
-    assert np.max(np.abs(b_nb - b_np)) < 1e-13
-
-    taus = np.ascontiguousarray(rng.uniform(-50, 50, 257))
-    eigs = np.ascontiguousarray(np.arange(9.0) - 2.0)
-    weights = np.ascontiguousarray(rng.standard_normal(9) + 1j * rng.standard_normal(9))
-    p_nb = _kernels.phase_samples_nb(taus, eigs, weights)
-    p_np = _kernels.phase_samples_np(taus, eigs, weights)
-    assert np.max(np.abs(p_nb - p_np)) < 1e-12
+@pytest.mark.parametrize("modes, nmax", [(1, 12), (2, 10)])
+@pytest.mark.parametrize("target", [3.0, 0.3])
+def test_phase_samples_matches_direct_sum(modes, nmax, target):
+    space = make_space(modes, nmax)
+    constraint = single_constraint(space, target) if modes == 1 else double_constraint(space, target)
+    rng = np.random.default_rng(91)
+    weights = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    taus = np.concatenate([[0.0, -4000.0, 4000.0], rng.uniform(-4000.0, 4000.0, 4000)])
+    levels = np.rint(constraint.eigs + target).astype(np.int64)
+    got = _kernels.phase_samples(taus, levels, target, weights)
+    # oracle: the direct sum, one complex exponential per sample and basis state
+    expected = np.exp(-1j * np.outer(taus, constraint.eigs)) @ weights
+    assert np.max(np.abs(got - expected)) <= 1e-10 * np.sum(np.abs(weights))
