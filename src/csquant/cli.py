@@ -9,7 +9,8 @@ Exit codes: 0 all checks pass, 1 some check failed, 2 unknown experiment,
 the same config and seed reproduce the output files byte for byte: every
 check is seeded, outputs carry no timestamps, and files are written via
 temp-file + rename.  A coherent state that leaks through the occupation
-cutoff is a config error naming `nmax`.
+cutoff, or a space over the fock.MAX_DIM basis-state guard, is a config
+error naming `nmax` (`m_values` for classical-limit, whose m sets the cutoff).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, classical, coherent, correlators, projector, spin, wiener
+from . import __version__, classical, coherent, correlators, fock, projector, spin, wiener
 from .fock import make_space
 from .coherent import coherent_vector
 
@@ -275,7 +276,8 @@ def _exp_wiener(cfg, seed):
     nmax = _get(cfg, "nmax", 12, int, 2)
     mprime = _get(cfg, "mprime", 1, int, 0, nmax)
     eps = _get(cfg, "epsilon", 0.45, float, 1e-3, 0.499)
-    n_paths = _get(cfg, "n_paths", 100_000, int, 100)
+    # the lapse walks' n_paths x LAPSE_STEPS float64 normals are the largest block drawn
+    n_paths = _get(cfg, "n_paths", 100_000, int, 100, wiener.DRAW_MAX_BYTES // (8 * wiener.LAPSE_STEPS))
     semi = wiener.semigroup_residual(0.7, 0.0, 0.4, 1.0, [0.1, -0.2], [0.5, 0.3])
     bridge = wiener.sample_pinned_paths(1.0, [0.0], [0.0], 1.0, 16, n_paths, seed, stream=3)
     mid = bridge[:, 8, 0]
@@ -449,6 +451,10 @@ def run_experiment(config_path: str, out_dir: str | None, seed_override: int | N
         return 3
     except coherent.TruncationLeakageError as exc:
         print(f"config error: config field 'nmax': {exc}", file=sys.stderr)
+        return 3
+    except fock.DimensionGuardError as exc:
+        field = "m_values" if name == "classical-limit" else "nmax"
+        print(f"config error: config field '{field}': {exc}", file=sys.stderr)
         return 3
     _write_outputs(out, name, rows, sweeps, cfg_bytes, seed)
     for r in rows:

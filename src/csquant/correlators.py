@@ -9,8 +9,9 @@ a closed form:
              (conj(a'') a' + conj(b'') b')^m / m!
 
 Correlation ratios <op P> / <P> against these states are computed two ways:
-the normative route is dense matrix elements in the truncated space; the
-closed-form brackets below come from the Bargmann derivative rule
+the normative route is matrix elements in the truncated space, taken as
+O(dim) band actions of the ladder operators (fock.lower) and a diagonal H;
+the closed-form brackets below come from the Bargmann derivative rule
 <a| A |psi> = d/d(conj a) of the analytic part and are the test oracles.
 At the peak manifold (|a''| = |a'|, phases aligned, energies matching the
 constraint) the ratios reduce to the classical trajectory evaluated at an
@@ -101,6 +102,23 @@ def oracle_ratio(model: str, operator: str, labels_ket, labels_eval, mprime: int
     raise ValueError(f"unknown model {model!r}")
 
 
+def _matrix_element(space, operator: str, bra: np.ndarray, ket: np.ndarray, omega: float, hbar: float) -> complex:
+    """<bra| operator |ket> for H (summed over modes) or a per-mode Q/P, in O(dim).
+
+    Q and P combine <bra| a |ket> and <bra| a^dagger |ket> = <a bra| ket>;
+    H is diagonal in the occupation basis.
+    """
+    if operator == "H":
+        energies = sum(hbar * omega * (space.mode_occupations(k) + 0.5) for k in range(space.modes))
+        return complex(np.vdot(bra, energies * ket))
+    mode = int(operator[1:] or 1) - 1  # "Q" is the single model's mode 0, "Q2" is mode 1
+    lowered = np.vdot(bra, fock.lower(space, mode, ket))
+    raised = np.vdot(fock.lower(space, mode, bra), ket)
+    if operator[0] == "Q":
+        return complex(math.sqrt(hbar / (2.0 * omega)) * (lowered + raised))
+    return complex(1j * math.sqrt(hbar * omega / 2.0) * (raised - lowered))
+
+
 def _golden_max(fun, lo: float, hi: float, tol: float = 1e-6) -> float:
     """Coarse grid then golden-section refinement of a unimodal maximum."""
     grid = np.linspace(lo, hi, 41)
@@ -127,7 +145,6 @@ class CorrelationReport:
     ratio_to_overlap: complex | None
     oracle: complex | None
     peak_location: object
-    classical_prediction: tuple
     undefined: bool
 
 
@@ -145,32 +162,20 @@ def correlation(
     """Correlation of `operator` between a projected ket and an evaluation state.
 
     Matrix elements in the truncated space are the normative values; the
-    report also carries the closed-form bracket for comparison, the peak of
-    |overlap| along the evaluation ray, and the classical (q, p) prediction
-    at the matching energy.
+    report also carries the closed-form bracket for comparison and the peak
+    of |overlap| along the evaluation ray.
     """
     if model == "single":
         space = make_space(1, nmax)
         v_ket = coherent_vector(space, complex(labels_ket))
         v_eval = coherent_vector(space, complex(labels_eval))
-        ops = {
-            "H": lambda: fock.ho_hamiltonian(space, 0, omega, hbar),
-            "Q": lambda: fock.position_operator(space, 0, omega, hbar),
-            "P": lambda: fock.momentum_operator(space, 0, omega, hbar),
-        }
+        ops = _SINGLE_OPS
         constraint = projector.single_constraint(space, float(mprime))
     elif model == "double":
         space = make_space(2, nmax)
         v_ket = coherent_vector(space, [complex(z) for z in labels_ket])
         v_eval = coherent_vector(space, [complex(z) for z in labels_eval])
-        ops = {
-            "H": lambda: fock.ho_hamiltonian(space, 0, omega, hbar)
-            + fock.ho_hamiltonian(space, 1, omega, hbar),
-            "Q1": lambda: fock.position_operator(space, 0, omega, hbar),
-            "P1": lambda: fock.momentum_operator(space, 0, omega, hbar),
-            "Q2": lambda: fock.position_operator(space, 1, omega, hbar),
-            "P2": lambda: fock.momentum_operator(space, 1, omega, hbar),
-        }
+        ops = _DOUBLE_OPS
         constraint = projector.double_constraint(space, float(mprime))
     else:
         raise ValueError(f"unknown model {model!r}")
@@ -186,19 +191,16 @@ def correlation(
         ratio = None
         oracle = None
     else:
-        value = complex(np.vdot(v_eval.amps, ops[operator]().mat @ projected))
+        value = _matrix_element(space, operator, v_eval.amps, projected, omega, hbar)
         ratio = value / overlap
         oracle = oracle_ratio(model, operator, labels_ket, labels_eval, mprime, omega, hbar)
 
-    peak = _peak_along_ray(model, labels_ket, labels_eval, mprime)
-    classical = _classical_pair(model, labels_ket, labels_eval, mprime, omega, hbar)
     return CorrelationReport(
         value=value,
         overlap=overlap,
         ratio_to_overlap=ratio,
         oracle=oracle,
-        peak_location=peak,
-        classical_prediction=classical,
+        peak_location=_peak_along_ray(model, labels_ket, labels_eval, mprime),
         undefined=undefined,
     )
 
@@ -225,26 +227,6 @@ def _peak_along_ray(model, labels_ket, labels_eval, mprime):
     return tuple(s_star * unit)
 
 
-def _classical_pair(model, labels_ket, labels_eval, mprime, omega, hbar):
-    """(q, p) of the matching classical trajectory at the labels' phase offset.
-
-    Energy includes the zero-point shift (single: hbar w (m + 1/2), and for
-    the double model the per-mode share hbar w (|a'|^2 + 1/2)), which is the
-    energy the projected state actually carries.
-    """
-    if model == "single":
-        dtheta = math.atan2(complex(labels_eval).imag, complex(labels_eval).real) - math.atan2(
-            complex(labels_ket).imag, complex(labels_ket).real
-        )
-        amp = math.sqrt(2.0 * hbar * (mprime + 0.5) / omega)
-    else:
-        a_ket = complex(labels_ket[0])
-        a_eval = complex(labels_eval[0])
-        dtheta = math.atan2(a_eval.imag, a_eval.real) - math.atan2(a_ket.imag, a_ket.real)
-        amp = math.sqrt(2.0 * hbar * (abs(a_ket) ** 2 + 0.5) / omega)
-    return (amp * math.cos(dtheta), amp * omega * math.sin(dtheta))
-
-
 @dataclass(frozen=True)
 class ClassicalLimitRow:
     m: int
@@ -264,10 +246,11 @@ def classical_limit_check(
 
     Evaluation points run along the peak manifold (equal radii, common
     phase offset, energies matching the constraint).  For the single model
-    the ratios are dense matrix elements; the double model uses the
-    closed-form brackets, which the tests pin against matrix elements at
-    small m.  dev_abs is max over offsets and over the Q/P pair of
-    |ratio - classical|; dev_rel divides by the classical amplitude.
+    the ratios are matrix elements from band actions (O(dim) per m); the
+    double model uses the closed-form brackets, which the tests pin against
+    matrix elements at small m.  dev_abs is max over offsets and over the
+    Q/P pair of |ratio - classical|; dev_rel divides by the classical
+    amplitude.
     """
     rows = []
     for m in m_values:
@@ -278,9 +261,6 @@ def classical_limit_check(
             space = make_space(1, nmax)
             constraint = projector.single_constraint(space, float(m))
             weights = projector.build_projector(projector.ProjectorSpec(constraint=constraint))
-            q_op = fock.position_operator(space, 0, omega, hbar)
-            p_op = fock.momentum_operator(space, 0, omega, hbar)
-            h_op = fock.ho_hamiltonian(space, 0, omega, hbar)
             a_ket = math.sqrt(m)
             projected = weights * coherent_vector(space, a_ket).amps
             energy = hbar * omega * (m + 0.5)
@@ -290,9 +270,10 @@ def classical_limit_check(
             for off in phase_offsets:
                 v_eval = coherent_vector(space, a_ket * np.exp(1j * off))
                 overlap = np.vdot(v_eval.amps, projected)
-                ratio_q = np.vdot(v_eval.amps, q_op.mat @ projected) / overlap
-                ratio_p = np.vdot(v_eval.amps, p_op.mat @ projected) / overlap
-                ratio_h = np.vdot(v_eval.amps, h_op.mat @ projected) / overlap
+                ratio_q, ratio_p, ratio_h = (
+                    _matrix_element(space, op, v_eval.amps, projected, omega, hbar) / overlap
+                    for op in ("Q", "P", "H")
+                )
                 devs.append(abs(ratio_q - amp * math.cos(off)))
                 devs.append(abs(ratio_p - amp * omega * math.sin(off)))
                 h_err = max(h_err, abs(ratio_h - energy))

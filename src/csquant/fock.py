@@ -1,9 +1,13 @@
-"""Truncated bosonic Fock spaces and dense operator algebra.
+"""Truncated bosonic Fock spaces, ladder band actions and dense oracle operators.
 
 Basis convention: an M-mode space with per-mode cutoff nmax enumerates the
 occupation tuples (n_0, ..., n_{M-1}), 0 <= n_k <= nmax, with mode 0 varying
 fastest, i.e. index = sum_k n_k * (nmax+1)**k.  All serialization and all
 operator matrices use this ordering.
+
+A mode's lowering operator is one band, applied in O(dim) by `lower`
+(<u| a^dagger |v> = <a u| v>).  The dense matrices built on it below are
+small-dim oracles for the operator algebra.
 
 The cutoff is the one deliberate departure from the infinite-dimensional
 algebra: a^dagger drops amplitude out of the top level, so canonical
@@ -17,7 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_DIM = 1_000_000
+MAX_DIM = 1_000_000  # basis states per space; bounds every vector's size
+
+
+class DimensionGuardError(ValueError):
+    """A requested space has more than MAX_DIM basis states."""
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,7 @@ def make_space(modes: int, nmax: int) -> FockSpace:
         raise ValueError("nmax must be >= 1")
     dim = (nmax + 1) ** modes
     if dim > MAX_DIM:
-        raise ValueError(f"dim {dim} exceeds resource guard {MAX_DIM}")
+        raise DimensionGuardError(f"dim {dim} exceeds resource guard {MAX_DIM}")
     return FockSpace(modes=modes, nmax=nmax)
 
 
@@ -195,19 +203,23 @@ def from_diagonal(space: FockSpace, diag) -> LinearOperator:
     return LinearOperator(space, np.diag(np.asarray(diag, dtype=np.complex128)))
 
 
-def ladder(space: FockSpace, mode: int) -> tuple:
-    """(a, a^dagger) for one mode, identity on the others.
-
-    a |n> = sqrt(n) |n-1>,  a^dagger |n> = sqrt(n+1) |n+1>; the raising
-    operator has no row above nmax, so it annihilates the top level's
-    outgoing amplitude instead of creating occupation nmax+1.
-    """
+def lower(space: FockSpace, mode: int, amps) -> np.ndarray:
+    """a |n> = sqrt(n) |n-1> on one mode, along the leading axis of a vector or matrix: O(size)."""
     occ = space.mode_occupations(mode)
-    stride = (space.nmax + 1) ** mode
-    a = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    amps = np.asarray(amps, dtype=np.complex128)
+    out = np.zeros_like(amps)
     src = np.nonzero(occ > 0)[0]
-    a[src - stride, src] = np.sqrt(occ[src])
-    op_a = LinearOperator(space, a)
+    # transposes broadcast the per-row factor over any trailing axes
+    out[src - (space.nmax + 1) ** mode] = (np.sqrt(occ[src]) * amps[src].T).T
+    return out
+
+
+def ladder(space: FockSpace, mode: int) -> tuple:
+    """Dense (a, a^dagger) of one mode, identity on the others: lower() of the identity.
+
+    a^dagger has no row above nmax: it drops the top level's amplitude.
+    """
+    op_a = LinearOperator(space, lower(space, mode, np.eye(space.dim, dtype=np.complex128)))
     return op_a, op_a.adjoint()
 
 

@@ -35,10 +35,6 @@ class SpinOperators:
     def splus(self) -> LinearOperator:
         return self.s1 + 1j * self.s2
 
-    @property
-    def sminus(self) -> LinearOperator:
-        return self.s1 + (-1j) * self.s2
-
     def casimir(self) -> LinearOperator:
         return self.s1 @ self.s1 + self.s2 @ self.s2 + self.s3 @ self.s3
 

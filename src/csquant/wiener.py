@@ -38,6 +38,10 @@ from . import _kernels, projector
 from .projector import ProjectorSpec
 
 
+LAPSE_STEPS = 32  # default lapse-walk steps of lambda_average_propagator
+DRAW_MAX_BYTES = 512 * 2**20  # float64 normals (n_paths x n_steps) one lapse sampling may draw
+
+
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; (seed, stream) is the whole key."""
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
@@ -201,10 +205,13 @@ def sample_lapse_proper_times(
     The trapezoid over lambda_k = lambda(0) + (sum of the first k
     increments), k = 0..N, is linear in the draws: lambda(0) has weight N
     and increment i (1-based) weight N - i + 1/2, so the walks themselves
-    are never stored.
+    are never stored.  A draw block over DRAW_MAX_BYTES is refused with
+    ValueError before anything is drawn.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if 8 * n_paths * n_steps > DRAW_MAX_BYTES:
+        raise ValueError(f"{n_paths} paths x {n_steps} steps of float64 normals exceed {DRAW_MAX_BYTES} bytes")
     rng = rng_stream(seed, stream)
     lam0 = rng.uniform(-window, window, size=n_paths) if window > 0 else np.zeros(n_paths)
     dt = t_total / n_steps
@@ -231,10 +238,6 @@ class PropagatorEstimates:
     def mc_error(self) -> float:
         return abs(self.mc_value - self.spectral)
 
-    @property
-    def mc_sigma_level(self) -> float:
-        return self.mc_error / self.mc_se if self.mc_se > 0 else math.inf
-
 
 def lambda_average_propagator(
     spec: ProjectorSpec,
@@ -243,7 +246,7 @@ def lambda_average_propagator(
     n_paths: int = 100_000,
     nu: float = 1.0,
     t_total: float = 1.0,
-    n_steps: int = 32,
+    n_steps: int = LAPSE_STEPS,
     window: float = 2000.0,
     seed: int = 20260810,
     stream: int = 0,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csquant import cli
+from csquant import cli, fock, wiener
 
 
 def _write_config(tmp_path, payload, name="cfg.json"):
@@ -157,6 +157,9 @@ def test_integral_float_accepted_for_int_field(tmp_path):
         ({"experiment": "project-double", "beta_re": 1e-200, "beta_im": 0}, "beta_re"),
         ({"experiment": "project-double", "mprime": 1, "beta_re": 1e-160, "beta_im": 0}, "beta_re"),
         ({"experiment": "project-double", "alpha_re": 0, "alpha_im": 0, "beta_re": 1e-3, "beta_im": 0}, "beta_re"),
+        ({"experiment": "project-single", "nmax": 2_000_000}, "nmax"),
+        ({"experiment": "spin-overlap", "nmax": 1001}, "nmax"),
+        ({"experiment": "classical-limit", "m_values": [4, 2_000_000]}, "m_values"),
     ],
     ids=[
         "single-leakage",
@@ -171,6 +174,9 @@ def test_integral_float_accepted_for_int_field(tmp_path):
         "beta-gauge-underflow",
         "beta-label-overflow",
         "double-null",
+        "single-dim-guard",
+        "spin-overlap-dim-guard",
+        "classical-limit-dim-guard",
     ],
 )
 def test_unusable_config_exit_3_naming_field(tmp_path, capsys, payload, field):
@@ -181,6 +187,41 @@ def test_unusable_config_exit_3_naming_field(tmp_path, capsys, payload, field):
     assert f"config field '{field}'" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_wiener_path_count_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("sampler called for a refused config")
+
+    monkeypatch.setattr(wiener, "sample_pinned_paths", never)
+    monkeypatch.setattr(wiener, "sample_lapse_proper_times", never)
+    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 2_000_000_000})
+    out = tmp_path / "never"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert "config field 'n_paths'" in capsys.readouterr().err
+    assert not out.exists()
+    # the 1e6-path benchmark workload stays inside the draw budget
+    assert 8 * 1_000_000 * wiener.LAPSE_STEPS <= wiener.DRAW_MAX_BYTES
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"experiment": "correlations"},
+        {"experiment": "classical-limit", "model": "single"},
+        {"experiment": "classical-limit", "model": "double"},
+    ],
+    ids=["correlations", "classical-limit-single", "classical-limit-double"],
+)
+def test_correlators_build_no_dense_operator(tmp_path, monkeypatch, payload):
+    def refuse(self):
+        raise AssertionError("dense dim x dim operator built")
+
+    monkeypatch.setattr(fock.LinearOperator, "__post_init__", refuse)
+    cfg = _write_config(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # truncation-tail warnings are expected here
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
 
 
 def test_project_single_null_state_is_the_zero_vector(tmp_path):
@@ -260,6 +301,10 @@ _CHEAP_CONFIGS = st.one_of(
 @example(cfg={"experiment": "project-single", "epsilon": 0.3805})
 @example(cfg={"experiment": "project-single", "epsilon": 0.499, "mprime": 5})
 @example(cfg={"experiment": "resolution", "radius": 3.57})
+@example(cfg={"experiment": "project-single", "nmax": 2_000_000})
+@example(cfg={"experiment": "spin-overlap", "nmax": 1001})
+@example(cfg={"experiment": "classical-limit", "m_values": [4, 2_000_000]})
+@example(cfg={"experiment": "wiener", "n_paths": 2_000_000_000})
 def test_cli_contract_holds_for_generated_configs(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from csquant import fock
 from csquant.correlators import (
+    _matrix_element,
     classical_limit_check,
     correlation,
     correlation_width,
@@ -148,6 +150,32 @@ def test_classical_limit_monotone_and_sqrt_m_scaling(model):
     exponent = deviation_scaling_exponent(rows)
     assert -0.7 <= exponent <= -0.3
     assert max(r.h_ratio_error for r in rows) < 1e-10
+
+
+def test_classical_limit_scaled_single_sweep():
+    # band actions keep every m O(dim): nmax reaches ~18000 at m = 16384
+    rows = classical_limit_check("single", (16, 64, 256, 1024, 4096, 16384))
+    devs = [r.dev_abs for r in rows]
+    assert all(a > b for a, b in zip(devs, devs[1:]))
+    exponent = deviation_scaling_exponent(rows)
+    assert -0.7 <= exponent <= -0.3
+    assert max(r.h_ratio_error for r in rows) < 1e-10
+
+
+@pytest.mark.parametrize("modes, ops", [(1, ("H", "Q", "P")), (2, ("H", "Q1", "P1", "Q2", "P2"))])
+def test_band_matrix_elements_match_dense_operators(modes, ops):
+    space = make_space(modes, 5)
+    rng = np.random.default_rng(3)
+    bra, ket = rng.standard_normal((2, space.dim)) + 1j * rng.standard_normal((2, space.dim))
+    omega, hbar = 1.3, 0.7
+    dense = {"H": sum(fock.ho_hamiltonian(space, k, omega, hbar).mat for k in range(modes))}
+    for k in range(modes):
+        suffix = str(k + 1) if modes == 2 else ""
+        dense["Q" + suffix] = fock.position_operator(space, k, omega, hbar).mat
+        dense["P" + suffix] = fock.momentum_operator(space, k, omega, hbar).mat
+    for op in ops:
+        expected = np.vdot(bra, dense[op] @ ket)
+        assert abs(_matrix_element(space, op, bra, ket, omega, hbar) - expected) < 1e-12 * abs(expected)
 
 
 def test_one_form_zero_phase():

@@ -10,6 +10,7 @@ from csquant.fock import (
     ho_hamiltonian,
     identity,
     ladder,
+    lower,
     make_space,
     momentum_operator,
     number_operator,
@@ -145,3 +146,38 @@ def test_vector_norm_flag_and_immutability():
     with pytest.raises(ValueError):
         w.amps[0] = 5.0
     assert identity(s).is_hermitian()
+
+
+def _lower_oracle(space, mode, amps):
+    """a on one mode, one basis index at a time through occupation/index."""
+    out = np.zeros(amps.shape, dtype=np.complex128)
+    for i in range(space.dim):
+        occ = list(space.occupation(i))
+        n = occ[mode]
+        if n > 0:
+            occ[mode] = n - 1
+            out[space.index(occ)] += math.sqrt(n) * amps[i]
+    return out
+
+
+@pytest.mark.parametrize("modes, nmax", [(1, 6), (2, 3)])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_lower_matches_index_loop_oracle(modes, nmax, columns):
+    s = make_space(modes, nmax)
+    rng = np.random.default_rng(11)
+    shape = (s.dim,) if columns is None else (s.dim, columns)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for mode in range(modes):
+        got = lower(s, mode, amps)
+        assert got.shape == shape
+        assert np.array_equal(got, _lower_oracle(s, mode, amps))
+
+
+@pytest.mark.parametrize("modes, nmax", [(1, 6), (2, 3)])
+def test_dense_ladder_is_lower_of_identity(modes, nmax):
+    s = make_space(modes, nmax)
+    eye = np.eye(s.dim, dtype=np.complex128)
+    for mode in range(modes):
+        a, adag = ladder(s, mode)
+        assert np.array_equal(a.mat, _lower_oracle(s, mode, eye))
+        assert np.array_equal(adag.mat, a.mat.conj().T)

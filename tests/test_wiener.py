@@ -236,3 +236,12 @@ def test_phase_samples_matches_direct_sum(modes, nmax, target):
     # oracle: the direct sum, one complex exponential per sample and basis state
     expected = np.exp(-1j * np.outer(taus, constraint.eigs)) @ weights
     assert np.max(np.abs(got - expected)) <= 1e-10 * np.sum(np.abs(weights))
+
+
+def test_lapse_sampler_refuses_block_over_budget(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("generator built for a refused draw block")
+
+    monkeypatch.setattr(wiener, "rng_stream", never)
+    with pytest.raises(ValueError, match="exceed"):
+        wiener.sample_lapse_proper_times(1.0, 1.0, wiener.LAPSE_STEPS, 1.0, 2_000_000_000, seed=0)
