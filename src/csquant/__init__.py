@@ -1,10 +1,10 @@
 """Coherent-state quantization toolkit for constrained oscillator models.
 
 Truncated Fock-space operator algebra, canonical and SU(2) coherent
-states, spectral and sin-kernel constraint projectors, reduced-phase-space
-geometry, correlation functions with classical limits, and discrete
-Wiener-measure estimators, with a batch CLI exposing the standard
-experiments.
+states, spectral constraint projectors with a sin-kernel oracle,
+reduced-phase-space geometry, correlation functions with classical
+limits, and discrete Wiener-measure estimators, with a batch CLI exposing
+the standard experiments.
 """
 
 from ._kernels import backend_name

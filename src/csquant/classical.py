@@ -140,37 +140,27 @@ def s_coordinates(p1: float, q1: float, p2: float, q2: float) -> SCoords:
     )
 
 
-@dataclass(frozen=True)
-class ReducedMetric:
-    """Induced metric on the gauge-fixed patch, parameterized by S^2 = 2E/(omega hbar)."""
+def reduced_metric_eval(s_squared: float, r1: float):
+    """(g_rr, g_thth) of the patch metric at radius r1, S^2 = 2E/(omega hbar).
 
-    s_squared: float
-
-    def __post_init__(self):
-        if self.s_squared <= 0:
-            raise ValueError("S^2 must be > 0")
-
-    def eval(self, r1: float, theta1: float = 0.0):
-        """(g_rr, g_thth) at (r1, theta1); defined for 0 <= r1 < S only."""
-        s = math.sqrt(self.s_squared)
-        if not 0.0 <= r1 < s:
-            raise ValueError(
-                f"r1={r1} outside the patch [0, S={s}); "
-                "metric singular at the gauge-fixing locus"
-            )
-        return 1.0 / (1.0 - r1**2 / self.s_squared), r1**2
+    The metric does not depend on theta1 and is defined for 0 <= r1 < S only.
+    """
+    s = math.sqrt(s_squared)
+    if not 0.0 <= r1 < s:
+        raise ValueError(
+            f"r1={r1} outside the patch [0, S={s}); "
+            "metric singular at the gauge-fixing locus"
+        )
+    return 1.0 / (1.0 - r1**2 / s_squared), r1**2
 
 
-def reduced_metric_eval(s_squared: float, r1: float, theta1: float = 0.0):
-    return ReducedMetric(s_squared).eval(r1, theta1)
-
-
-def gauss_curvature_fd(s_squared: float, r1: float, h: float = 1e-3) -> float:
-    """Gauss curvature of the patch metric by central differences.
+def gauss_curvature_fd(s_squared: float, r1: float) -> float:
+    """Gauss curvature of the patch metric by central differences of step 1e-3.
 
     For an orthogonal metric diag(E, G) depending on r only:
     K = -(1 / 2 sqrt(EG)) d/dr ( G' / sqrt(EG) ).
     """
+    h = 1e-3
 
     def sqrt_eg(r):
         g_rr, g_thth = reduced_metric_eval(s_squared, r)
@@ -184,9 +174,9 @@ def gauss_curvature_fd(s_squared: float, r1: float, h: float = 1e-3) -> float:
     return -outer / (2.0 * sqrt_eg(r1))
 
 
-def scalar_curvature_fd(s_squared: float, r1: float, h: float = 1e-3) -> float:
+def scalar_curvature_fd(s_squared: float, r1: float) -> float:
     """Scalar curvature = 2 * Gauss curvature for a 2-surface; expect 2/S^2."""
-    return 2.0 * gauss_curvature_fd(s_squared, r1, h)
+    return 2.0 * gauss_curvature_fd(s_squared, r1)
 
 
 def embedding_pullback_metric(s_squared: float, r1: float, theta1: float, theta2: float = 0.0) -> np.ndarray:

@@ -87,7 +87,8 @@ def _exp_resolution(cfg, seed):
         raise ConfigError("radius", str(exc)) from None
     if report.n_keep < 0:
         raise ConfigError(
-            "radius", f"no occupation level closes to within 1e-8 at radius {radius} (needs radius > 4.29)"
+            "radius",
+            f"no occupation level closes to within {coherent.CLOSURE_TAIL:g} at radius {radius} (needs radius > 4.29)",
         )
     rows = [
         CheckRow("identity_block_residual", report.max_residual_block, 1e-6),

@@ -34,6 +34,7 @@ from .fock import FockSpace, FockVector
 TAIL_WARN = 1e-10
 TAIL_ERROR = 1e-6
 RESOLUTION_MAX_BYTES = 64 * 2**20  # radial amplitude block of the resolution check
+CLOSURE_TAIL = 1e-8  # incomplete-gamma deficit below which a level counts as closed
 
 
 class TruncationLeakageError(ValueError):
@@ -209,13 +210,12 @@ def resolution_of_unity_check(
     radius: float,
     n_radial: int | None = None,
     n_angular: int | None = None,
-    tail_tol: float = 1e-8,
 ) -> ResolutionReport:
     """Quadrature of (1/pi) int |a><a| d^2alpha over the disc |a| <= radius.
 
     Reports the deviation of the integrated operator from the identity on
     the block n <= n_keep, where n_keep is the largest level whose
-    incomplete-gamma deficit 1 - P(n+1, R^2) stays below tail_tol.  The
+    incomplete-gamma deficit 1 - P(n+1, R^2) stays below CLOSURE_TAIL.  The
     exact diagonal at finite radius is the regularized lower incomplete
     gamma P(n+1, R^2), returned for finite-radius checks.  A radial
     amplitude block (16 n_radial (nmax + 1) bytes) larger than
@@ -246,7 +246,7 @@ def resolution_of_unity_check(
 
     diag_expected = special.gammainc(levels + 1, radius**2)
     deficit = special.gammaincc(levels + 1, radius**2)
-    qualifying = np.nonzero(deficit < tail_tol)[0]
+    qualifying = np.nonzero(deficit < CLOSURE_TAIL)[0]
     n_keep = int(qualifying.max()) if qualifying.size else -1
 
     offdiag = mat - np.diag(np.diag(mat))

@@ -16,7 +16,9 @@ the closed-form brackets below come from the Bargmann derivative rule
 At the peak manifold (|a''| = |a'|, phases aligned, energies matching the
 constraint) the ratios reduce to the classical trajectory evaluated at an
 energy including the zero-point shift, so the absolute deviation decays
-like 1/sqrt(m).
+like 1/sqrt(m).  Along an evaluation ray s * u (|u| = 1) the magnitude is
+exp(-s^2/2) s^m times a constant, so its peak sits at s^2 = m in closed
+form.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .fock import make_space
 from .coherent import coherent_vector
 
 RATIO_FLOOR = 1e-300
+LIMIT_OFFSETS = (0.0, 0.45, 0.9)  # common phase offsets of the classical-limit evaluation points
 
 _SINGLE_OPS = ("H", "Q", "P")
 _DOUBLE_OPS = ("H", "Q1", "P1", "Q2", "P2")
@@ -119,32 +122,12 @@ def _matrix_element(space, operator: str, bra: np.ndarray, ket: np.ndarray, omeg
     return complex(1j * math.sqrt(hbar * omega / 2.0) * (raised - lowered))
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Coarse grid then golden-section refinement of a unimodal maximum."""
-    grid = np.linspace(lo, hi, 41)
-    k = int(np.argmax([fun(s) for s in grid]))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, grid.size - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    while b - a > tol:
-        if fun(c) >= fun(d):
-            b, d = d, c
-            c = b - invphi * (b - a)
-        else:
-            a, c = c, d
-            d = a + invphi * (b - a)
-    return 0.5 * (a + b)
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     value: complex | None
     overlap: complex
     ratio_to_overlap: complex | None
     oracle: complex | None
-    peak_location: object
     undefined: bool
 
 
@@ -162,8 +145,7 @@ def correlation(
     """Correlation of `operator` between a projected ket and an evaluation state.
 
     Matrix elements in the truncated space are the normative values; the
-    report also carries the closed-form bracket for comparison and the peak
-    of |overlap| along the evaluation ray.
+    report also carries the closed-form bracket for comparison.
     """
     if model == "single":
         space = make_space(1, nmax)
@@ -200,31 +182,8 @@ def correlation(
         overlap=overlap,
         ratio_to_overlap=ratio,
         oracle=oracle,
-        peak_location=_peak_along_ray(model, labels_ket, labels_eval, mprime),
         undefined=undefined,
     )
-
-
-def _peak_along_ray(model, labels_ket, labels_eval, mprime):
-    """Scale the evaluation label(s) radially to maximize |overlap|."""
-    if model == "single":
-        direction = complex(labels_eval)
-        direction /= abs(direction) if abs(direction) > 0 else 1.0
-
-        def mag(s):
-            return abs(phys_wavefunction(model, labels_ket, s * direction, mprime))
-
-        s_star = _golden_max(mag, 1e-3, math.sqrt(mprime + 4.0) + 3.0)
-        return s_star * direction
-    scale0 = np.array([complex(z) for z in labels_eval])
-    base = np.linalg.norm(scale0)
-    unit = scale0 / (base if base > 0 else 1.0)
-
-    def mag(s):
-        return abs(phys_wavefunction(model, labels_ket, tuple(s * unit), mprime))
-
-    s_star = _golden_max(mag, 1e-3, math.sqrt(mprime + 4.0) + 3.0)
-    return tuple(s_star * unit)
 
 
 @dataclass(frozen=True)
@@ -238,16 +197,15 @@ class ClassicalLimitRow:
 def classical_limit_check(
     model: str,
     m_values=(4, 16, 64),
-    phase_offsets=(0.0, 0.45, 0.9),
     omega: float = 1.0,
     hbar: float = 1.0,
 ) -> list:
     """Deviation of correlation ratios from the classical trajectory per m.
 
-    Evaluation points run along the peak manifold (equal radii, common
-    phase offset, energies matching the constraint).  For the single model
-    the ratios are matrix elements from band actions (O(dim) per m); the
-    double model uses the closed-form brackets, which the tests pin against
+    Evaluation points run along the peak manifold (equal radii, a common
+    phase offset from LIMIT_OFFSETS, energies matching the constraint).
+    For the single model the ratios are matrix elements from band actions
+    (O(dim) per m); the double model uses the closed-form brackets, which the tests pin against
     matrix elements at small m.  dev_abs is max over offsets and over the
     Q/P pair of |ratio - classical|; dev_rel divides by the classical
     amplitude.
@@ -267,7 +225,7 @@ def classical_limit_check(
             amp = math.sqrt(2.0 * energy) / omega
             amp_scale = amp
             h_err = 0.0
-            for off in phase_offsets:
+            for off in LIMIT_OFFSETS:
                 v_eval = coherent_vector(space, a_ket * np.exp(1j * off))
                 overlap = np.vdot(v_eval.amps, projected)
                 ratio_q, ratio_p, ratio_h = (
@@ -286,7 +244,7 @@ def classical_limit_check(
             h_err = abs(
                 oracle_ratio("double", "H", ket, ket, m, omega, hbar) - hbar * omega * (m + 1.0)
             )
-            for off in phase_offsets:
+            for off in LIMIT_OFFSETS:
                 ev = (r * np.exp(1j * off), r * np.exp(1j * off))
                 ratio_q = oracle_ratio("double", "Q1", ket, ev, m, omega, hbar)
                 ratio_p = oracle_ratio("double", "P1", ket, ev, m, omega, hbar)

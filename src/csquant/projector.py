@@ -4,16 +4,17 @@ Both oscillator models carry a single constraint, a number operator minus
 a real target, which is diagonal in the occupation basis.  A constraint is
 therefore stored as its eigenvalue per basis state, and its projector as a
 weight per basis state: projecting a vector is an elementwise product.
-Two constructions of the weights are kept side by side:
+The weights are spectral-interval weights: eigenvalues of the constraint
+within (-eps, eps) get weight 1, exactly on the boundary weight 1/2,
+outside 0.
 
-* spectral-interval (primary): eigenvalues of the constraint within
-  (-eps, eps) get weight 1, exactly on the boundary weight 1/2, outside 0.
-* sin-kernel measure (oracle): the finite-range integral
-  int_{-L}^{L} exp(i t Phi) sin(eps t)/(pi t) dt, evaluated exactly per
-  eigenvalue x as [Si(L(x+eps)) - Si(L(x-eps))]/pi (DLMF 6.2), which
-  converges to the spectral answer as L grows.  The integrand decays only
-  like 1/t, so L must scale like 1/(eps * tol); the default is chosen from
-  that bound.
+The sin-kernel measure is kept only as an oracle (sin_kernel_weights,
+sin_kernel_residual): the finite-range integral
+int_{-L}^{L} exp(i t Phi) sin(eps t)/(pi t) dt, evaluated exactly per
+eigenvalue x as [Si(L(x+eps)) - Si(L(x-eps))]/pi (DLMF 6.2), which
+converges to the spectral weights as L grows.  The integrand decays only
+like 1/t, so L must scale like 1/(eps * SIN_KERNEL_TOL); default_lam_max
+chooses it from that bound.
 
 Projecting a coherent state keeps one total-occupation sector: empty when
 the target is not near an integer, which is how energy quantization shows
@@ -27,7 +28,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
-from scipy.linalg import expm
 
 from .coherent import CoherentLabel, KernelValue, coherent_vector
 from .fock import FockSpace, FockVector, LinearOperator
@@ -57,9 +57,9 @@ class ConstraintOp:
         return self.eigs
 
 
-def single_constraint(space: FockSpace, target: float, mode: int = 0) -> ConstraintOp:
-    """Number operator of one mode minus target."""
-    return ConstraintOp(space, space.mode_occupations(mode) - target, float(target))
+def single_constraint(space: FockSpace, target: float) -> ConstraintOp:
+    """Number operator of mode 0 minus target."""
+    return ConstraintOp(space, space.mode_occupations(0) - target, float(target))
 
 
 def double_constraint(space: FockSpace, target: float) -> ConstraintOp:
@@ -71,18 +71,14 @@ def double_constraint(space: FockSpace, target: float) -> ConstraintOp:
 
 @dataclass(frozen=True)
 class ProjectorSpec:
-    """Constraint plus interval half-width and the measure used to build P."""
+    """Constraint plus the half-width of its spectral window."""
 
     constraint: ConstraintOp
     epsilon: float = 0.1
-    measure: str = "spectral"
-    lam_max: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 1/2)")
-        if self.measure not in ("spectral", "sin-kernel"):
-            raise ValueError("measure must be 'spectral' or 'sin-kernel'")
 
 
 def _spectral_weights(eigs: np.ndarray, eps: float) -> np.ndarray:
@@ -91,23 +87,21 @@ def _spectral_weights(eigs: np.ndarray, eps: float) -> np.ndarray:
     return w
 
 
-def default_lam_max(epsilon: float, eigs=None, tol: float = SIN_KERNEL_TOL) -> float:
+def default_lam_max(epsilon: float, eigs: np.ndarray) -> float:
     """Integration range for the 1/t-decaying sin-kernel integrand.
 
     The truncation error at eigenvalue x is bounded by Dirichlet tails
     ~ (1/pi) / (|x - eps| L) + (1/pi) / (|x + eps| L), so L must scale with
-    the inverse distance of the spectrum to the window edges (just eps when
-    the spectrum is unknown).
+    the inverse distance of the spectrum to the window edges; it is chosen
+    to keep that error below SIN_KERNEL_TOL.
     """
-    gap = epsilon
-    if eigs is not None and np.size(eigs):
-        gap = float(np.min(np.minimum(np.abs(eigs - epsilon), np.abs(eigs + epsilon))))
-        if gap < 1e-6:
-            raise ValueError(
-                "constraint eigenvalue sits on the epsilon window boundary; "
-                "the sin-kernel quadrature cannot converge there"
-            )
-    return 2.2 / (math.pi * tol * gap)
+    gap = float(np.min(np.minimum(np.abs(eigs - epsilon), np.abs(eigs + epsilon))))
+    if gap < 1e-6:
+        raise ValueError(
+            "constraint eigenvalue sits on the epsilon window boundary; "
+            "the sin-kernel quadrature cannot converge there"
+        )
+    return 2.2 / (math.pi * SIN_KERNEL_TOL * gap)
 
 
 def sin_kernel_weights(eigs: np.ndarray, eps: float, lam_max: float) -> np.ndarray:
@@ -124,27 +118,14 @@ def sin_kernel_weights(eigs: np.ndarray, eps: float, lam_max: float) -> np.ndarr
 
 
 def build_projector(spec: ProjectorSpec) -> np.ndarray:
-    """The projector's weight per basis state; sin-kernel mode is validated against spectral."""
-    eigs = spec.constraint.eigensystem()
-    w_spec = _spectral_weights(eigs, spec.epsilon)
-    if spec.measure == "spectral":
-        return w_spec
-    lam_max = spec.lam_max if spec.lam_max is not None else default_lam_max(spec.epsilon, eigs)
-    w_sin = sin_kernel_weights(eigs, spec.epsilon, lam_max)
-    resid = float(np.max(np.abs(w_sin - w_spec)))
-    if resid > SIN_KERNEL_TOL:
-        raise RuntimeError(
-            f"sin-kernel quadrature residual {resid:.3e} exceeds {SIN_KERNEL_TOL:.0e} "
-            f"(lam_max={lam_max:.3g} under-resolved; the tail decays like 1/lam_max)"
-        )
-    return w_sin
+    """The projector's spectral-interval weight per basis state."""
+    return _spectral_weights(spec.constraint.eigensystem(), spec.epsilon)
 
 
 def sin_kernel_residual(spec: ProjectorSpec) -> float:
     """max |sin-kernel weights - spectral weights| at the constraint's spectrum."""
     eigs = spec.constraint.eigensystem()
-    lam_max = spec.lam_max if spec.lam_max is not None else default_lam_max(spec.epsilon, eigs)
-    w_sin = sin_kernel_weights(eigs, spec.epsilon, lam_max)
+    w_sin = sin_kernel_weights(eigs, spec.epsilon, default_lam_max(spec.epsilon, eigs))
     return float(np.max(np.abs(w_sin - _spectral_weights(eigs, spec.epsilon))))
 
 
@@ -173,24 +154,13 @@ def project(spec: ProjectorSpec, v: FockVector) -> PhysicalState:
 
 
 def _extract_gauge_phase(state: PhysicalState) -> complex | None:
+    """Phase of the |m> (one mode) or |0, m> (two modes) component; (beta/|beta|)^m for coherent input."""
     space = state.spec.constraint.space
-    target = state.spec.constraint.target
-    m = int(round(target))
-    amps = state.vec.amps
-    if space.modes == 1:
-        if 0 <= m <= space.nmax:
-            c = amps[m]
-            if abs(c) > 0.0:
-                return c / abs(c)
+    m = int(round(state.spec.constraint.target))
+    if space.modes > 2 or not 0 <= m <= space.nmax:
         return None
-    if space.modes == 2:
-        # phase of the |0, m> component, i.e. (beta/|beta|)^m for coherent input
-        if 0 <= m <= space.nmax:
-            c = amps[space.index((0, m))]
-            if abs(c) > 0.0:
-                return c / abs(c)
-        return None
-    return None
+    c = state.vec.amps[space.index((0,) * (space.modes - 1) + (m,))]
+    return c / abs(c) if abs(c) > 0.0 else None
 
 
 def normalize_physical(state: PhysicalState) -> PhysicalState:
@@ -218,24 +188,29 @@ def projector_identities(
     spec: ProjectorSpec,
     hamiltonian: LinearOperator,
     sigmas=(0.3, 1.7, math.pi),
-    times=(0.5, 2.0),
     hbar: float = 1.0,
 ) -> IdentityReport:
-    """Residuals of P^2 = P, P+ = P, exp(i s Phi) P = P and [P, U(t)] = 0.
+    """Residuals of P^2 = P, P+ = P, exp(i s Phi) P = P and [P, U(t)] = 0 at t = 0.5, 2.
 
     P and Phi are diagonal, so the first three are elementwise on the
     weights w and eigenvalues x; [P, U]_ij = (w_i - w_j) U_ij.  The
     evolution check needs [H, Phi] = 0, which holds for both models
-    (H is an affine function of the constraint there).
+    (H is an affine function of the constraint there).  U(t) comes from
+    the eigendecomposition of the Hermitian H; a non-Hermitian H raises
+    ValueError.
     """
+    ham = hamiltonian.mat
+    if not np.allclose(ham, ham.conj().T, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(ham))))):
+        raise ValueError("hamiltonian must be Hermitian")
     w = build_projector(spec)
     eigs = spec.constraint.eigensystem()
     report_gauge = {
         sigma: float(np.max(np.abs((np.exp(1j * sigma * eigs) - 1.0) * w))) for sigma in sigmas
     }
+    energies, vecs = np.linalg.eigh(ham)
     report_evo = {}
-    for t in times:
-        u = expm(-1j * t / hbar * hamiltonian.mat)
+    for t in (0.5, 2.0):
+        u = (vecs * np.exp(-1j * t / hbar * energies)) @ vecs.conj().T
         report_evo[t] = float(np.max(np.abs(np.subtract.outer(w, w) * u)))
     return IdentityReport(
         idempotency=float(np.max(np.abs(w * w - w))),

@@ -9,7 +9,11 @@ j = mprime/2 under the map |n, mprime - n>  <->  |j, m = n - j>.
 SU(2) coherent states are built on the lowest weight vector |j, -j> and
 labeled by the stereographic coordinate xi; their overlap is
 (1+|xi'|^2)^-j (1+|xi|^2)^-j (1 + conj(xi') xi)^2j and they resolve the
-identity with weight (2j+1)/pi * d^2xi / (1+|xi|^2)^2.
+identity with weight (2j+1)/pi * d^2xi / (1+|xi|^2)^2.  The closure check
+integrates that on a Gauss-Legendre (cos theta) x uniform (phi) product
+grid; because the rule is a tensor product, the node sum factors into a
+theta Gram matrix of real amplitudes times the phi sums of e^{i(k-l)phi},
+as in the canonical resolution check.
 """
 
 from __future__ import annotations
@@ -166,18 +170,29 @@ def su2_resolution_check(j: float, n_theta: int | None = None, n_phi: int | None
             f"grid {n_theta}x{n_phi} under-resolved for j={j}; "
             f"use at least {2 * twoj + 4} nodes each way"
         )
+    mat = _closure_matrix(twoj, n_theta, n_phi)
+    return float(np.max(np.abs(mat - np.eye(twoj + 1))))
+
+
+def _closure_matrix(twoj: int, n_theta: int, n_phi: int) -> np.ndarray:
+    """(2j+1)/(4 pi) sum over the product grid of |xi><xi|, factored.
+
+    At xi = tan(theta/2) e^{i phi} the amplitude of |j, -j+k> is the real
+    sqrt(C(2j,k)) sin^k(theta/2) cos^(2j-k)(theta/2) times e^{i k phi}
+    (the t^k (1+t^2)^-j form overflows at large j), so the node sum is a
+    theta Gram of the real amplitudes times the phi sums of e^{i(k-l)phi}.
+    """
     x, wx = np.polynomial.legendre.leggauss(n_theta)
+    k = np.arange(twoj + 1)
+    binom = np.array([math.comb(twoj, int(kk)) for kk in k], dtype=np.float64)
+    sin_half = np.sqrt(0.5 * (1.0 - x))[:, None]
+    cos_half = np.sqrt(0.5 * (1.0 + x))[:, None]
+    radial = np.sqrt(binom) * sin_half**k * cos_half ** (twoj - k)
+    gram = (radial.T * wx) @ radial
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * math.pi / n_phi
-    dim = twoj + 1
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for xv, wv in zip(x, wx):
-        t = math.sqrt((1.0 - xv) / (1.0 + xv))  # tan(theta/2)
-        for ph in phi:
-            amps = su2_coherent(j, t * np.exp(1j * ph)).amps
-            mat += (wv * wphi) * np.outer(amps, amps.conj())
-    mat *= (twoj + 1) / (4.0 * math.pi)
-    return float(np.max(np.abs(mat - np.eye(dim))))
+    shifts = np.arange(-twoj, twoj + 1)
+    angular = (2.0 * math.pi / n_phi) * np.exp(1j * np.outer(shifts, phi)).sum(axis=1)
+    return (twoj + 1) / (4.0 * math.pi) * gram * angular[k[:, None] - k[None, :] + twoj]
 
 
 @dataclass(frozen=True)

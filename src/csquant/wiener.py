@@ -6,17 +6,23 @@ the Lagrange-multiplier direction, and two estimators of the projected
 propagator that must reproduce the spectral answer:
 
 * the sin-kernel measure integrated over the accumulated proper time,
-  in closed form (projector.sin_kernel_weights),
-* Monte Carlo over lapse walks lambda(t), where only tau = int lambda dt
-  enters.  The walk starts from a uniform prior on [-window, window] and
-  adds Brownian increments of diffusion nu; averaging exp(-i tau x) over
-  the prior suppresses every constraint eigenvalue x != 0 by a sinc factor
+  in closed form (projector.sin_kernel_weights over default_lam_max),
+* Monte Carlo over lapse walks lambda(t) of LAPSE_STEPS steps on
+  t in [0, T = 1], where only tau = int lambda dt enters.  The walk
+  starts from a uniform prior on [-window, window] and adds Brownian
+  increments of diffusion nu; averaging exp(-i tau x) over the prior
+  suppresses every constraint eigenvalue x != 0 by a sinc factor
   ~ 1/(window * T * x) times a Gaussian damping exp(-x^2 nu T^3 / 6), so
   for integer targets the estimate converges to the spectral projection
   and is stable under widening the prior window or changing nu.  Every
   constraint eigenvalue is an integer level minus the target, so the
   phase average is a polynomial in exp(-i tau) with one coefficient per
   level (_kernels.phase_samples), not one exponential per basis state.
+
+lambda_average_propagator returns both estimates beside the spectral
+reference and enforces nothing; its callers score them (quadrature within
+1e-4, Monte Carlo within three standard errors).  Pinned paths come as a
+whole (n_paths, N+1, d) ensemble from sample_pinned_paths.
 
 The heat kernel takes whole batches of points, so each Simpson check of
 its normalization, variance and semigroup rule is one array evaluation
@@ -38,7 +44,7 @@ from . import _kernels, projector
 from .projector import ProjectorSpec
 
 
-LAPSE_STEPS = 32  # default lapse-walk steps of lambda_average_propagator
+LAPSE_STEPS = 32  # lapse-walk steps of lambda_average_propagator, over unit time
 DRAW_MAX_BYTES = 512 * 2**20  # float64 normals (n_paths x n_steps) one lapse sampling may draw
 
 
@@ -133,15 +139,6 @@ def semigroup_residual(nu: float, t1: float, t2: float, t3: float, x1, x3, n_nod
     return abs(float(np.sum(weights * integrand)) - direct)
 
 
-@dataclass(frozen=True, eq=False)
-class DiscretePath:
-    """Samples at N+1 uniform times; pinned ends equal their boundary values."""
-
-    times: np.ndarray
-    samples: np.ndarray  # (N+1, d)
-    pinned: tuple
-
-
 def sample_pinned_paths(
     nu: float,
     x_start,
@@ -179,14 +176,6 @@ def sample_pinned_paths(
         float(nu),
         float(dt),
     )
-
-
-def sample_pinned_path(
-    nu: float, x_start, x_end, t_total: float, n_steps: int, seed: int, stream: int = 0
-) -> DiscretePath:
-    samples = sample_pinned_paths(nu, x_start, x_end, t_total, n_steps, 1, seed, stream)[0]
-    times = np.linspace(0.0, t_total, n_steps + 1)
-    return DiscretePath(times=times, samples=samples, pinned=(True, True))
 
 
 def sample_lapse_proper_times(
@@ -245,20 +234,15 @@ def lambda_average_propagator(
     labels_ket,
     n_paths: int = 100_000,
     nu: float = 1.0,
-    t_total: float = 1.0,
-    n_steps: int = LAPSE_STEPS,
     window: float = 2000.0,
     seed: int = 20260810,
     stream: int = 0,
-    tau_max: float | None = None,
-    validate: bool = False,
 ) -> PropagatorEstimates:
     """Average of <bra| exp(-i tau Phi) |ket> over the proper-time measure.
 
     Returns the spectral reference together with the sin-kernel quadrature
-    and the lapse-walk Monte Carlo estimate.  With validate=True the
-    tolerances are enforced here: quadrature within 1e-4, MC within three
-    standard errors.
+    (range default_lam_max) and the Monte Carlo estimate over lapse walks of
+    LAPSE_STEPS steps on t in [0, 1]; callers score the errors.
     """
     space = spec.constraint.space
     v_bra = projector._labels_to_vector(space, labels_bra)
@@ -269,29 +253,17 @@ def lambda_average_propagator(
 
     spectral = complex(np.sum(weights * projector._spectral_weights(eigs, spec.epsilon)))
 
-    if tau_max is None:
-        tau_max = projector.default_lam_max(spec.epsilon, eigs)
-    quad_weights = projector.sin_kernel_weights(eigs, spec.epsilon, tau_max)
-    quadrature = complex(np.sum(weights * quad_weights))
+    lam_max = projector.default_lam_max(spec.epsilon, eigs)
+    quadrature = complex(np.sum(weights * projector.sin_kernel_weights(eigs, spec.epsilon, lam_max)))
 
-    taus = sample_lapse_proper_times(nu, t_total, n_steps, window, n_paths, seed, stream)
+    taus = sample_lapse_proper_times(nu, 1.0, LAPSE_STEPS, window, n_paths, seed, stream)
     vals = _kernels.phase_samples(taus, np.rint(eigs + target).astype(np.int64), target, weights)
     mc_value = complex(np.mean(vals))
     se = math.sqrt((np.var(vals.real) + np.var(vals.imag)) / n_paths)
-    est = PropagatorEstimates(
+    return PropagatorEstimates(
         spectral=spectral,
         quadrature=quadrature,
         mc_value=mc_value,
         mc_se=se,
         n_paths=n_paths,
     )
-    if validate:
-        if est.quadrature_error > projector.SIN_KERNEL_TOL:
-            raise RuntimeError(
-                f"quadrature estimator off by {est.quadrature_error:.3e} (> 1e-4)"
-            )
-        if est.mc_error > 3.0 * est.mc_se:
-            raise RuntimeError(
-                f"monte-carlo estimator off by {est.mc_error:.3e} (> 3 SE = {3 * est.mc_se:.3e})"
-            )
-    return est

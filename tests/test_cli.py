@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -235,6 +237,23 @@ def test_project_single_null_state_is_the_zero_vector(tmp_path):
     assert values["physical_norm_error"] == 0.0
 
 
+def test_correlations_large_mprime_exits_0(tmp_path, capsys):
+    # no search along the evaluation ray overflows the closed-form wavefunction at large m
+    cfg = _write_config(tmp_path, {"experiment": "correlations", "nmax": 900, "mprime": 700})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # truncation-tail warnings are expected here
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    code = "import sys, csquant.cli; print('scipy.linalg' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"
+
+
 def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
@@ -305,6 +324,7 @@ _CHEAP_CONFIGS = st.one_of(
 @example(cfg={"experiment": "spin-overlap", "nmax": 1001})
 @example(cfg={"experiment": "classical-limit", "m_values": [4, 2_000_000]})
 @example(cfg={"experiment": "wiener", "n_paths": 2_000_000_000})
+@example(cfg={"experiment": "correlations", "nmax": 900, "mprime": 700})
 def test_cli_contract_holds_for_generated_configs(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")

@@ -132,14 +132,18 @@ def test_gauge_phase_factorization_invariance():
 
 
 def test_peak_location_on_constraint_manifold():
-    m = 6
-    rep = correlation("single", "Q", math.sqrt(m), 2.0 * cmath.exp(0.4j), m, 40)
-    assert abs(rep.peak_location) == pytest.approx(math.sqrt(m), abs=1e-6)
-    repd = correlation(
-        "double", "Q1", (1.0, 1.0), (0.9 * cmath.exp(0.2j), 1.1 * cmath.exp(0.2j)), 4, 16
-    )
-    a_pk, b_pk = repd.peak_location
-    assert abs(a_pk) ** 2 + abs(b_pk) ** 2 == pytest.approx(4.0, abs=1e-5)
+    # |wavefunction| along an evaluation ray peaks where the label's energy meets the constraint
+    double_unit = np.array([0.9, 1.1]) * cmath.exp(0.2j) / math.hypot(0.9, 1.1)
+    for model, ket, unit, m in (
+        ("single", math.sqrt(6), cmath.exp(0.4j), 6),
+        ("double", (1.0, 1.0), double_unit, 4),
+    ):
+        peak = math.sqrt(m)
+        mags = [
+            abs(phys_wavefunction(model, ket, s * unit if model == "single" else tuple(s * unit), m))
+            for s in (peak * (1 - 1e-3), peak, peak * (1 + 1e-3))
+        ]
+        assert mags[1] > mags[0] and mags[1] > mags[2]
 
 
 @pytest.mark.parametrize("model", ["single", "double"])

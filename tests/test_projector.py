@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from csquant.coherent import CoherentLabel, coherent_vector
-from csquant.fock import basis_vector, ho_hamiltonian, make_space, position_operator
+from csquant.fock import basis_vector, ho_hamiltonian, ladder, make_space, position_operator
 from csquant.projector import (
     ProjectorSpec,
     build_projector,
+    default_lam_max,
     double_constraint,
     normalize_physical,
     physical_subspace_dim,
@@ -51,23 +53,19 @@ def test_epsilon_validation():
         ProjectorSpec(single_constraint(s, 1.0), epsilon=0.0)
 
 
+def _sin_kernel_oracle(spec):
+    eigs = spec.constraint.eigensystem()
+    return sin_kernel_weights(eigs, spec.epsilon, default_lam_max(spec.epsilon, eigs))
+
+
 def test_sin_kernel_matches_spectral():
     s = make_space(1, 6)
-    spec = ProjectorSpec(single_constraint(s, 2.0), epsilon=0.1, measure="sin-kernel")
-    weights = build_projector(spec)
+    spec = ProjectorSpec(single_constraint(s, 2.0), epsilon=0.1)
+    weights = _sin_kernel_oracle(spec)
     expected = np.zeros(7)
     expected[2] = 1.0
     assert np.max(np.abs(weights - expected)) < 1e-4
-    assert sin_kernel_residual(ProjectorSpec(single_constraint(s, 2.0), epsilon=0.1)) < 1e-4
-
-
-def test_sin_kernel_under_resolved_raises():
-    s = make_space(1, 6)
-    spec = ProjectorSpec(
-        single_constraint(s, 2.0), epsilon=0.1, measure="sin-kernel", lam_max=50.0
-    )
-    with pytest.raises(RuntimeError):
-        build_projector(spec)
+    assert sin_kernel_residual(spec) < 1e-4
 
 
 @pytest.mark.parametrize("nmax", [20, 40])
@@ -174,17 +172,32 @@ def test_projector_identities_gauge_zero_sigma():
 def test_projector_identities_evolution_detects_noncommuting_hamiltonian():
     # Q = (a + a+)/sqrt(2) changes the occupation, so [P, exp(-itQ)] != 0
     s = make_space(1, 14)
-    report = projector_identities(ProjectorSpec(single_constraint(s, 4.0), epsilon=0.1), position_operator(s, 0))
+    spec = ProjectorSpec(single_constraint(s, 4.0), epsilon=0.1)
+    q = position_operator(s, 0)
+    report = projector_identities(spec, q)
     assert all(residual > 1e-10 for residual in report.evolution.values())
+    # the eigendecomposition route agrees with the matrix exponential
+    w = build_projector(spec)
+    for t, residual in report.evolution.items():
+        oracle = float(np.max(np.abs(np.subtract.outer(w, w) * expm(-1j * t * q.mat))))
+        assert residual == pytest.approx(oracle, abs=1e-12)
+
+
+def test_projector_identities_reject_non_hermitian_hamiltonian():
+    s = make_space(1, 6)
+    a, _ = ladder(s, 0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        projector_identities(ProjectorSpec(single_constraint(s, 2.0), epsilon=0.1), a)
 
 
 def test_projector_identities_sin_kernel_bounded_by_quadrature():
     s = make_space(1, 6)
-    spec = ProjectorSpec(single_constraint(s, 2.0), epsilon=0.1, measure="sin-kernel")
-    quad_tol = sin_kernel_residual(ProjectorSpec(single_constraint(s, 2.0), epsilon=0.1))
-    report = projector_identities(spec, ho_hamiltonian(s, 0))
+    spec = ProjectorSpec(single_constraint(s, 2.0), epsilon=0.1)
+    quad_tol = sin_kernel_residual(spec)
+    w = _sin_kernel_oracle(spec)
     # products of two near-projectors: allow the quadrature error times a few
-    assert report.max_residual() <= 4.0 * quad_tol
+    assert np.max(np.abs(w * w - w)) <= 4.0 * quad_tol
+    assert np.max(np.abs(w - np.conj(w))) <= 4.0 * quad_tol
 
 
 def test_projected_propagator_single_closed_form():

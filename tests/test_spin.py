@@ -15,6 +15,7 @@ from csquant.spin import (
     su2_resolution_check,
     uncertainty_product,
 )
+from csquant.spin import _closure_matrix
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +147,36 @@ def test_su2_resolution_small_and_sweep():
     assert su2_resolution_check(0.5, 8, 8) < 1e-10
     for j in (1.0, 2.5, 5.0, 10.0):
         assert su2_resolution_check(j) < 1e-8
+
+
+def _closure_matrix_per_node(j, n_theta, n_phi):
+    """The closure sum node by node: (2j+1)/(4 pi) sum w |xi><xi| over the product grid."""
+    x, wx = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    wphi = 2.0 * math.pi / n_phi
+    dim = round(2 * j) + 1
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for xv, wv in zip(x, wx):
+        t = math.sqrt((1.0 - xv) / (1.0 + xv))  # tan(theta/2)
+        for ph in phi:
+            amps = su2_coherent(j, t * np.exp(1j * ph)).amps
+            mat += (wv * wphi) * np.outer(amps, amps.conj())
+    return mat * dim / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "j, n_theta, n_phi", [(0.5, 5, 5), (3.0, 10, 10), (3.0, 4, 8), (12.0, 28, 28)]
+)
+def test_su2_closure_factoring_matches_per_node_sum(j, n_theta, n_phi):
+    twoj = round(2 * j)
+    oracle = _closure_matrix_per_node(j, n_theta, n_phi)
+    assert np.max(np.abs(_closure_matrix(twoj, n_theta, n_phi) - oracle)) <= 1e-13
+    oracle_residual = float(np.max(np.abs(oracle - np.eye(twoj + 1))))
+    assert abs(su2_resolution_check(j, n_theta, n_phi) - oracle_residual) <= 1e-13
+
+
+def test_su2_resolution_closes_at_j50():
+    assert su2_resolution_check(50) < 1e-8
 
 
 def test_su2_resolution_doubling_does_not_degrade():

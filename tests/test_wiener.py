@@ -15,7 +15,6 @@ from csquant.wiener import (
     lambda_average_propagator,
     rng_stream,
     sample_lapse_proper_times,
-    sample_pinned_path,
     sample_pinned_paths,
     semigroup_residual,
 )
@@ -99,10 +98,10 @@ def test_semigroup_random_2d_endpoints():
 
 
 def test_bridge_deterministic_limit():
-    path = sample_pinned_path(1e-8, [0.0, 1.0], [2.0, -1.0], 1.0, 32, seed=5)
+    path = sample_pinned_paths(1e-8, [0.0, 1.0], [2.0, -1.0], 1.0, 32, 1, seed=5)[0]
     interp = np.linspace([0.0, 1.0], [2.0, -1.0], 33)
-    assert np.max(np.abs(path.samples - interp)) < 1e-3
-    assert path.pinned == (True, True)
+    assert np.max(np.abs(path - interp)) < 1e-3
+    assert np.array_equal(path[[0, -1]], interp[[0, -1]])
 
 
 def test_bridge_ends_pinned_exactly():
@@ -171,7 +170,7 @@ def propagator_setup():
 def test_lambda_propagator_selected_level(propagator_setup):
     space, label = propagator_setup
     spec = ProjectorSpec(single_constraint(space, 1.0), epsilon=0.45)
-    est = lambda_average_propagator(spec, label, label, seed=101, validate=True)
+    est = lambda_average_propagator(spec, label, label, seed=101)
     assert est.spectral == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert est.quadrature_error < 1e-4
     assert est.mc_error <= 3.0 * est.mc_se
@@ -180,7 +179,7 @@ def test_lambda_propagator_selected_level(propagator_setup):
 def test_lambda_propagator_null_window(propagator_setup):
     space, label = propagator_setup
     spec = ProjectorSpec(single_constraint(space, 0.5), epsilon=0.1)
-    est = lambda_average_propagator(spec, label, label, seed=103, validate=True)
+    est = lambda_average_propagator(spec, label, label, seed=103)
     assert est.spectral == 0.0
     assert abs(est.quadrature) < 1e-4
     assert abs(est.mc_value) <= 3.0 * est.mc_se
@@ -207,7 +206,9 @@ def test_lambda_propagator_distinct_labels(propagator_setup):
     spec = ProjectorSpec(single_constraint(space, 2.0), epsilon=0.3)
     l1 = CoherentLabel.from_alpha(1.1)
     l2 = CoherentLabel.from_alpha(0.7 + 0.6j)
-    est = lambda_average_propagator(spec, l1, l2, seed=106, validate=True)
+    est = lambda_average_propagator(spec, l1, l2, seed=106)
+    assert est.quadrature_error < 1e-4
+    assert est.mc_error <= 3.0 * est.mc_se
     a1, a2 = 1.1, 0.7 + 0.6j
     expected = (
         math.exp(-0.5 * (abs(a1) ** 2 + abs(a2) ** 2)) * (np.conj(a1) * a2) ** 2 / 2.0
