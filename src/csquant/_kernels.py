@@ -33,13 +33,14 @@ def coherent_amp_matrix(alphas, nmax):
 def bridge_fill(start, end, normals, nu, dt):
     """Brownian-bridge paths from pre-drawn standard normals.
 
-    start, end: (paths, d); normals: (paths, nsteps-1, d).  Returns
+    normals: (paths, nsteps-1, d); start and end broadcast against
+    (paths, d), so one (d,) pin serves every path.  Returns
     (paths, nsteps+1, d).  Sequential conditional Gaussians: at step k the
     remaining gap to the pinned endpoint is closed in expectation and the
     conditional variance is nu*dt*(N-k)/(N-k+1).
     """
-    n_paths, d = start.shape
-    n_steps = normals.shape[1] + 1
+    n_paths, n_inner, d = normals.shape
+    n_steps = n_inner + 1
     out = np.empty((n_paths, n_steps + 1, d))
     out[:, 0, :] = start
     out[:, n_steps, :] = end

@@ -33,6 +33,8 @@ from .fock import make_space
 from .coherent import coherent_vector
 
 DEFAULT_SEED = 20260810
+# wiener's bridge ensemble: 15 normals + 17 path values (float64) per path, 512 MiB at the cap
+WIENER_MAX_PATHS = 2**21
 
 
 class ConfigError(ValueError):
@@ -277,8 +279,7 @@ def _exp_wiener(cfg, seed):
     nmax = _get(cfg, "nmax", 12, int, 2)
     mprime = _get(cfg, "mprime", 1, int, 0, nmax)
     eps = _get(cfg, "epsilon", 0.45, float, 1e-3, 0.499)
-    # the lapse walks' n_paths x LAPSE_STEPS float64 normals are the largest block drawn
-    n_paths = _get(cfg, "n_paths", 100_000, int, 100, wiener.DRAW_MAX_BYTES // (8 * wiener.LAPSE_STEPS))
+    n_paths = _get(cfg, "n_paths", 100_000, int, 100, WIENER_MAX_PATHS)
     semi = wiener.semigroup_residual(0.7, 0.0, 0.4, 1.0, [0.1, -0.2], [0.5, 0.3])
     bridge = wiener.sample_pinned_paths(1.0, [0.0], [0.0], 1.0, 16, n_paths, seed, stream=3)
     mid = bridge[:, 8, 0]
@@ -296,12 +297,12 @@ def _exp_wiener(cfg, seed):
     est_wide = wiener.lambda_average_propagator(
         spec, label, label, n_paths=n_paths, window=4000.0, seed=seed, stream=5
     )
-    nu_errors = []
-    for k, nu in enumerate((0.5, 2.0)):
-        e = wiener.lambda_average_propagator(
-            spec, label, label, n_paths=n_paths, nu=nu, seed=seed, stream=6 + k
-        )
-        nu_errors.append(e.mc_error - 3.0 * e.mc_se)
+    est_nu = [
+        wiener.lambda_average_propagator(spec, label, label, n_paths=n_paths, nu=nu, seed=seed, stream=6 + k)
+        for k, nu in enumerate((0.5, 2.0))
+    ]
+    nu_errors = [e.mc_error - 3.0 * e.mc_se for e in est_nu]
+    window_errors = [abs(e.mc_value - e.finite_window) - 3.0 * e.mc_se for e in (est, est_wide, *est_nu)]
     rows = [
         CheckRow("semigroup_residual", semi, 1e-8),
         CheckRow("bridge_midpoint_variance_error", var_err, var_band),
@@ -309,6 +310,8 @@ def _exp_wiener(cfg, seed):
         CheckRow("mc_vs_spectral_minus_3se", est.mc_error - 3.0 * est.mc_se, 0.0),
         CheckRow("mc_window_doubled_minus_3se", est_wide.mc_error - 3.0 * est_wide.mc_se, 0.0),
         CheckRow("mc_nu_sweep_minus_3se", max(nu_errors), 0.0),
+        CheckRow("mc_vs_finite_window_minus_3se", max(window_errors), 0.0),
+        CheckRow("finite_window_bias", abs(est.finite_window - est.spectral), est.window_bias_bound),
     ]
     return rows, {}
 

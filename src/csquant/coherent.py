@@ -288,12 +288,12 @@ def reproducing_propagation(
     if space.modes != 1:
         raise ValueError("reproducing propagation is implemented for single-mode spaces")
     probe_alphas = np.asarray(probe_alphas, dtype=np.complex128)
-    probe_amps = _kernels.coherent_amp_matrix(np.ascontiguousarray(probe_alphas), space.nmax)
+    probe_amps = _kernels.coherent_amp_matrix(probe_alphas, space.nmax)
     reproduced = np.zeros(probe_alphas.size, dtype=np.complex128)
     chunk = 65536
     for lo in range(0, grid.alphas.size, chunk):
         hi = min(lo + chunk, grid.alphas.size)
-        node_amps = _kernels.coherent_amp_matrix(np.ascontiguousarray(grid.alphas[lo:hi]), space.nmax)
+        node_amps = _kernels.coherent_amp_matrix(grid.alphas[lo:hi], space.nmax)
         f = node_amps.conj() @ psi.amps
         # K(a', a_k) = <a'|a_k> via the amplitude matrices (exact up to truncation)
         kernel = probe_amps.conj() @ node_amps.T

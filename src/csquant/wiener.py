@@ -1,25 +1,25 @@
 """Discrete-time Wiener-measure machinery.
 
 Flat-metric heat kernel and its semigroup rule, exact Brownian-bridge
-sampling for pinned phase-space paths, unpinned random-walk sampling for
-the Lagrange-multiplier direction, and two estimators of the projected
-propagator that must reproduce the spectral answer:
+sampling for pinned phase-space paths, the exact law of an unpinned lapse
+walk's proper time, and estimators of the projected propagator:
 
 * the sin-kernel measure integrated over the accumulated proper time,
   in closed form (projector.sin_kernel_weights over default_lam_max),
-* Monte Carlo over lapse walks lambda(t) of LAPSE_STEPS steps on
-  t in [0, T = 1], where only tau = int lambda dt enters.  The walk
-  starts from a uniform prior on [-window, window] and adds Brownian
-  increments of diffusion nu; averaging exp(-i tau x) over the prior
-  suppresses every constraint eigenvalue x != 0 by a sinc factor
-  ~ 1/(window * T * x) times a Gaussian damping exp(-x^2 nu T^3 / 6), so
-  for integer targets the estimate converges to the spectral projection
-  and is stable under widening the prior window or changing nu.  Every
-  constraint eigenvalue is an integer level minus the target, so the
-  phase average is a polynomial in exp(-i tau) with one coefficient per
-  level (_kernels.phase_samples), not one exponential per basis state.
+* Monte Carlo over tau = int lambda dt of lapse walks lambda(t) of
+  LAPSE_STEPS steps on t in [0, 1]: a uniform prior on [-window, window]
+  plus Brownian increments of diffusion nu.  The trapezoid tau is linear
+  in those draws, so it is the prior draw plus one Gaussian of variance
+  lapse_walk_variance(nu) and the walks are never built.  Averaging
+  exp(-i tau x) converges to the finite-window mean
+  sum_n w_n sinc(window x_n) exp(-s^2 x_n^2 / 2), itself in closed form;
+  the sinc suppresses every x != 0 by ~ 1/(window x), so for integer
+  targets both approach the spectral projection.  Every constraint
+  eigenvalue is an integer level minus the target, so the phase average
+  is a polynomial in exp(-i tau) with one coefficient per level
+  (_kernels.phase_samples), not one exponential per basis state.
 
-lambda_average_propagator returns both estimates beside the spectral
+lambda_average_propagator returns the estimates beside the spectral
 reference and enforces nothing; its callers score them (quadrature within
 1e-4, Monte Carlo within three standard errors).  Pinned paths come as a
 whole (n_paths, N+1, d) ensemble from sample_pinned_paths.
@@ -45,7 +45,6 @@ from .projector import ProjectorSpec
 
 
 LAPSE_STEPS = 32  # lapse-walk steps of lambda_average_propagator, over unit time
-DRAW_MAX_BYTES = 512 * 2**20  # float64 normals (n_paths x n_steps) one lapse sampling may draw
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -161,63 +160,51 @@ def sample_pinned_paths(
         raise ValueError("nu must be >= 0")
     x_start = np.atleast_1d(np.asarray(x_start, dtype=np.float64))
     x_end = np.atleast_1d(np.asarray(x_end, dtype=np.float64))
-    d = x_start.size
-    start = np.tile(x_start, (n_paths, 1))
-    end = np.tile(x_end, (n_paths, 1))
-    if n_steps == 1:
-        normals = np.zeros((n_paths, 0, d))
-    else:
-        normals = rng_stream(seed, stream).standard_normal((n_paths, n_steps - 1, d))
-    dt = t_total / n_steps
-    return _kernels.bridge_fill(
-        np.ascontiguousarray(start),
-        np.ascontiguousarray(end),
-        np.ascontiguousarray(normals),
-        float(nu),
-        float(dt),
-    )
+    shape = (n_paths, n_steps - 1, x_start.size)
+    normals = rng_stream(seed, stream).standard_normal(shape) if n_steps > 1 else np.zeros(shape)
+    return _kernels.bridge_fill(x_start, x_end, normals, nu, t_total / n_steps)
+
+
+def lapse_walk_variance(nu: float) -> float:
+    """Variance of the Brownian part of a lapse walk's trapezoid proper time.
+
+    With N = LAPSE_STEPS steps of dt = 1/N, increment i (1-based) enters
+    tau with weight dt (N - i + 1/2), so the variance is
+    nu dt^3 sum_i (N - i + 1/2)^2 = nu (1/3 - 1/(12 N^2)).
+    """
+    return nu * (1.0 / 3.0 - 1.0 / (12.0 * LAPSE_STEPS**2))
 
 
 def sample_lapse_proper_times(
     nu: float,
-    t_total: float,
-    n_steps: int,
     window: float,
     n_paths: int,
     seed: int,
     stream: int = 0,
 ) -> np.ndarray:
-    """tau = int lambda dt for unpinned lapse walks (trapezoid accumulation).
+    """tau = int lambda dt of unpinned lapse walks, drawn from its exact law.
 
-    lambda(0) ~ Uniform(-window, window), increments N(0, nu dt); both ends
-    are left free.  window = 0 and nu = 0 gives the degenerate tau = 0.
-    The trapezoid over lambda_k = lambda(0) + (sum of the first k
-    increments), k = 0..N, is linear in the draws: lambda(0) has weight N
-    and increment i (1-based) weight N - i + 1/2, so the walks themselves
-    are never stored.  A draw block over DRAW_MAX_BYTES is refused with
-    ValueError before anything is drawn.
+    lambda(0) ~ Uniform(-window, window), LAPSE_STEPS increments
+    N(0, nu dt) on unit time, both ends free, tau accumulated by the
+    trapezoid rule.  That tau is lambda(0) plus an independent
+    N(0, lapse_walk_variance(nu)), so each path costs one uniform and one
+    normal.  window = 0 and nu = 0 gives the degenerate tau = 0.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if 8 * n_paths * n_steps > DRAW_MAX_BYTES:
-        raise ValueError(f"{n_paths} paths x {n_steps} steps of float64 normals exceed {DRAW_MAX_BYTES} bytes")
     rng = rng_stream(seed, stream)
-    lam0 = rng.uniform(-window, window, size=n_paths) if window > 0 else np.zeros(n_paths)
-    dt = t_total / n_steps
-    tau = n_steps * lam0
+    tau = rng.uniform(-window, window, size=n_paths) if window > 0 else np.zeros(n_paths)
     if nu > 0:
-        coeffs = math.sqrt(nu * dt) * (n_steps + 0.5 - np.arange(1, n_steps + 1))
-        tau += rng.standard_normal((n_paths, n_steps)) @ coeffs
-    return dt * tau
+        tau += math.sqrt(lapse_walk_variance(nu)) * rng.standard_normal(n_paths)
+    return tau
 
 
 @dataclass(frozen=True)
 class PropagatorEstimates:
     spectral: complex
     quadrature: complex
+    finite_window: complex
+    window_bias_bound: float
     mc_value: complex
     mc_se: float
-    n_paths: int
 
     @property
     def quadrature_error(self) -> float:
@@ -240,9 +227,10 @@ def lambda_average_propagator(
 ) -> PropagatorEstimates:
     """Average of <bra| exp(-i tau Phi) |ket> over the proper-time measure.
 
-    Returns the spectral reference together with the sin-kernel quadrature
-    (range default_lam_max) and the Monte Carlo estimate over lapse walks of
-    LAPSE_STEPS steps on t in [0, 1]; callers score the errors.
+    Returns the spectral reference, the sin-kernel quadrature (range
+    default_lam_max), the Monte Carlo estimate and its finite-window mean;
+    callers score the errors.  For an integer target window_bias_bound,
+    sum_{x != 0} |w_x| / (window |x|), bounds |finite_window - spectral|.
     """
     space = spec.constraint.space
     v_bra = projector._labels_to_vector(space, labels_bra)
@@ -256,14 +244,21 @@ def lambda_average_propagator(
     lam_max = projector.default_lam_max(spec.epsilon, eigs)
     quadrature = complex(np.sum(weights * projector.sin_kernel_weights(eigs, spec.epsilon, lam_max)))
 
-    taus = sample_lapse_proper_times(nu, 1.0, LAPSE_STEPS, window, n_paths, seed, stream)
+    gauss = np.exp(-0.5 * lapse_walk_variance(nu) * eigs**2)
+    finite_window = complex(np.sum(weights * np.sinc(window * eigs / math.pi) * gauss))
+    off = eigs != 0
+    dirichlet = float(np.sum(np.abs(weights[off] / eigs[off])))
+    window_bias_bound = dirichlet / window if window > 0 else math.inf
+
+    taus = sample_lapse_proper_times(nu, window, n_paths, seed, stream)
     vals = _kernels.phase_samples(taus, np.rint(eigs + target).astype(np.int64), target, weights)
     mc_value = complex(np.mean(vals))
     se = math.sqrt((np.var(vals.real) + np.var(vals.imag)) / n_paths)
     return PropagatorEstimates(
         spectral=spectral,
         quadrature=quadrature,
+        finite_window=finite_window,
+        window_bias_bound=window_bias_bound,
         mc_value=mc_value,
         mc_se=se,
-        n_paths=n_paths,
     )

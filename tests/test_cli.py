@@ -202,8 +202,8 @@ def test_wiener_path_count_refused_before_sampling(tmp_path, capsys, monkeypatch
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
     assert "config field 'n_paths'" in capsys.readouterr().err
     assert not out.exists()
-    # the 1e6-path benchmark workload stays inside the draw budget
-    assert 8 * 1_000_000 * wiener.LAPSE_STEPS <= wiener.DRAW_MAX_BYTES
+    # the 1e6-path benchmark workload stays under the CLI cap
+    assert 1_000_000 <= cli.WIENER_MAX_PATHS
 
 
 @pytest.mark.parametrize(

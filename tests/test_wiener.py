@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import ks_2samp
 
 from csquant import _kernels, wiener
-from csquant.coherent import CoherentLabel
+from csquant.coherent import CoherentLabel, coherent_vector
 from csquant.fock import make_space
 from csquant.projector import ProjectorSpec, double_constraint, single_constraint
 from csquant.wiener import (
@@ -132,32 +134,54 @@ def test_bridge_seed_reproducibility():
     assert not np.array_equal(a, c)
 
 
+def _trapezoid_walk_taus(lam0, increments):
+    """Oracle: explicit lapse walks lambda(0) + cumsum(increments) on unit time, tau by the trapezoid rule."""
+    lam = np.concatenate([lam0[:, None], lam0[:, None] + np.cumsum(increments, axis=1)], axis=1)
+    return np.trapezoid(lam, dx=1.0 / increments.shape[1], axis=1)
+
+
+def _walk_oracle_draws(nu, window, n_paths, seed, stream):
+    """The uniform prior and the N(0, nu dt) increments of LAPSE_STEPS-step walks."""
+    n_steps = wiener.LAPSE_STEPS
+    rng = rng_stream(seed, stream)
+    lam0 = rng.uniform(-window, window, size=n_paths) if window > 0 else np.zeros(n_paths)
+    return lam0, rng.standard_normal((n_paths, n_steps)) * math.sqrt(nu / n_steps)
+
+
 def test_lapse_tau_distribution_moments():
     n = 200_000
-    taus = sample_lapse_proper_times(1.0, 1.0, 32, 2.0, n, seed=11)
+    taus = sample_lapse_proper_times(1.0, 2.0, n, seed=11)
+    walk_var = np.var(sample_lapse_proper_times(1.0, 0.0, n, seed=12))
+    exact_walk_var = wiener.lapse_walk_variance(1.0)
     # var = window^2/3 from the uniform prior plus the integrated-walk term
-    walk_var = np.var(
-        sample_lapse_proper_times(1.0, 1.0, 32, 0.0, n, seed=12)
-    )
-    expected = 4.0 / 3.0 + walk_var
+    expected = 4.0 / 3.0 + exact_walk_var
     assert abs(np.mean(taus)) <= 3.0 * math.sqrt(expected / n)
     assert np.var(taus) == pytest.approx(expected, rel=0.02)
-    # the discrete integrated walk variance approaches nu T^3 / 3
-    assert walk_var == pytest.approx(1.0 / 3.0, rel=0.1)
+    assert walk_var == pytest.approx(exact_walk_var, rel=0.02)
 
 
 @pytest.mark.parametrize("nu, window", [(1.0, 2000.0), (0.3, 0.0), (0.0, 5.0)])
 def test_lapse_weighted_sum_matches_trapezoid_oracle(nu, window):
-    n_paths, n_steps, t_total = 3000, 32, 1.3
-    taus = sample_lapse_proper_times(nu, t_total, n_steps, window, n_paths, seed=21, stream=4)
-    # the same draws, in the same order, accumulated into explicit walks
-    rng = rng_stream(21, 4)
-    lam0 = rng.uniform(-window, window, size=n_paths) if window > 0 else np.zeros(n_paths)
-    dt = t_total / n_steps
-    increments = rng.standard_normal((n_paths, n_steps)) * math.sqrt(nu * dt)
-    lam = np.concatenate([lam0[:, None], lam0[:, None] + np.cumsum(increments, axis=1)], axis=1)
-    oracle = np.trapezoid(lam, dx=dt, axis=1)
-    assert np.max(np.abs(taus - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    n_steps = wiener.LAPSE_STEPS
+    dt = 1.0 / n_steps
+    # the weight of each unit increment in tau, read off the walk oracle: dt (N - i + 1/2)
+    coeffs = _trapezoid_walk_taus(np.zeros(n_steps), np.eye(n_steps))
+    assert np.allclose(coeffs, dt * (n_steps - np.arange(n_steps) - 0.5), rtol=1e-14, atol=0.0)
+    walk_var = nu * dt * np.sum(coeffs**2)  # each increment has variance nu dt
+    assert wiener.lapse_walk_variance(nu) == pytest.approx(walk_var, rel=1e-14, abs=0.0)
+
+    n_paths = 100_000
+    taus = sample_lapse_proper_times(nu, window, n_paths, seed=21, stream=4)
+    if nu == 0:
+        # no walk term: tau is the prior draw of the same stream, bit for bit
+        lam0, increments = _walk_oracle_draws(nu, window, n_paths, seed=21, stream=4)
+        assert np.array_equal(taus, lam0)
+        oracle = _trapezoid_walk_taus(lam0, increments)
+        assert np.max(np.abs(taus - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    else:
+        # the same law: two-sample KS test against explicit walks drawn from another stream
+        oracle = _trapezoid_walk_taus(*_walk_oracle_draws(nu, window, n_paths, seed=21, stream=5))
+        assert ks_2samp(taus, oracle).pvalue > 1e-3
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +240,32 @@ def test_lambda_propagator_distinct_labels(propagator_setup):
     assert est.spectral == pytest.approx(expected, rel=1e-12)
 
 
+def test_finite_window_matches_characteristic_function_quadrature(propagator_setup):
+    space, _ = propagator_setup
+    spec = ProjectorSpec(single_constraint(space, 2.0), epsilon=0.3)
+    a1, a2 = 1.1, 0.7 + 0.6j
+    nu, window = 0.8, 0.7
+    est = lambda_average_propagator(
+        spec, CoherentLabel.from_alpha(a1), CoherentLabel.from_alpha(a2), n_paths=100, nu=nu, window=window
+    )
+    weights = np.conj(coherent_vector(space, [a1]).amps) * coherent_vector(space, [a2]).amps
+    s = math.sqrt(wiener.lapse_walk_variance(nu))
+    # oracle: E[exp(-i tau x)] with tau = Uniform(-window, window) + N(0, s^2), by direct quadrature
+    expected = 0.0
+    for w, x in zip(weights, spec.constraint.eigs):
+        uniform = quad(lambda lam: np.exp(-1j * lam * x) / (2.0 * window), -window, window, complex_func=True)[0]
+        gauss = quad(
+            lambda g: np.exp(-0.5 * g * g - 1j * s * g * x) / math.sqrt(2.0 * math.pi),
+            -12.0,
+            12.0,
+            limit=200,
+            complex_func=True,
+        )[0]
+        expected += w * uniform * gauss
+    assert abs(est.finite_window - expected) <= 1e-10
+    assert abs(est.finite_window - est.spectral) <= est.window_bias_bound
+
+
 def test_rng_stream_is_counter_based_and_stable():
     a = rng_stream(123, 0).standard_normal(4)
     b = rng_stream(123, 0).standard_normal(4)
@@ -237,12 +287,3 @@ def test_phase_samples_matches_direct_sum(modes, nmax, target):
     # oracle: the direct sum, one complex exponential per sample and basis state
     expected = np.exp(-1j * np.outer(taus, constraint.eigs)) @ weights
     assert np.max(np.abs(got - expected)) <= 1e-10 * np.sum(np.abs(weights))
-
-
-def test_lapse_sampler_refuses_block_over_budget(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("generator built for a refused draw block")
-
-    monkeypatch.setattr(wiener, "rng_stream", never)
-    with pytest.raises(ValueError, match="exceed"):
-        wiener.sample_lapse_proper_times(1.0, 1.0, wiener.LAPSE_STEPS, 1.0, 2_000_000_000, seed=0)
