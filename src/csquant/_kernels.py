@@ -1,14 +1,16 @@
 """Hot numeric kernels, in numpy.
 
 numpy is the only backend.  Each kernel is vectorized over its batch axis
-(coherent labels, bridge paths, lapse samples), and the Monte-Carlo phase
-average sums its weights per integer level first, so its cost grows with
-the number of levels rather than with the dimension of the space.
+(coherent labels, lapse samples), and the Monte-Carlo phase average sums
+its weights per integer level first, so its cost grows with the number of
+levels rather than with the dimension of the space.
 
 Reductions run in a fixed order: the CLI promises byte-identical reruns.
 """
 
 import numpy as np
+
+PATH_CHUNK = 16384  # paths per chunk of the per-path loops (here and wiener's bridge)
 
 
 def backend_name() -> str:
@@ -30,42 +32,29 @@ def coherent_amp_matrix(alphas, nmax):
     return out
 
 
-def bridge_fill(start, end, normals, nu, dt):
-    """Brownian-bridge paths from pre-drawn standard normals.
-
-    normals: (paths, nsteps-1, d); start and end broadcast against
-    (paths, d), so one (d,) pin serves every path.  Returns
-    (paths, nsteps+1, d).  Sequential conditional Gaussians: at step k the
-    remaining gap to the pinned endpoint is closed in expectation and the
-    conditional variance is nu*dt*(N-k)/(N-k+1).
-    """
-    n_paths, n_inner, d = normals.shape
-    n_steps = n_inner + 1
-    out = np.empty((n_paths, n_steps + 1, d))
-    out[:, 0, :] = start
-    out[:, n_steps, :] = end
-    for k in range(1, n_steps):
-        remaining = n_steps - k + 1
-        mean = out[:, k - 1, :] + (end - out[:, k - 1, :]) / remaining
-        std = np.sqrt(nu * dt * (remaining - 1) / remaining)
-        out[:, k, :] = mean + std * normals[:, k - 1, :]
-    return out
-
-
 def phase_samples(taus, levels, target, weights):
     """vals[i] = sum_n weights[n] * exp(-1j * taus[i] * (levels[n] - target)).
 
     levels are non-negative integers, so the sum is exp(i tau target) times
     a polynomial in z = exp(-i tau) whose coefficient of z^k is the total
     weight on level k.  Horner's rule evaluates it in O(paths x levels)
-    time and O(paths) memory.
+    time, PATH_CHUNK paths at a time.  For an integer target the target
+    phase is conj(z)**target, so each path costs one exponential.
     """
     taus = np.asarray(taus, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.complex128)
     coeffs = np.bincount(levels, weights.real) + 1j * np.bincount(levels, weights.imag)
-    z = np.exp(-1j * taus)
-    vals = np.full(taus.size, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        vals *= z
-        vals += c
-    return vals * np.exp(1j * target * taus)
+    vals = np.empty(taus.size, dtype=np.complex128)
+    for lo in range(0, taus.size, PATH_CHUNK):
+        tau = taus[lo : lo + PATH_CHUNK]
+        z = np.exp(-1j * tau)
+        out = vals[lo : lo + PATH_CHUNK]
+        out[:] = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            out *= z
+            out += c
+        phase = np.conj(z) ** int(target) if float(target).is_integer() else np.exp(1j * target * tau)
+        # phase * vals in this operand order: numpy's SIMD complex product is not bitwise
+        # commutative, and the recorded check values follow this order
+        np.multiply(phase, out, out=out)
+    return vals

@@ -33,7 +33,7 @@ from .fock import make_space
 from .coherent import coherent_vector
 
 DEFAULT_SEED = 20260810
-# wiener's bridge ensemble: 15 normals + 17 path values (float64) per path, 512 MiB at the cap
+# wiener holds ~40 bytes per path (80 MiB at the cap) plus one chunk: the cap bounds run time
 WIENER_MAX_PATHS = 2**21
 
 
@@ -281,8 +281,7 @@ def _exp_wiener(cfg, seed):
     eps = _get(cfg, "epsilon", 0.45, float, 1e-3, 0.499)
     n_paths = _get(cfg, "n_paths", 100_000, int, 100, WIENER_MAX_PATHS)
     semi = wiener.semigroup_residual(0.7, 0.0, 0.4, 1.0, [0.1, -0.2], [0.5, 0.3])
-    bridge = wiener.sample_pinned_paths(1.0, [0.0], [0.0], 1.0, 16, n_paths, seed, stream=3)
-    mid = bridge[:, 8, 0]
+    mid = wiener.sample_bridge_column(1.0, [0.0], [0.0], 1.0, 16, 8, n_paths, seed, stream=3)[:, 0]
     var_expected = 1.0 * 0.5 * 0.5  # nu t (T - t) / T at the midpoint
     var_err = abs(float(np.var(mid)) - var_expected)
     var_band = 3.0 * var_expected * math.sqrt(2.0 / (n_paths - 1))

@@ -1,8 +1,9 @@
 """Discrete-time Wiener-measure machinery.
 
 Flat-metric heat kernel and its semigroup rule, exact Brownian-bridge
-sampling for pinned phase-space paths, the exact law of an unpinned lapse
-walk's proper time, and estimators of the projected propagator:
+sampling of one time column of pinned phase-space paths, the exact law of
+an unpinned lapse walk's proper time, and estimators of the projected
+propagator:
 
 * the sin-kernel measure integrated over the accumulated proper time,
   in closed form (projector.sin_kernel_weights over default_lam_max),
@@ -21,8 +22,9 @@ walk's proper time, and estimators of the projected propagator:
 
 lambda_average_propagator returns the estimates beside the spectral
 reference and enforces nothing; its callers score them (quadrature within
-1e-4, Monte Carlo within three standard errors).  Pinned paths come as a
-whole (n_paths, N+1, d) ensemble from sample_pinned_paths.
+1e-4, Monte Carlo within three standard errors).  The bridge and the phase
+average run over chunks of paths, so n_paths costs O(n_paths) for the
+lapse times, the phase values and the bridge column, plus one chunk.
 
 The heat kernel takes whole batches of points, so each Simpson check of
 its normalization, variance and semigroup rule is one array evaluation
@@ -138,31 +140,41 @@ def semigroup_residual(nu: float, t1: float, t2: float, t3: float, x1, x3, n_nod
     return abs(float(np.sum(weights * integrand)) - direct)
 
 
-def sample_pinned_paths(
-    nu: float,
-    x_start,
-    x_end,
-    t_total: float,
-    n_steps: int,
-    n_paths: int,
-    seed: int,
-    stream: int = 0,
+def sample_bridge_column(
+    nu: float, x_start, x_end, t_total: float, n_steps: int, column: int, n_paths: int, seed: int, stream: int = 0
 ) -> np.ndarray:
-    """Brownian-bridge ensemble, shape (n_paths, n_steps+1, d).
+    """Time column `column` of a Brownian-bridge ensemble, shape (n_paths, d).
 
-    Sequential conditional Gaussians; with nu -> 0 the paths collapse onto
-    the linear interpolant.  The marginal at time t has mean on the
-    interpolant and variance nu t (T - t) / T.
+    Sequential conditional Gaussians: at step k the remaining gap to the
+    pinned end is closed in expectation and the conditional variance is
+    nu dt (N-k)/(N-k+1), so with nu -> 0 the paths collapse onto the
+    linear interpolant; the marginal at time t has variance nu t (T-t)/T.
+    Each path draws its N - 1 normals in path order from one stream, and
+    only the current column of PATH_CHUNK paths is kept, so the column
+    does not depend on the chunk size and the ends are the pins exactly.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if nu < 0:
         raise ValueError("nu must be >= 0")
+    if not 0 <= column <= n_steps:
+        raise ValueError("column must lie in [0, n_steps]")
     x_start = np.atleast_1d(np.asarray(x_start, dtype=np.float64))
     x_end = np.atleast_1d(np.asarray(x_end, dtype=np.float64))
-    shape = (n_paths, n_steps - 1, x_start.size)
-    normals = rng_stream(seed, stream).standard_normal(shape) if n_steps > 1 else np.zeros(shape)
-    return _kernels.bridge_fill(x_start, x_end, normals, nu, t_total / n_steps)
+    out = np.empty((n_paths, x_start.size))
+    out[:] = x_start if column < n_steps else x_end
+    if column == n_steps:
+        return out
+    rng = rng_stream(seed, stream)
+    dt = t_total / n_steps
+    for lo in range(0, n_paths, _kernels.PATH_CHUNK):
+        x = out[lo : lo + _kernels.PATH_CHUNK]
+        normals = rng.standard_normal((len(x), n_steps - 1, x_start.size))
+        for k in range(1, column + 1):
+            remaining = n_steps - k + 1
+            x += (x_end - x) / remaining
+            x += np.sqrt(nu * dt * (remaining - 1) / remaining) * normals[:, k - 1, :]
+    return out
 
 
 def lapse_walk_variance(nu: float) -> float:

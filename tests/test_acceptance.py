@@ -196,8 +196,7 @@ def test_criterion_8_wiener_machinery():
     start = time.perf_counter()
     semi = wiener.semigroup_residual(0.7, 0.0, 0.4, 1.0, [0.1, -0.2], [0.5, 0.3])
     n = 100_000
-    paths = wiener.sample_pinned_paths(1.0, [0.0], [0.0], 1.0, 16, n, seed=42, stream=3)
-    mid = paths[:, 8, 0]
+    mid = wiener.sample_bridge_column(1.0, [0.0], [0.0], 1.0, 16, 8, n, seed=42, stream=3)[:, 0]
     var_ok = abs(np.var(mid) - 0.25) <= 3.0 * 0.25 * math.sqrt(2.0 / (n - 1))
     mean_ok = abs(np.mean(mid)) <= 3.0 * 0.5 / math.sqrt(n)
 

@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csquant import cli, fock, wiener
+from csquant import _kernels, cli, fock, wiener
 
 
 def _write_config(tmp_path, payload, name="cfg.json"):
@@ -90,6 +91,43 @@ def test_rerun_byte_identical(tmp_path):
     cli.main(["run", "--config", cfg, "--out", str(out1)])
     cli.main(["run", "--config", cfg, "--out", str(out2)])
     assert (out1 / "wiener.json").read_bytes() == (out2 / "wiener.json").read_bytes()
+
+
+def _src_env(**extra):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
+def test_wiener_rerun_byte_identical_across_processes(tmp_path):
+    # chunk buffers must not make the output depend on heap layout: vary the hash seed
+    # (dict and allocation order) and the length of the output path between processes
+    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 2 * _kernels.PATH_CHUNK + 777, "seed": 13})
+    outs = []
+    for hash_seed, sub in (("1", "a"), ("2024", "a-much-longer-output-directory-name")):
+        out = tmp_path / sub
+        run = "import sys; from csquant.cli import main; sys.exit(main(sys.argv[1:]))"
+        subprocess.run(
+            [sys.executable, "-c", run, "run", "--config", cfg, "--out", str(out)],
+            capture_output=True,
+            env=_src_env(PYTHONHASHSEED=hash_seed),
+            check=True,
+        )
+        outs.append((out / "wiener.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_wiener_memory_per_path_is_bounded(tmp_path):
+    n_paths = 200_000
+    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": n_paths})
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # O(n_paths) arrays, ~40 bytes per path, plus one chunk; a whole 17-column bridge ensemble needs ~270
+    assert peak <= 64 * n_paths
 
 
 def test_largest_rise_catches_non_monotone_sequence():
@@ -195,7 +233,7 @@ def test_wiener_path_count_refused_before_sampling(tmp_path, capsys, monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("sampler called for a refused config")
 
-    monkeypatch.setattr(wiener, "sample_pinned_paths", never)
+    monkeypatch.setattr(wiener, "sample_bridge_column", never)
     monkeypatch.setattr(wiener, "sample_lapse_proper_times", never)
     cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 2_000_000_000})
     out = tmp_path / "never"
@@ -248,9 +286,7 @@ def test_correlations_large_mprime_exits_0(tmp_path, capsys):
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
     code = "import sys, csquant.cli; print('scipy.linalg' in sys.modules)"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True)
     assert result.stdout.strip() == "False"
 
 

@@ -16,8 +16,8 @@ from csquant.wiener import (
     kernel_variance,
     lambda_average_propagator,
     rng_stream,
+    sample_bridge_column,
     sample_lapse_proper_times,
-    sample_pinned_paths,
     semigroup_residual,
 )
 
@@ -99,27 +99,74 @@ def test_semigroup_random_2d_endpoints():
         assert semigroup_residual(0.7, 0.0, t2, 1.0, x1, x3) < 1e-8
 
 
+def _bridge_ensemble_oracle(nu, x_start, x_end, t_total, n_steps, n_paths, seed, stream=0):
+    """Oracle: the whole (n_paths, n_steps+1, d) bridge ensemble from one block of normals."""
+    x_start = np.atleast_1d(np.asarray(x_start, dtype=np.float64))
+    x_end = np.atleast_1d(np.asarray(x_end, dtype=np.float64))
+    normals = rng_stream(seed, stream).standard_normal((n_paths, n_steps - 1, x_start.size))
+    dt = t_total / n_steps
+    out = np.empty((n_paths, n_steps + 1, x_start.size))
+    out[:, 0, :] = x_start
+    out[:, n_steps, :] = x_end
+    for k in range(1, n_steps):
+        remaining = n_steps - k + 1
+        mean = out[:, k - 1, :] + (x_end - out[:, k - 1, :]) / remaining
+        std = np.sqrt(nu * dt * (remaining - 1) / remaining)
+        out[:, k, :] = mean + std * normals[:, k - 1, :]
+    return out
+
+
+def _bridge_paths(nu, x_start, x_end, t_total, n_steps, n_paths, seed, stream=0):
+    """Every column of sample_bridge_column, stacked to (n_paths, n_steps+1, d)."""
+    return np.stack(
+        [
+            sample_bridge_column(nu, x_start, x_end, t_total, n_steps, k, n_paths, seed, stream)
+            for k in range(n_steps + 1)
+        ],
+        axis=1,
+    )
+
+
+@pytest.mark.parametrize("n_paths", [_kernels.PATH_CHUNK + 3, 1000])
+@pytest.mark.parametrize("x_start, x_end", [([0.3], [-0.7]), ([0.3, -0.2], [-0.7, 1.1])])
+def test_bridge_column_equals_ensemble_oracle(n_paths, x_start, x_end):
+    args = (0.8, x_start, x_end, 1.3, 16)
+    paths = _bridge_paths(*args, n_paths, seed=8, stream=3)
+    # the chunked draws and the column recursion reproduce the one-block ensemble bit for bit
+    assert np.array_equal(paths, _bridge_ensemble_oracle(*args, n_paths, seed=8, stream=3))
+
+
+def test_bridge_column_validation():
+    for column in (-1, 17):
+        with pytest.raises(ValueError):
+            sample_bridge_column(1.0, [0.0], [0.0], 1.0, 16, column, 10, seed=1)
+    with pytest.raises(ValueError):
+        sample_bridge_column(-1.0, [0.0], [0.0], 1.0, 16, 8, 10, seed=1)
+    with pytest.raises(ValueError):
+        sample_bridge_column(1.0, [0.0], [0.0], 1.0, 0, 0, 10, seed=1)
+    # one step: no inner column, and no draws
+    assert np.array_equal(sample_bridge_column(1.0, [0.3], [0.5], 1.0, 1, 1, 3, seed=1), np.full((3, 1), 0.5))
+
+
 def test_bridge_deterministic_limit():
-    path = sample_pinned_paths(1e-8, [0.0, 1.0], [2.0, -1.0], 1.0, 32, 1, seed=5)[0]
+    path = _bridge_paths(1e-8, [0.0, 1.0], [2.0, -1.0], 1.0, 32, 1, seed=5)[0]
     interp = np.linspace([0.0, 1.0], [2.0, -1.0], 33)
     assert np.max(np.abs(path - interp)) < 1e-3
     assert np.array_equal(path[[0, -1]], interp[[0, -1]])
 
 
 def test_bridge_ends_pinned_exactly():
-    paths = sample_pinned_paths(1.0, [0.3], [-0.7], 1.0, 16, 100, seed=6)
-    assert np.all(paths[:, 0, 0] == 0.3)
-    assert np.all(paths[:, -1, 0] == -0.7)
+    assert np.all(sample_bridge_column(1.0, [0.3], [-0.7], 1.0, 16, 0, 100, seed=6) == 0.3)
+    assert np.all(sample_bridge_column(1.0, [0.3], [-0.7], 1.0, 16, 16, 100, seed=6) == -0.7)
 
 
 def test_bridge_moments_within_three_se():
     n = 100_000
-    paths = sample_pinned_paths(1.0, [0.0], [0.0], 1.0, 16, n, seed=42, stream=3)
     times = np.linspace(0.0, 1.0, 17)
     for k in (4, 8, 12):
         t = times[k]
         expected_var = t * (1.0 - t)
-        sample = paths[:, k, 0]
+        sample = sample_bridge_column(1.0, [0.0], [0.0], 1.0, 16, k, n, seed=42, stream=3)[:, 0]
         se_mean = math.sqrt(expected_var / n)
         assert abs(np.mean(sample)) <= 3.0 * se_mean
         se_var = expected_var * math.sqrt(2.0 / (n - 1))
@@ -127,9 +174,9 @@ def test_bridge_moments_within_three_se():
 
 
 def test_bridge_seed_reproducibility():
-    a = sample_pinned_paths(1.0, [0.0], [0.0], 1.0, 8, 50, seed=77, stream=2)
-    b = sample_pinned_paths(1.0, [0.0], [0.0], 1.0, 8, 50, seed=77, stream=2)
-    c = sample_pinned_paths(1.0, [0.0], [0.0], 1.0, 8, 50, seed=77, stream=9)
+    a = _bridge_paths(1.0, [0.0], [0.0], 1.0, 8, 50, seed=77, stream=2)
+    b = _bridge_paths(1.0, [0.0], [0.0], 1.0, 8, 50, seed=77, stream=2)
+    c = _bridge_paths(1.0, [0.0], [0.0], 1.0, 8, 50, seed=77, stream=9)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -275,13 +322,14 @@ def test_rng_stream_is_counter_based_and_stable():
 
 
 @pytest.mark.parametrize("modes, nmax", [(1, 12), (2, 10)])
-@pytest.mark.parametrize("target", [3.0, 0.3])
+@pytest.mark.parametrize("target", [0.0, 1.0, 3.0, 0.3])
 def test_phase_samples_matches_direct_sum(modes, nmax, target):
     space = make_space(modes, nmax)
     constraint = single_constraint(space, target) if modes == 1 else double_constraint(space, target)
     rng = np.random.default_rng(91)
     weights = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    taus = np.concatenate([[0.0, -4000.0, 4000.0], rng.uniform(-4000.0, 4000.0, 4000)])
+    # more than one chunk of paths, so the chunk boundary and a partial chunk are covered
+    taus = np.concatenate([[0.0, -4000.0, 4000.0], rng.uniform(-4000.0, 4000.0, _kernels.PATH_CHUNK)])
     levels = np.rint(constraint.eigs + target).astype(np.int64)
     got = _kernels.phase_samples(taus, levels, target, weights)
     # oracle: the direct sum, one complex exponential per sample and basis state
