@@ -16,6 +16,7 @@ error naming `nmax` (`m_values` for classical-limit, whose m sets the cutoff).
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import hashlib
 import io
@@ -112,9 +113,11 @@ def _exp_project_single(cfg, seed):
     spec = projector.ProjectorSpec(projector.single_constraint(space, float(mprime)), epsilon=eps)
     state = projector.project(spec, coherent_vector(space, alpha))
     expected = np.zeros(space.dim, dtype=np.complex128)
-    expected[mprime] = (
-        math.exp(-0.5 * abs(alpha) ** 2) * alpha**mprime / math.sqrt(math.factorial(mprime))
-    )
+    if alpha:
+        # exp(-|a|^2/2) a^m / sqrt(m!) in log space: m! overflows a float from m = 171
+        expected[mprime] = cmath.exp(mprime * cmath.log(alpha) - 0.5 * (abs(alpha) ** 2 + math.lgamma(mprime + 1)))
+    else:
+        expected[mprime] = float(mprime == 0)  # the vacuum has only a |0> component
     got = state.vec.amps if state.vec is not None else np.zeros(space.dim)  # null: the zero vector
     resid = float(np.max(np.abs(got - expected)))
     norm_err = abs(state.norm_in_full_space - abs(expected[mprime]))
@@ -167,7 +170,7 @@ def _exp_spin_overlap(cfg, seed):
     mprime = _get(cfg, "mprime", 6, int, 1, nmax)
     n_pairs = _get(cfg, "n_pairs", 10, int, 1)
     space = make_space(2, nmax)
-    spec = projector.ProjectorSpec(projector.double_constraint(space, float(mprime)))
+    weights = projector.build_projector(projector.ProjectorSpec(projector.double_constraint(space, float(mprime))))
     rng = wiener.rng_stream(seed, 1)
     j = mprime / 2.0
     worst = 0.0
@@ -175,16 +178,16 @@ def _exp_spin_overlap(cfg, seed):
         re = rng.uniform(0.3, 1.2, size=4)
         ph = rng.uniform(0.0, 2.0 * math.pi, size=4)
         a1, b1, a2, b2 = (r * np.exp(1j * p) for r, p in zip(re, ph))
-        labels_bra = tuple(
-            coherent.CoherentLabel.from_alpha(z) for z in (a1, b1)
-        )
-        labels_ket = tuple(
-            coherent.CoherentLabel.from_alpha(z) for z in (a2, b2)
-        )
-        prop = projector.projected_propagator(spec, labels_bra, labels_ket)
-        norm_bra = projector.project(spec, coherent_vector(space, [a1, b1])).norm_in_full_space
-        norm_ket = projector.project(spec, coherent_vector(space, [a2, b2])).norm_in_full_space
-        normalized = prop.value / (norm_bra * norm_ket)
+        units = []
+        for labels in ((a1, b1), (a2, b2)):
+            projected = weights * coherent_vector(space, labels).amps
+            # the entries are ~ 1/sqrt(mprime!): scale by the largest before squaring them
+            scale = np.max(np.abs(projected))
+            if scale == 0.0:
+                raise ConfigError("mprime", f"a projected coherent state underflows to zero at mprime {mprime}")
+            projected = projected / scale
+            units.append(projected / np.linalg.norm(projected))
+        normalized = np.vdot(units[0], units[1])
         g_bra = (b1 / abs(b1)) ** mprime
         g_ket = (b2 / abs(b2)) ** mprime
         gaugefree = normalized * g_bra * np.conj(g_ket)
@@ -201,19 +204,21 @@ def _exp_correlations(cfg, seed):
     nmax = _get(cfg, "nmax", 40, int, 4)
     mprime = _get(cfg, "mprime", 6, int, 0, nmax - 8)
     offsets = (0.0, 0.35, 0.8)
+    ops = ("H", "Q", "P")
+    a_ket = math.sqrt(max(mprime, 1))
+    evals = [a_ket * np.exp(1j * off) for off in offsets]
+    ratios = correlators.projected_ratios("single", a_ket, evals, mprime, nmax, ops)
     h_err = 0.0
     bracket_err = 0.0
     sweep = []
-    for off in offsets:
-        a_eval = math.sqrt(max(mprime, 1)) * np.exp(1j * off)
-        a_ket = math.sqrt(max(mprime, 1))
-        for op in ("H", "Q", "P"):
-            rep = correlators.correlation("single", op, a_ket, a_eval, mprime, nmax)
+    for off, a_eval, row in zip(offsets, evals, ratios):
+        for op, ratio in zip(ops, row):
             if op == "H":
-                h_err = max(h_err, abs(rep.ratio_to_overlap - (mprime + 0.5)))
+                h_err = max(h_err, abs(ratio - (mprime + 0.5)))
             else:
-                bracket_err = max(bracket_err, abs(rep.ratio_to_overlap - rep.oracle))
-            sweep.append((off, op, float(np.real(rep.ratio_to_overlap)), float(np.imag(rep.ratio_to_overlap))))
+                oracle = correlators.oracle_ratio("single", op, a_ket, a_eval, mprime)
+                bracket_err = max(bracket_err, abs(ratio - oracle))
+            sweep.append((off, op, float(ratio.real), float(ratio.imag)))
     rows = [
         CheckRow("h_ratio_error", h_err, 1e-10),
         CheckRow("qp_bracket_vs_matrix", bracket_err, 1e-10),

@@ -4,6 +4,8 @@ States are labeled by a phase-space point (p, q) or equivalently by
 alpha = sqrt(omega/2hbar) q + i p / sqrt(2 omega hbar), with the oscillator
 ground state as fiducial vector and the arbitrary overall phase fixed to
 zero, so the number-basis expansion is exp(-|a|^2/2) sum_n a^n/sqrt(n!) |n>.
+Those amplitudes are built outward from the largest term (n near |a|^2)
+by factors of modulus <= 1, so no term overflows at large |a|.
 
 The overlap of two such states is the Gaussian reproducing kernel; the
 closed form implemented here is the one reproduced term by term by the
@@ -21,6 +23,7 @@ separately instead of summing over every disc node.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -85,15 +88,27 @@ class KernelValue:
 
 
 def single_mode_amplitudes(alpha: complex, nmax: int) -> np.ndarray:
-    """exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..nmax, evaluated in log space."""
+    """exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..nmax, built outward from the largest term.
+
+    The modulus peaks at n0 = min(floor(|a|^2), nmax).  Only that term is
+    taken in log space; the others are running products of a/sqrt(n)
+    upward and sqrt(n)/a downward, factors of modulus <= 1, so nothing
+    overflows and the error of a term grows with its distance from n0, not
+    with n log|a|.  The pivot's own rounding is one factor common to all
+    terms, so it cancels from ratios of matrix elements.
+    """
     alpha = complex(alpha)
-    n = np.arange(nmax + 1)
+    amps = np.zeros(nmax + 1, dtype=np.complex128)
     if alpha == 0:
-        amps = np.zeros(nmax + 1, dtype=np.complex128)
         amps[0] = 1.0
         return amps
-    logmag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * special.gammaln(n + 1)
-    return np.exp(logmag) * np.exp(1j * n * math.atan2(alpha.imag, alpha.real))
+    r2 = abs(alpha) ** 2
+    n0 = min(math.floor(r2), nmax)
+    log_modulus = n0 * math.log(abs(alpha)) - 0.5 * (r2 + math.lgamma(n0 + 1))
+    amps[n0] = cmath.rect(math.exp(log_modulus), n0 * cmath.phase(alpha))
+    amps[n0 + 1 :] = amps[n0] * np.cumprod(alpha / np.sqrt(np.arange(n0 + 1, nmax + 1)))
+    amps[:n0][::-1] = amps[n0] * np.cumprod(np.sqrt(np.arange(n0, 0, -1)) / alpha)
+    return amps
 
 
 def truncation_tail(alpha: complex, nmax: int) -> float:

@@ -8,10 +8,12 @@ a closed form:
     double:  <a'',b''| P |a',b'> = exp(-sum |.|^2 / 2)
              (conj(a'') a' + conj(b'') b')^m / m!
 
-Correlation ratios <op P> / <P> against these states are computed two ways:
-the normative route is matrix elements in the truncated space, taken as
-O(dim) band actions of the ladder operators (fock.lower) and a diagonal H;
-the closed-form brackets below come from the Bargmann derivative rule
+Correlation ratios <op P> / <P> against these states are computed two ways,
+both in units hbar = omega = 1.  The normative route is projected_ratios:
+matrix elements in the truncated space, taken as O(dim) band actions of
+the ladder operators (fock.lower) and a diagonal H, against one projected
+ket per call for a whole table of evaluation points and operators.  The
+closed-form brackets (oracle_ratio) come from the Bargmann derivative rule
 <a| A |psi> = d/d(conj a) of the analytic part and are the test oracles.
 At the peak manifold (|a''| = |a'|, phases aligned, energies matching the
 constraint) the ratios reduce to the classical trajectory evaluated at an
@@ -74,116 +76,79 @@ def peak_scaled_magnitude(model: str, labels_ket, labels_eval, mprime: int) -> f
     )
 
 
-def oracle_ratio(model: str, operator: str, labels_ket, labels_eval, mprime: int,
-                 omega: float = 1.0, hbar: float = 1.0) -> complex:
+def oracle_ratio(model: str, operator: str, labels_ket, labels_eval, mprime: int) -> complex:
     """Closed-form correlation bracket (value / overlap) from the ladder algebra."""
     m = mprime
     if model == "single":
         ae = np.conj(complex(labels_eval))
         if operator == "H":
-            return hbar * omega * (m + 0.5)
+            return m + 0.5
         if operator == "Q":
-            return math.sqrt(hbar / (2.0 * omega)) * (m / ae + ae)
+            return math.sqrt(0.5) * (m / ae + ae)
         if operator == "P":
-            return 1j * math.sqrt(hbar * omega / 2.0) * (ae - m / ae)
+            return 1j * math.sqrt(0.5) * (ae - m / ae)
         raise ValueError(f"single-model operator must be one of {_SINGLE_OPS}")
     if model == "double":
         a_ket, b_ket = (complex(z) for z in labels_ket)
         ae, be = (np.conj(complex(z)) for z in labels_eval)
         denom = ae * a_ket + be * b_ket
         if operator == "H":
-            return hbar * omega * (m + 1.0)
+            return m + 1.0
         if operator == "Q1":
-            return math.sqrt(hbar / (2.0 * omega)) * (m * a_ket / denom + ae)
+            return math.sqrt(0.5) * (m * a_ket / denom + ae)
         if operator == "P1":
-            return 1j * math.sqrt(hbar * omega / 2.0) * (ae - m * a_ket / denom)
+            return 1j * math.sqrt(0.5) * (ae - m * a_ket / denom)
         if operator == "Q2":
-            return math.sqrt(hbar / (2.0 * omega)) * (m * b_ket / denom + be)
+            return math.sqrt(0.5) * (m * b_ket / denom + be)
         if operator == "P2":
-            return 1j * math.sqrt(hbar * omega / 2.0) * (be - m * b_ket / denom)
+            return 1j * math.sqrt(0.5) * (be - m * b_ket / denom)
         raise ValueError(f"double-model operator must be one of {_DOUBLE_OPS}")
     raise ValueError(f"unknown model {model!r}")
 
 
-def _matrix_element(space, operator: str, bra: np.ndarray, ket: np.ndarray, omega: float, hbar: float) -> complex:
+def _matrix_element(space, operator: str, bra: np.ndarray, ket: np.ndarray) -> complex:
     """<bra| operator |ket> for H (summed over modes) or a per-mode Q/P, in O(dim).
 
     Q and P combine <bra| a |ket> and <bra| a^dagger |ket> = <a bra| ket>;
     H is diagonal in the occupation basis.
     """
     if operator == "H":
-        energies = sum(hbar * omega * (space.mode_occupations(k) + 0.5) for k in range(space.modes))
+        energies = sum(space.mode_occupations(k) + 0.5 for k in range(space.modes))
         return complex(np.vdot(bra, energies * ket))
     mode = int(operator[1:] or 1) - 1  # "Q" is the single model's mode 0, "Q2" is mode 1
     lowered = np.vdot(bra, fock.lower(space, mode, ket))
     raised = np.vdot(fock.lower(space, mode, bra), ket)
     if operator[0] == "Q":
-        return complex(math.sqrt(hbar / (2.0 * omega)) * (lowered + raised))
-    return complex(1j * math.sqrt(hbar * omega / 2.0) * (raised - lowered))
+        return complex(math.sqrt(0.5) * (lowered + raised))
+    return complex(1j * math.sqrt(0.5) * (raised - lowered))
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
-    value: complex | None
-    overlap: complex
-    ratio_to_overlap: complex | None
-    oracle: complex | None
-    undefined: bool
+def projected_ratios(model: str, ket, evals, mprime: int, nmax: int, ops) -> np.ndarray:
+    """Correlation ratios <e| op P |ket> / <e| P |ket> in the truncated space.
 
-
-def correlation(
-    model: str,
-    operator: str,
-    labels_ket,
-    labels_eval,
-    mprime: int,
-    nmax: int,
-    omega: float = 1.0,
-    hbar: float = 1.0,
-    epsilon: float = 0.1,
-) -> CorrelationReport:
-    """Correlation of `operator` between a projected ket and an evaluation state.
-
-    Matrix elements in the truncated space are the normative values; the
-    report also carries the closed-form bracket for comparison.
+    The space, the projector weights and the projected ket are built once;
+    entry [i, k] is the band-action matrix element of ops[k] at evals[i]
+    divided by that point's overlap.  An overlap below RATIO_FLOOR leaves
+    the ratio undefined and raises ValueError.
     """
-    if model == "single":
-        space = make_space(1, nmax)
-        v_ket = coherent_vector(space, complex(labels_ket))
-        v_eval = coherent_vector(space, complex(labels_eval))
-        ops = _SINGLE_OPS
-        constraint = projector.single_constraint(space, float(mprime))
-    elif model == "double":
-        space = make_space(2, nmax)
-        v_ket = coherent_vector(space, [complex(z) for z in labels_ket])
-        v_eval = coherent_vector(space, [complex(z) for z in labels_eval])
-        ops = _DOUBLE_OPS
-        constraint = projector.double_constraint(space, float(mprime))
-    else:
+    if model not in ("single", "double"):
         raise ValueError(f"unknown model {model!r}")
-    if operator not in ops:
-        raise ValueError(f"operator {operator!r} not available for the {model} model")
-
-    spec = projector.ProjectorSpec(constraint=constraint, epsilon=epsilon)
-    projected = projector.build_projector(spec) * v_ket.amps
-    overlap = complex(np.vdot(v_eval.amps, projected))
-    undefined = abs(overlap) < RATIO_FLOOR
-    if undefined:
-        value = None
-        ratio = None
-        oracle = None
-    else:
-        value = _matrix_element(space, operator, v_eval.amps, projected, omega, hbar)
-        ratio = value / overlap
-        oracle = oracle_ratio(model, operator, labels_ket, labels_eval, mprime, omega, hbar)
-
-    return CorrelationReport(
-        value=value,
-        overlap=overlap,
-        ratio_to_overlap=ratio,
-        oracle=oracle,
-        undefined=undefined,
-    )
+    allowed = _SINGLE_OPS if model == "single" else _DOUBLE_OPS
+    for op in ops:
+        if op not in allowed:
+            raise ValueError(f"operator {op!r} not available for the {model} model")
+    space = make_space(1 if model == "single" else 2, nmax)
+    build = projector.single_constraint if model == "single" else projector.double_constraint
+    weights = projector.build_projector(projector.ProjectorSpec(build(space, float(mprime))))
+    projected = weights * coherent_vector(space, ket).amps
+    ratios = np.empty((len(evals), len(ops)), dtype=np.complex128)
+    for i, label in enumerate(evals):
+        bra = coherent_vector(space, label).amps
+        overlap = complex(np.vdot(bra, projected))
+        if abs(overlap) < RATIO_FLOOR:
+            raise ValueError(f"overlap {abs(overlap):.3e} below {RATIO_FLOOR:g}: the ratio is undefined")
+        ratios[i] = [_matrix_element(space, op, bra, projected) / overlap for op in ops]
+    return ratios
 
 
 @dataclass(frozen=True)
@@ -194,69 +159,49 @@ class ClassicalLimitRow:
     h_ratio_error: float
 
 
-def classical_limit_check(
-    model: str,
-    m_values=(4, 16, 64),
-    omega: float = 1.0,
-    hbar: float = 1.0,
-) -> list:
+def classical_limit_check(model: str, m_values=(4, 16, 64)) -> list:
     """Deviation of correlation ratios from the classical trajectory per m.
 
     Evaluation points run along the peak manifold (equal radii, a common
     phase offset from LIMIT_OFFSETS, energies matching the constraint).
     For the single model the ratios are matrix elements from band actions
-    (O(dim) per m); the double model uses the closed-form brackets, which the tests pin against
-    matrix elements at small m.  dev_abs is max over offsets and over the
-    Q/P pair of |ratio - classical|; dev_rel divides by the classical
-    amplitude.
+    (projected_ratios, O(dim) per m); the double model uses the closed-form
+    brackets, which the tests pin against matrix elements at small m.
+    dev_abs is max over offsets and over the Q/P pair of |ratio - classical|;
+    dev_rel divides by the classical amplitude.
     """
     rows = []
     for m in m_values:
         devs = []
-        amp_scale = None
         if model == "single":
             nmax = int(m + 12 * math.sqrt(m) + 20)
-            space = make_space(1, nmax)
-            constraint = projector.single_constraint(space, float(m))
-            weights = projector.build_projector(projector.ProjectorSpec(constraint=constraint))
             a_ket = math.sqrt(m)
-            projected = weights * coherent_vector(space, a_ket).amps
-            energy = hbar * omega * (m + 0.5)
-            amp = math.sqrt(2.0 * energy) / omega
-            amp_scale = amp
-            h_err = 0.0
-            for off in LIMIT_OFFSETS:
-                v_eval = coherent_vector(space, a_ket * np.exp(1j * off))
-                overlap = np.vdot(v_eval.amps, projected)
-                ratio_q, ratio_p, ratio_h = (
-                    _matrix_element(space, op, v_eval.amps, projected, omega, hbar) / overlap
-                    for op in ("Q", "P", "H")
-                )
+            energy = m + 0.5
+            amp = math.sqrt(2.0 * energy)
+            evals = [a_ket * np.exp(1j * off) for off in LIMIT_OFFSETS]
+            ratios = projected_ratios("single", a_ket, evals, m, nmax, ("Q", "P", "H"))
+            for off, (ratio_q, ratio_p, _) in zip(LIMIT_OFFSETS, ratios):
                 devs.append(abs(ratio_q - amp * math.cos(off)))
-                devs.append(abs(ratio_p - amp * omega * math.sin(off)))
-                h_err = max(h_err, abs(ratio_h - energy))
+                devs.append(abs(ratio_p - amp * math.sin(off)))
+            h_err = np.max(np.abs(ratios[:, 2] - energy))
         elif model == "double":
             r = math.sqrt(m / 2.0)
             ket = (r, r)
-            mode_energy = hbar * omega * (r**2 + 0.5)
-            amp = math.sqrt(2.0 * mode_energy) / omega
-            amp_scale = amp
-            h_err = abs(
-                oracle_ratio("double", "H", ket, ket, m, omega, hbar) - hbar * omega * (m + 1.0)
-            )
+            amp = math.sqrt(2.0 * (r**2 + 0.5))
+            h_err = abs(oracle_ratio("double", "H", ket, ket, m) - (m + 1.0))
             for off in LIMIT_OFFSETS:
                 ev = (r * np.exp(1j * off), r * np.exp(1j * off))
-                ratio_q = oracle_ratio("double", "Q1", ket, ev, m, omega, hbar)
-                ratio_p = oracle_ratio("double", "P1", ket, ev, m, omega, hbar)
+                ratio_q = oracle_ratio("double", "Q1", ket, ev, m)
+                ratio_p = oracle_ratio("double", "P1", ket, ev, m)
                 devs.append(abs(ratio_q - amp * math.cos(off)))
-                devs.append(abs(ratio_p - amp * omega * math.sin(off)))
+                devs.append(abs(ratio_p - amp * math.sin(off)))
         else:
             raise ValueError(f"unknown model {model!r}")
         rows.append(
             ClassicalLimitRow(
                 m=m,
                 dev_abs=max(devs),
-                dev_rel=max(devs) / amp_scale,
+                dev_rel=max(devs) / amp,
                 h_ratio_error=float(h_err),
             )
         )

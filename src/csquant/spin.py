@@ -130,11 +130,15 @@ def su2_coherent(j: float, xi: complex) -> SpinState:
 
 
 def su2_overlap(j: float, xi_bra: complex, xi_ket: complex) -> complex:
-    """<xi_bra | xi_ket> in closed form; exponent 2j is an exact integer power."""
+    """<xi_bra | xi_ket> in closed form, as the integer power 2j of a ratio.
+
+    (1 + conj(xi') xi) / sqrt((1+|xi'|^2)(1+|xi|^2)) has modulus <= 1
+    (Cauchy-Schwarz), so its power cannot overflow at any j.
+    """
     twoj = _check_j(j)
     xb, xk = complex(xi_bra), complex(xi_ket)
-    pref = ((1.0 + abs(xb) ** 2) * (1.0 + abs(xk) ** 2)) ** (-j)
-    return pref * (1.0 + np.conj(xb) * xk) ** twoj
+    ratio = (1.0 + xb.conjugate() * xk) / (math.hypot(1.0, abs(xb)) * math.hypot(1.0, abs(xk)))
+    return ratio**twoj
 
 
 def spin_matrices(j: float):

@@ -200,6 +200,7 @@ def test_integral_float_accepted_for_int_field(tmp_path):
         ({"experiment": "project-single", "nmax": 2_000_000}, "nmax"),
         ({"experiment": "spin-overlap", "nmax": 1001}, "nmax"),
         ({"experiment": "classical-limit", "m_values": [4, 2_000_000]}, "m_values"),
+        ({"experiment": "spin-overlap", "nmax": 302, "mprime": 300}, "mprime"),
     ],
     ids=[
         "single-leakage",
@@ -217,6 +218,7 @@ def test_integral_float_accepted_for_int_field(tmp_path):
         "single-dim-guard",
         "spin-overlap-dim-guard",
         "classical-limit-dim-guard",
+        "spin-overlap-underflow",
     ],
 )
 def test_unusable_config_exit_3_naming_field(tmp_path, capsys, payload, field):
@@ -281,6 +283,23 @@ def test_correlations_large_mprime_exits_0(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # truncation-tail warnings are expected here
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"experiment": "correlations", "nmax": 5600, "mprime": 5000},
+        {"experiment": "correlations", "nmax": 55000, "mprime": 50000},
+        {"experiment": "project-single", "nmax": 300, "mprime": 200, "alpha_re": 14.14},
+        {"experiment": "spin-overlap", "nmax": 162, "mprime": 160},
+    ],
+    ids=["correlations-5000", "correlations-50000", "project-single-200", "spin-overlap-160"],
+)
+def test_large_mprime_checks_pass(tmp_path, capsys, payload):
+    # ratios of matrix elements keep roundoff relative, and no m! or 1/sqrt(m!) leaves float range
+    cfg = _write_config(tmp_path, payload)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -361,6 +380,8 @@ _CHEAP_CONFIGS = st.one_of(
 @example(cfg={"experiment": "classical-limit", "m_values": [4, 2_000_000]})
 @example(cfg={"experiment": "wiener", "n_paths": 2_000_000_000})
 @example(cfg={"experiment": "correlations", "nmax": 900, "mprime": 700})
+@example(cfg={"experiment": "project-single", "nmax": 300, "mprime": 200, "alpha_re": 14.14})
+@example(cfg={"experiment": "spin-overlap", "nmax": 162, "mprime": 160})
 def test_cli_contract_holds_for_generated_configs(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")

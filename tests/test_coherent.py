@@ -1,5 +1,6 @@
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from csquant.coherent import (
     polar_disc_grid,
     reproducing_propagation,
     resolution_of_unity_check,
+    single_mode_amplitudes,
 )
 from csquant.fock import make_space
 
@@ -46,7 +48,7 @@ def test_coherent_normalization_within_leakage():
 
 
 def test_amplitudes_match_series_terms():
-    # brute-force series term, independently of the log-space evaluation
+    # brute-force series term, independently of the recurrence from the largest term
     alpha = 1.0 + 0.5j
     s = make_space(1, 30)
     v = coherent_vector(s, alpha)
@@ -54,6 +56,45 @@ def test_amplitudes_match_series_terms():
     for n in range(31):
         term = pref * alpha**n / math.sqrt(math.factorial(n))
         assert v.amps[n] == pytest.approx(term, rel=1e-12, abs=1e-15)
+
+
+def _decimal_log_amplitudes(r: float, ns) -> dict:
+    """ln(exp(-r^2/2) r^n / sqrt(n!)) at 50 digits for ascending ns, from exact factorials."""
+    logs = {}
+    fact, prev = math.factorial(ns[0]), ns[0]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rd = Decimal(r)
+        for n in ns:
+            fact *= math.prod(range(prev + 1, n + 1))
+            prev = n
+            # the leading 200 bits give ln(n!) to 50 digits; converting all of n! is quadratic
+            shift = max(fact.bit_length() - 200, 0)
+            log_fact = Decimal(fact >> shift).ln() + shift * Decimal(2).ln()
+            logs[n] = n * rd.ln() - rd * rd / 2 - log_fact / 2
+    return logs
+
+
+@pytest.mark.parametrize("r2", [0.3, 1e3, 5e4])
+def test_amplitudes_match_decimal_oracle_around_the_pivot(r2):
+    # alpha = i r: the phase of term n is exactly i^n, the modulus comes from the 50-digit oracle
+    r = math.sqrt(r2)
+    n0 = math.floor(r * r)
+    width = int(10 * math.sqrt(r2))
+    lo, hi = max(0, n0 - width), n0 + width
+    amps = single_mode_amplitudes(1j * r, hi)
+    eps = np.finfo(np.float64).eps
+    # the pivot is rounded in log space, once, for every term; each step away adds a few eps
+    pivot_tol = 4 * eps * (n0 * abs(math.log(r)) + r * r + math.lgamma(n0 + 1))
+    logs = _decimal_log_amplitudes(r, sorted(set(np.linspace(lo, hi, 21).astype(int).tolist()) | {n0}))
+    for n, log_n in logs.items():
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = complex(float(log_n.exp())) * 1j ** (n % 4)
+            shape = float((log_n - logs[n0]).exp())  # |amp_n / amp_n0|
+        step_tol = 4 * eps * (abs(n - n0) + 1)
+        assert abs(amps[n] / amps[n0] - shape * 1j ** ((n - n0) % 4)) <= step_tol * shape
+        assert abs(amps[n] - want) <= (pivot_tol + step_tol) * abs(want)
 
 
 def test_leakage_hard_error_and_warning():

@@ -8,12 +8,13 @@ from csquant import fock
 from csquant.correlators import (
     _matrix_element,
     classical_limit_check,
-    correlation,
     correlation_width,
     deviation_scaling_exponent,
     gauge_phase_one_form_check,
+    oracle_ratio,
     peak_scaled_magnitude,
     phys_wavefunction,
+    projected_ratios,
 )
 from csquant.coherent import CoherentLabel
 from csquant.fock import make_space
@@ -67,17 +68,39 @@ def test_peak_scaled_magnitude_near_one_at_large_m():
     assert peak_scaled_magnitude("double", (rd, rd), (rd, rd), m) == pytest.approx(1.0, abs=0.05)
 
 
+def _ratio(model, op, ket, ev, m, nmax):
+    return projected_ratios(model, ket, [ev], m, nmax, (op,))[0, 0]
+
+
 def test_h_correlation_ratio_exact():
     m = 6
-    rep = correlation("single", "H", math.sqrt(m), math.sqrt(m) * cmath.exp(0.7j), m, 40)
-    assert rep.ratio_to_overlap == pytest.approx(m + 0.5, rel=1e-12)
+    ratio = _ratio("single", "H", math.sqrt(m), math.sqrt(m) * cmath.exp(0.7j), m, 40)
+    assert ratio == pytest.approx(m + 0.5, rel=1e-12)
 
 
 def test_q_correlation_real_labels_reduces_to_sqrt_2m():
     m = 4
-    rep = correlation("single", "Q", math.sqrt(m), math.sqrt(m), m, 40)
-    assert rep.ratio_to_overlap == pytest.approx(math.sqrt(2.0 * m), rel=1e-12)
-    assert rep.oracle == pytest.approx(math.sqrt(2.0 * m), rel=1e-12)
+    assert _ratio("single", "Q", math.sqrt(m), math.sqrt(m), m, 40) == pytest.approx(math.sqrt(2.0 * m), rel=1e-12)
+    assert oracle_ratio("single", "Q", math.sqrt(m), math.sqrt(m), m) == pytest.approx(math.sqrt(2.0 * m), rel=1e-12)
+
+
+def test_projected_ratios_table_matches_one_point_calls():
+    # one projected ket serves every evaluation point and operator
+    m, ket = 5, 1.3 * cmath.exp(0.4j)
+    evals = [1.0 * cmath.exp(-0.9j), 2.1, 0.7j]
+    table = projected_ratios("single", ket, evals, m, 40, ("H", "Q", "P"))
+    assert table.shape == (3, 3)
+    for i, ev in enumerate(evals):
+        for k, op in enumerate(("H", "Q", "P")):
+            assert table[i, k] == _ratio("single", op, ket, ev, m, 40)
+            assert table[i, k] == pytest.approx(oracle_ratio("single", op, ket, ev, m), rel=1e-10)
+
+
+def test_projected_ratios_rejects_operator_of_other_model():
+    with pytest.raises(ValueError, match="Q1"):
+        projected_ratios("single", 1.0, [1.0], 2, 20, ("H", "Q1"))
+    with pytest.raises(ValueError, match="model"):
+        projected_ratios("triple", 1.0, [1.0], 2, 20, ("H",))
 
 
 @pytest.mark.parametrize("nmax", [30, 44])
@@ -86,8 +109,8 @@ def test_single_brackets_match_matrix_elements(op, nmax):
     m = 5
     a_ket = 1.3 * cmath.exp(0.4j)
     a_eval = 1.0 * cmath.exp(-0.9j)
-    rep = correlation("single", op, a_ket, a_eval, m, nmax)
-    assert rep.ratio_to_overlap == pytest.approx(rep.oracle, rel=1e-10)
+    ratio = _ratio("single", op, a_ket, a_eval, m, nmax)
+    assert ratio == pytest.approx(oracle_ratio("single", op, a_ket, a_eval, m), rel=1e-10)
 
 
 @pytest.mark.parametrize("nmax", [14, 20])
@@ -96,8 +119,8 @@ def test_double_brackets_match_matrix_elements(op, nmax):
     m = 4
     ket = (0.9 * cmath.exp(0.2j), 0.7 * cmath.exp(-0.5j))
     ev = (0.8 * cmath.exp(-0.3j), 1.0 * cmath.exp(0.6j))
-    rep = correlation("double", op, ket, ev, m, nmax)
-    assert rep.ratio_to_overlap == pytest.approx(rep.oracle, rel=1e-10)
+    ratio = _ratio("double", op, ket, ev, m, nmax)
+    assert ratio == pytest.approx(oracle_ratio("double", op, ket, ev, m), rel=1e-10)
 
 
 def test_bracket_convention_pinned_by_matrix_elements():
@@ -107,28 +130,25 @@ def test_bracket_convention_pinned_by_matrix_elements():
     m = 3
     a_ket = 1.1
     a_eval = 1.1 * cmath.exp(0.8j)
-    rep = correlation("single", "Q", a_ket, a_eval, m, 40)
+    ratio = _ratio("single", "Q", a_ket, a_eval, m, 40)
     alt = math.sqrt(2.0) * (m / a_eval + a_eval)
-    assert abs(rep.ratio_to_overlap - rep.oracle) < 1e-10
-    assert abs(rep.ratio_to_overlap - alt) > 0.1
+    assert abs(ratio - oracle_ratio("single", "Q", a_ket, a_eval, m)) < 1e-10
+    assert abs(ratio - alt) > 0.1
 
 
 def test_null_projection_flags_correlation_undefined():
-    rep = correlation("single", "Q", 0.0, 1.0, 2, 30)
-    assert rep.undefined
-    assert rep.ratio_to_overlap is None
+    with pytest.raises(ValueError, match="undefined"):
+        _ratio("single", "Q", 0.0, 1.0, 2, 30)
 
 
 def test_gauge_phase_factorization_invariance():
     m = 4
     a_ket = 1.2
     a_eval = 0.9 * cmath.exp(0.5j)
-    base = correlation("single", "Q", a_ket, a_eval, m, 40)
+    base = _ratio("single", "Q", a_ket, a_eval, m, 40)
     for theta in (0.3, 1.4, 2.9):
-        rot = correlation("single", "Q", a_ket * cmath.exp(1j * theta), a_eval, m, 40)
-        assert abs(rot.ratio_to_overlap) == pytest.approx(
-            abs(base.ratio_to_overlap), rel=1e-12
-        )
+        rot = _ratio("single", "Q", a_ket * cmath.exp(1j * theta), a_eval, m, 40)
+        assert abs(rot) == pytest.approx(abs(base), rel=1e-12)
 
 
 def test_peak_location_on_constraint_manifold():
@@ -171,15 +191,15 @@ def test_band_matrix_elements_match_dense_operators(modes, ops):
     space = make_space(modes, 5)
     rng = np.random.default_rng(3)
     bra, ket = rng.standard_normal((2, space.dim)) + 1j * rng.standard_normal((2, space.dim))
-    omega, hbar = 1.3, 0.7
-    dense = {"H": sum(fock.ho_hamiltonian(space, k, omega, hbar).mat for k in range(modes))}
+    # band actions work in hbar = omega = 1, the dense oracles' defaults
+    dense = {"H": sum(fock.ho_hamiltonian(space, k).mat for k in range(modes))}
     for k in range(modes):
         suffix = str(k + 1) if modes == 2 else ""
-        dense["Q" + suffix] = fock.position_operator(space, k, omega, hbar).mat
-        dense["P" + suffix] = fock.momentum_operator(space, k, omega, hbar).mat
+        dense["Q" + suffix] = fock.position_operator(space, k).mat
+        dense["P" + suffix] = fock.momentum_operator(space, k).mat
     for op in ops:
         expected = np.vdot(bra, dense[op] @ ket)
-        assert abs(_matrix_element(space, op, bra, ket, omega, hbar) - expected) < 1e-12 * abs(expected)
+        assert abs(_matrix_element(space, op, bra, ket) - expected) < 1e-12 * abs(expected)
 
 
 def test_one_form_zero_phase():
