@@ -1,15 +1,14 @@
 """Coherent-state quantization toolkit for constrained oscillator models.
 
-Truncated Fock-space operator algebra, canonical and SU(2) coherent
-states, spectral constraint projectors with a sin-kernel oracle,
-reduced-phase-space geometry, correlation functions with classical
-limits, and discrete Wiener-measure estimators, with a batch CLI exposing
-the standard experiments.
+Truncated Fock spaces with ladder band actions, canonical and SU(2)
+coherent states, spectral constraint projectors, reduced-phase-space
+geometry, correlation ratios with their classical limit, and discrete
+Wiener-measure estimators, run as the eight experiments of the batch CLI.
 """
 
 from ._kernels import backend_name
 from .fock import FockSpace, FockVector, LinearOperator, make_space
-from .coherent import CoherentLabel, KernelValue, coherent_vector, overlap_analytic
+from .coherent import coherent_vector
 
 __version__ = "0.1.0"
 
@@ -18,10 +17,7 @@ __all__ = [
     "FockVector",
     "LinearOperator",
     "make_space",
-    "CoherentLabel",
-    "KernelValue",
     "coherent_vector",
-    "overlap_analytic",
     "backend_name",
     "__version__",
 ]

@@ -1,18 +1,13 @@
 """Canonical coherent states on the truncated Fock space.
 
-States are labeled by a phase-space point (p, q) or equivalently by
-alpha = sqrt(omega/2hbar) q + i p / sqrt(2 omega hbar), with the oscillator
-ground state as fiducial vector and the arbitrary overall phase fixed to
-zero, so the number-basis expansion is exp(-|a|^2/2) sum_n a^n/sqrt(n!) |n>.
-Those amplitudes are built outward from the largest term (n near |a|^2)
-by factors of modulus <= 1, so no term overflows at large |a|.
+States are labeled by a complex alpha (alpha = (q + i p)/sqrt(2) in units
+hbar = omega = 1), with the oscillator ground state as fiducial vector and
+the arbitrary overall phase fixed to zero, so the number-basis expansion is
+exp(-|a|^2/2) sum_n a^n/sqrt(n!) |n>.  Those amplitudes are built outward
+from the largest term (n near |a|^2) by factors of modulus <= 1, so no term
+overflows at large |a|.
 
-The overlap of two such states is the Gaussian reproducing kernel; the
-closed form implemented here is the one reproduced term by term by the
-truncated inner product (for equal omega the magnitude is the symmetric
-Gaussian exp(-[(dp)^2+(dq)^2]/4hbar)).
-
-Phase-space measure: dp dq / (2 pi hbar) = d^2alpha / pi.  Disc quadrature
+Phase-space measure: dp dq / (2 pi) = d^2alpha / pi.  Disc quadrature
 uses a midpoint product rule in polar coordinates; uniform angular nodes
 integrate the e^{i(n-m)theta} factors exactly below the aliasing order, so
 off-diagonal number-basis elements vanish to roundoff.  Because the rule is
@@ -42,49 +37,6 @@ CLOSURE_TAIL = 1e-8  # incomplete-gamma deficit below which a level counts as cl
 
 class TruncationLeakageError(ValueError):
     """A coherent state loses more than TAIL_ERROR of its norm above the cutoff."""
-
-
-@dataclass(frozen=True)
-class CoherentLabel:
-    """Phase-space label (p, q) with its units (omega, hbar) carried along."""
-
-    p: float
-    q: float
-    omega: float = 1.0
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if self.omega <= 0 or self.hbar <= 0:
-            raise ValueError("omega and hbar must be > 0")
-
-    @property
-    def alpha(self) -> complex:
-        return complex(
-            math.sqrt(self.omega / (2.0 * self.hbar)) * self.q,
-            self.p / math.sqrt(2.0 * self.omega * self.hbar),
-        )
-
-    @classmethod
-    def from_alpha(cls, alpha: complex, omega: float = 1.0, hbar: float = 1.0) -> "CoherentLabel":
-        alpha = complex(alpha)
-        q = math.sqrt(2.0 * hbar / omega) * alpha.real
-        p = math.sqrt(2.0 * hbar * omega) * alpha.imag
-        return cls(p=p, q=q, omega=omega, hbar=hbar)
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    """Complex value of the reproducing kernel between two labels."""
-
-    value: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
-    @property
-    def phase(self) -> float:
-        return math.atan2(self.value.imag, self.value.real)
 
 
 def single_mode_amplitudes(alpha: complex, nmax: int) -> np.ndarray:
@@ -149,42 +101,6 @@ def coherent_vector(space: FockSpace, alphas) -> FockVector:
     return FockVector(space, amps)
 
 
-def overlap_analytic(l1: CoherentLabel, l2: CoherentLabel) -> KernelValue:
-    """<l1|l2> in closed form (Gaussian reproducing kernel).
-
-    exp{ -omega (q1-q2)^2 / 4hbar - (p1-p2)^2 / 4 omega hbar
-         + i (q1 p2 - p1 q2) / 2hbar }
-    """
-    if abs(l1.omega - l2.omega) > 1e-14 or abs(l1.hbar - l2.hbar) > 1e-14:
-        raise ValueError("labels must share omega and hbar")
-    w, hb = l1.omega, l1.hbar
-    expo = (
-        -w * (l1.q - l2.q) ** 2 / (4.0 * hb)
-        - (l1.p - l2.p) ** 2 / (4.0 * w * hb)
-        + 1j * (l1.q * l2.p - l1.p * l2.q) / (2.0 * hb)
-    )
-    return KernelValue(complex(np.exp(expo)))
-
-
-def overlap_alpha(a_bra: complex, a_ket: complex) -> complex:
-    """Kernel in alpha form: exp(-|a|^2/2 - |b|^2/2 + conj(a) b)."""
-    a, b = complex(a_bra), complex(a_ket)
-    return complex(np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b))
-
-
-@dataclass(frozen=True, eq=False)
-class DiscGrid:
-    """Midpoint polar quadrature nodes over |alpha| <= radius.
-
-    weights carry the plain d^2alpha element r dr dtheta; the 1/pi of the
-    resolution measure is applied by the consumers.
-    """
-
-    radius: float
-    alphas: np.ndarray
-    weights: np.ndarray
-
-
 def _polar_nodes(radius: float, n_radial: int, n_angular: int):
     """Midpoint radii and angles of the polar rule, with their spacings."""
     if radius <= 0:
@@ -202,17 +118,8 @@ def _polar_nodes(radius: float, n_radial: int, n_angular: int):
     return r, dr, th, dth
 
 
-def polar_disc_grid(radius: float, n_radial: int, n_angular: int) -> DiscGrid:
-    r, dr, th, dth = _polar_nodes(radius, n_radial, n_angular)
-    rr, tt = np.meshgrid(r, th, indexing="ij")
-    alphas = (rr * np.exp(1j * tt)).ravel()
-    weights = (rr * dr * dth).ravel()
-    return DiscGrid(radius=radius, alphas=alphas, weights=weights)
-
-
 @dataclass(frozen=True, eq=False)
 class ResolutionReport:
-    radius: float
     n_keep: int
     matrix: np.ndarray
     diag_expected: np.ndarray
@@ -250,7 +157,7 @@ def resolution_of_unity_check(
             f"{block_bytes / 2**20:.0f} MiB (> {RESOLUTION_MAX_BYTES / 2**20:.0f} MiB); lower radius or nmax"
         )
     r, dr, th, dth = _polar_nodes(radius, n_radial, n_angular)
-    # the polar_disc_grid closure sum, factored: node (r, theta) contributes
+    # the closure sum over the polar nodes, factored: node (r, theta) contributes
     # (r dr dtheta / pi) amp_n(r) amp_m(r) e^{i(n-m)theta} to entry (n, m)
     radial = _kernels.coherent_amp_matrix(r.astype(np.complex128), space.nmax).real
     radial_gram = (radial.T * (r * dr / math.pi)) @ radial
@@ -272,61 +179,9 @@ def resolution_of_unity_check(
     else:
         resid = math.nan
     return ResolutionReport(
-        radius=radius,
         n_keep=n_keep,
         matrix=mat,
         diag_expected=diag_expected,
         max_residual_block=resid,
         max_offdiag=max_offdiag,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class PropagationReport:
-    probe_alphas: np.ndarray
-    reproduced: np.ndarray
-    direct: np.ndarray
-    max_error: float
-
-
-def reproducing_propagation(
-    space: FockSpace,
-    psi: FockVector,
-    grid: DiscGrid,
-    probe_alphas,
-) -> PropagationReport:
-    """Propagate <a|psi> samples through the kernel quadrature.
-
-    reproduced(a') = (1/pi) sum_k w_k K(a', a_k) <a_k|psi>, compared against
-    the direct inner product at the probe labels.
-    """
-    if space.modes != 1:
-        raise ValueError("reproducing propagation is implemented for single-mode spaces")
-    probe_alphas = np.asarray(probe_alphas, dtype=np.complex128)
-    probe_amps = _kernels.coherent_amp_matrix(probe_alphas, space.nmax)
-    reproduced = np.zeros(probe_alphas.size, dtype=np.complex128)
-    chunk = 65536
-    for lo in range(0, grid.alphas.size, chunk):
-        hi = min(lo + chunk, grid.alphas.size)
-        node_amps = _kernels.coherent_amp_matrix(grid.alphas[lo:hi], space.nmax)
-        f = node_amps.conj() @ psi.amps
-        # K(a', a_k) = <a'|a_k> via the amplitude matrices (exact up to truncation)
-        kernel = probe_amps.conj() @ node_amps.T
-        reproduced += kernel @ (grid.weights[lo:hi] / math.pi * f)
-    direct = probe_amps.conj() @ psi.amps
-    return PropagationReport(
-        probe_alphas=probe_alphas,
-        reproduced=reproduced,
-        direct=direct,
-        max_error=float(np.max(np.abs(reproduced - direct))),
-    )
-
-
-def kernel_composition_residual(grid: DiscGrid, a_bra: complex, a_ket: complex) -> float:
-    """|int K(a', k) K(k, a) dmu(k) - K(a', a)| under the grid quadrature."""
-    m = grid.alphas
-    mag2 = np.abs(m) ** 2
-    left = np.exp(-0.5 * abs(a_bra) ** 2 - 0.5 * mag2 + np.conj(a_bra) * m)
-    right = np.exp(-0.5 * mag2 - 0.5 * abs(a_ket) ** 2 + np.conj(m) * a_ket)
-    lhs = np.sum(grid.weights / math.pi * left * right)
-    return float(abs(lhs - overlap_alpha(a_bra, a_ket)))

@@ -1,26 +1,20 @@
-"""Physical-state wavefunctions, correlation functions, classical limits.
+"""Correlation ratios against projected coherent states, and their classical limit.
 
 The projected coherent state of either model keeps a single
-total-occupation sector m, so its wavefunction on the full phase space has
-a closed form:
-
-    single:  <a''| P |a'>  = exp(-(|a''|^2+|a'|^2)/2) (a' conj(a''))^m / m!
-    double:  <a'',b''| P |a',b'> = exp(-sum |.|^2 / 2)
-             (conj(a'') a' + conj(b'') b')^m / m!
-
-Correlation ratios <op P> / <P> against these states are computed two ways,
-both in units hbar = omega = 1.  The normative route is projected_ratios:
-matrix elements in the truncated space, taken as O(dim) band actions of
-the ladder operators (fock.lower) and a diagonal H, against one projected
-ket per call for a whole table of evaluation points and operators.  The
-closed-form brackets (oracle_ratio) come from the Bargmann derivative rule
-<a| A |psi> = d/d(conj a) of the analytic part and are the test oracles.
-At the peak manifold (|a''| = |a'|, phases aligned, energies matching the
-constraint) the ratios reduce to the classical trajectory evaluated at an
-energy including the zero-point shift, so the absolute deviation decays
-like 1/sqrt(m).  Along an evaluation ray s * u (|u| = 1) the magnitude is
-exp(-s^2/2) s^m times a constant, so its peak sits at s^2 = m in closed
-form.
+total-occupation sector m.  Correlation ratios <e| op P |ket> / <e| P |ket>
+are computed in units hbar = omega = 1.  The normative route is
+projected_ratios: matrix elements in the truncated space, taken as O(dim)
+band actions of the ladder operators (fock.lower) and a diagonal H,
+against one projected ket per call for a whole table of evaluation points
+and operators.  The closed-form brackets (oracle_ratio) come from the
+Bargmann derivative rule <a| A |psi> = d/d(conj a) of the analytic part of
+the projected wavefunction, prop (conj(a'') a')^m / m! for one mode and
+(conj(a'') a' + conj(b'') b')^m / m! for two.  They score the matrix
+elements in `correlations`, and the double model's classical limit uses
+them directly.  At the peak manifold (|a''| = |a'|, phases aligned,
+energies matching the constraint) the ratios reduce to the classical
+trajectory evaluated at an energy including the zero-point shift, so the
+absolute deviation decays like 1/sqrt(m).
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import fock, projector
 from .fock import make_space
@@ -40,40 +33,6 @@ LIMIT_OFFSETS = (0.0, 0.45, 0.9)  # common phase offsets of the classical-limit 
 
 _SINGLE_OPS = ("H", "Q", "P")
 _DOUBLE_OPS = ("H", "Q1", "P1", "Q2", "P2")
-
-
-def _log_power_over_factorial(z: complex, m: int) -> complex:
-    """z^m / m! via exp(m log z - lgamma(m+1)); exact branch for integer m."""
-    if z == 0:
-        return 0.0 if m > 0 else 1.0
-    return np.exp(m * np.log(np.complex128(z)) - special.gammaln(m + 1))
-
-
-def phys_wavefunction(model: str, labels_ket, labels_eval, mprime: int) -> complex:
-    """Closed-form overlap of the evaluation point with the projected ket."""
-    if mprime < 0:
-        raise ValueError("mprime must be >= 0")
-    if model == "single":
-        a_ket = complex(labels_ket)
-        a_eval = complex(labels_eval)
-        gauss = math.exp(-0.5 * (abs(a_eval) ** 2 + abs(a_ket) ** 2))
-        return complex(gauss * _log_power_over_factorial(a_ket * np.conj(a_eval), mprime))
-    if model == "double":
-        a_ket, b_ket = (complex(z) for z in labels_ket)
-        a_eval, b_eval = (complex(z) for z in labels_eval)
-        gauss = math.exp(
-            -0.5 * (abs(a_eval) ** 2 + abs(b_eval) ** 2 + abs(a_ket) ** 2 + abs(b_ket) ** 2)
-        )
-        core = np.conj(a_eval) * a_ket + np.conj(b_eval) * b_ket
-        return complex(gauss * _log_power_over_factorial(core, mprime))
-    raise ValueError(f"unknown model {model!r}")
-
-
-def peak_scaled_magnitude(model: str, labels_ket, labels_eval, mprime: int) -> float:
-    """sqrt(2 pi m) |wavefunction|, the normalization that is ~1 at the peak."""
-    return math.sqrt(2.0 * math.pi * mprime) * abs(
-        phys_wavefunction(model, labels_ket, labels_eval, mprime)
-    )
 
 
 def oracle_ratio(model: str, operator: str, labels_ket, labels_eval, mprime: int) -> complex:
@@ -168,7 +127,9 @@ def classical_limit_check(model: str, m_values=(4, 16, 64)) -> list:
     (projected_ratios, O(dim) per m); the double model uses the closed-form
     brackets, which the tests pin against matrix elements at small m.
     dev_abs is max over offsets and over the Q/P pair of |ratio - classical|;
-    dev_rel divides by the classical amplitude.
+    dev_rel divides by the classical amplitude.  h_ratio_error is the
+    largest |H ratio - E| / E: relative, because from E >= 2^19 one ulp of
+    E alone exceeds 1e-10.
     """
     rows = []
     for m in m_values:
@@ -183,12 +144,12 @@ def classical_limit_check(model: str, m_values=(4, 16, 64)) -> list:
             for off, (ratio_q, ratio_p, _) in zip(LIMIT_OFFSETS, ratios):
                 devs.append(abs(ratio_q - amp * math.cos(off)))
                 devs.append(abs(ratio_p - amp * math.sin(off)))
-            h_err = np.max(np.abs(ratios[:, 2] - energy))
+            h_err = np.max(np.abs(ratios[:, 2] - energy)) / energy
         elif model == "double":
             r = math.sqrt(m / 2.0)
             ket = (r, r)
             amp = math.sqrt(2.0 * (r**2 + 0.5))
-            h_err = abs(oracle_ratio("double", "H", ket, ket, m) - (m + 1.0))
+            h_err = abs(oracle_ratio("double", "H", ket, ket, m) - (m + 1.0)) / (m + 1.0)
             for off in LIMIT_OFFSETS:
                 ev = (r * np.exp(1j * off), r * np.exp(1j * off))
                 ratio_q = oracle_ratio("double", "Q1", ket, ev, m)
@@ -213,48 +174,3 @@ def deviation_scaling_exponent(rows) -> float:
     logm = np.log([row.m for row in rows])
     logd = np.log([row.dev_abs for row in rows])
     return float(np.polyfit(logm, logd, 1)[0])
-
-
-@dataclass(frozen=True)
-class OneFormReport:
-    shift: float
-    closed: bool
-    pdq: float
-
-
-def gauge_phase_one_form_check(path_pq, f_samples) -> OneFormReport:
-    """Line integral of the phase one-form shift df along a discrete path.
-
-    The discrete integral telescopes to f(end) - f(start): zero around a
-    closed path for single-valued f, while a winding phase accumulated
-    along the path (e.g. f = m*theta around a circle) leaves 2 pi m.  The
-    trapezoid integral of p dq is returned alongside.
-    """
-    path = np.asarray(path_pq, dtype=np.float64)
-    f = np.asarray(f_samples, dtype=np.float64)
-    if path.ndim != 2 or path.shape[1] != 2:
-        raise ValueError("path must be an (N+1) x 2 array of (p, q) points")
-    if f.shape != (path.shape[0],):
-        raise ValueError("need one f sample per path point")
-    shift = float(np.sum(np.diff(f)))
-    closed = bool(np.max(np.abs(path[-1] - path[0])) < 1e-12)
-    p_mid = 0.5 * (path[1:, 0] + path[:-1, 0])
-    pdq = float(np.sum(p_mid * np.diff(path[:, 1])))
-    return OneFormReport(shift=shift, closed=closed, pdq=pdq)
-
-
-def correlation_width(e1: float, e2: float) -> float:
-    """Full width at half max of |overlap| in the relative-angle direction.
-
-    The double-model correlation magnitude on the peak manifold is
-    ((e1^2 + e2^2 + 2 e1 e2 cos t) / (e1+e2)^2)^m with m = e1 + e2; the
-    width shrinks like sqrt(E_total / (E1 E2)) as both energies grow.
-    """
-    if e1 <= 0 or e2 <= 0:
-        raise ValueError("energies must be > 0")
-    m = e1 + e2
-    target = 2.0 ** (-1.0 / m)
-    cos_half = (target * (e1 + e2) ** 2 - e1**2 - e2**2) / (2.0 * e1 * e2)
-    if cos_half < -1.0:
-        return 2.0 * math.pi  # half max never reached within one turn
-    return 2.0 * math.acos(min(1.0, cos_half))

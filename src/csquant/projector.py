@@ -8,13 +8,13 @@ The weights are spectral-interval weights: eigenvalues of the constraint
 within (-eps, eps) get weight 1, exactly on the boundary weight 1/2,
 outside 0.
 
-The sin-kernel measure is kept only as an oracle (sin_kernel_weights,
-sin_kernel_residual): the finite-range integral
-int_{-L}^{L} exp(i t Phi) sin(eps t)/(pi t) dt, evaluated exactly per
-eigenvalue x as [Si(L(x+eps)) - Si(L(x-eps))]/pi (DLMF 6.2), which
-converges to the spectral weights as L grows.  The integrand decays only
-like 1/t, so L must scale like 1/(eps * SIN_KERNEL_TOL); default_lam_max
-chooses it from that bound.
+The sin-kernel measure (sin_kernel_weights) is the quadrature estimate
+that the Wiener experiment scores against the spectral weights: the
+finite-range integral int_{-L}^{L} exp(i t Phi) sin(eps t)/(pi t) dt,
+evaluated exactly per eigenvalue x as [Si(L(x+eps)) - Si(L(x-eps))]/pi
+(DLMF 6.2), which converges to the spectral weights as L grows.  The
+integrand decays only like 1/t, so L must scale like
+1/(eps * SIN_KERNEL_TOL); default_lam_max chooses it from that bound.
 
 Projecting a coherent state keeps one total-occupation sector: empty when
 the target is not near an integer, which is how energy quantization shows
@@ -29,8 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .coherent import CoherentLabel, KernelValue, coherent_vector
-from .fock import FockSpace, FockVector, LinearOperator
+from .fock import FockSpace, FockVector
 
 BOUNDARY_TOL = 1e-12
 NULL_NORM = 1e-12
@@ -122,13 +121,6 @@ def build_projector(spec: ProjectorSpec) -> np.ndarray:
     return _spectral_weights(spec.constraint.eigensystem(), spec.epsilon)
 
 
-def sin_kernel_residual(spec: ProjectorSpec) -> float:
-    """max |sin-kernel weights - spectral weights| at the constraint's spectrum."""
-    eigs = spec.constraint.eigensystem()
-    w_sin = sin_kernel_weights(eigs, spec.epsilon, default_lam_max(spec.epsilon, eigs))
-    return float(np.max(np.abs(w_sin - _spectral_weights(eigs, spec.epsilon))))
-
-
 @dataclass(frozen=True, eq=False)
 class PhysicalState:
     """Result of projecting a vector; null when nothing survives."""
@@ -169,72 +161,3 @@ def normalize_physical(state: PhysicalState) -> PhysicalState:
     unit = FockVector(state.vec.space, state.vec.amps / state.norm_in_full_space)
     normalized = replace(state, vec=unit)
     return replace(normalized, gauge_phase=_extract_gauge_phase(normalized))
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    idempotency: float
-    hermiticity: float
-    gauge: dict
-    evolution: dict
-
-    def max_residual(self) -> float:
-        vals = [self.idempotency, self.hermiticity]
-        vals += list(self.gauge.values()) + list(self.evolution.values())
-        return max(vals)
-
-
-def projector_identities(
-    spec: ProjectorSpec,
-    hamiltonian: LinearOperator,
-    sigmas=(0.3, 1.7, math.pi),
-    hbar: float = 1.0,
-) -> IdentityReport:
-    """Residuals of P^2 = P, P+ = P, exp(i s Phi) P = P and [P, U(t)] = 0 at t = 0.5, 2.
-
-    P and Phi are diagonal, so the first three are elementwise on the
-    weights w and eigenvalues x; [P, U]_ij = (w_i - w_j) U_ij.  The
-    evolution check needs [H, Phi] = 0, which holds for both models
-    (H is an affine function of the constraint there).  U(t) comes from
-    the eigendecomposition of the Hermitian H; a non-Hermitian H raises
-    ValueError.
-    """
-    ham = hamiltonian.mat
-    if not np.allclose(ham, ham.conj().T, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(ham))))):
-        raise ValueError("hamiltonian must be Hermitian")
-    w = build_projector(spec)
-    eigs = spec.constraint.eigensystem()
-    report_gauge = {
-        sigma: float(np.max(np.abs((np.exp(1j * sigma * eigs) - 1.0) * w))) for sigma in sigmas
-    }
-    energies, vecs = np.linalg.eigh(ham)
-    report_evo = {}
-    for t in (0.5, 2.0):
-        u = (vecs * np.exp(-1j * t / hbar * energies)) @ vecs.conj().T
-        report_evo[t] = float(np.max(np.abs(np.subtract.outer(w, w) * u)))
-    return IdentityReport(
-        idempotency=float(np.max(np.abs(w * w - w))),
-        hermiticity=float(np.max(np.abs(w - np.conj(w)))),
-        gauge=report_gauge,
-        evolution=report_evo,
-    )
-
-
-def _labels_to_vector(space: FockSpace, labels) -> FockVector:
-    if isinstance(labels, CoherentLabel):
-        labels = (labels,)
-    alphas = [lab.alpha for lab in labels]
-    return coherent_vector(space, alphas)
-
-
-def projected_propagator(spec: ProjectorSpec, labels_bra, labels_ket) -> KernelValue:
-    """<coherent(bra)| P |coherent(ket)> on the constraint's space."""
-    space = spec.constraint.space
-    v_bra = _labels_to_vector(space, labels_bra)
-    v_ket = _labels_to_vector(space, labels_ket)
-    return KernelValue(complex(np.vdot(v_bra.amps, build_projector(spec) * v_ket.amps)))
-
-
-def physical_subspace_dim(constraint: ConstraintOp, epsilon: float) -> int:
-    """Number of constraint eigenvalues within the epsilon window."""
-    return int(np.count_nonzero(np.abs(constraint.eigensystem()) < epsilon))

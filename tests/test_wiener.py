@@ -6,20 +6,19 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from csquant import _kernels, wiener
-from csquant.coherent import CoherentLabel, coherent_vector
+from csquant.coherent import coherent_vector
 from csquant.fock import make_space
 from csquant.projector import ProjectorSpec, double_constraint, single_constraint
 from csquant.wiener import (
     HeatKernelParams,
     heat_kernel,
-    kernel_normalization_residual,
-    kernel_variance,
     lambda_average_propagator,
     rng_stream,
     sample_bridge_column,
     sample_lapse_proper_times,
     semigroup_residual,
 )
+from reference import kernel_normalization_residual, kernel_variance
 
 
 def test_heat_kernel_params_validation():
@@ -233,54 +232,50 @@ def test_lapse_weighted_sum_matches_trapezoid_oracle(nu, window):
 
 @pytest.fixture(scope="module")
 def propagator_setup():
-    space = make_space(1, 16)
-    label = CoherentLabel.from_alpha(1.0)
-    return space, label
+    return make_space(1, 16), 1.0
 
 
 def test_lambda_propagator_selected_level(propagator_setup):
-    space, label = propagator_setup
+    space, alpha = propagator_setup
     spec = ProjectorSpec(single_constraint(space, 1.0), epsilon=0.45)
-    est = lambda_average_propagator(spec, label, label, seed=101)
+    est = lambda_average_propagator(spec, alpha, alpha, seed=101)
     assert est.spectral == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert est.quadrature_error < 1e-4
     assert est.mc_error <= 3.0 * est.mc_se
 
 
 def test_lambda_propagator_null_window(propagator_setup):
-    space, label = propagator_setup
+    space, alpha = propagator_setup
     spec = ProjectorSpec(single_constraint(space, 0.5), epsilon=0.1)
-    est = lambda_average_propagator(spec, label, label, seed=103)
+    est = lambda_average_propagator(spec, alpha, alpha, seed=103)
     assert est.spectral == 0.0
     assert abs(est.quadrature) < 1e-4
     assert abs(est.mc_value) <= 3.0 * est.mc_se
 
 
 def test_lambda_propagator_degenerate_tau_is_plain_overlap(propagator_setup):
-    space, label = propagator_setup
+    space, alpha = propagator_setup
     spec = ProjectorSpec(single_constraint(space, 1.0), epsilon=0.45)
-    est = lambda_average_propagator(spec, label, label, nu=0.0, window=0.0, seed=104)
+    est = lambda_average_propagator(spec, alpha, alpha, nu=0.0, window=0.0, seed=104)
     assert est.mc_value == pytest.approx(1.0, abs=1e-7)  # <a|a> = 1 up to truncation
     assert est.mc_se < 1e-12
 
 
 def test_lambda_propagator_window_and_nu_stability(propagator_setup):
-    space, label = propagator_setup
+    space, alpha = propagator_setup
     spec = ProjectorSpec(single_constraint(space, 1.0), epsilon=0.45)
     for kwargs in ({"window": 4000.0}, {"nu": 0.5}, {"nu": 2.0}):
-        est = lambda_average_propagator(spec, label, label, seed=105, **kwargs)
+        est = lambda_average_propagator(spec, alpha, alpha, seed=105, **kwargs)
         assert est.mc_error <= 3.0 * est.mc_se
 
 
 def test_lambda_propagator_distinct_labels(propagator_setup):
     space, _ = propagator_setup
     spec = ProjectorSpec(single_constraint(space, 2.0), epsilon=0.3)
-    l1 = CoherentLabel.from_alpha(1.1)
-    l2 = CoherentLabel.from_alpha(0.7 + 0.6j)
-    est = lambda_average_propagator(spec, l1, l2, seed=106)
+    a1, a2 = 1.1, 0.7 + 0.6j
+    est = lambda_average_propagator(spec, a1, a2, seed=106)
     assert est.quadrature_error < 1e-4
     assert est.mc_error <= 3.0 * est.mc_se
-    a1, a2 = 1.1, 0.7 + 0.6j
     expected = (
         math.exp(-0.5 * (abs(a1) ** 2 + abs(a2) ** 2)) * (np.conj(a1) * a2) ** 2 / 2.0
     )
@@ -292,9 +287,7 @@ def test_finite_window_matches_characteristic_function_quadrature(propagator_set
     spec = ProjectorSpec(single_constraint(space, 2.0), epsilon=0.3)
     a1, a2 = 1.1, 0.7 + 0.6j
     nu, window = 0.8, 0.7
-    est = lambda_average_propagator(
-        spec, CoherentLabel.from_alpha(a1), CoherentLabel.from_alpha(a2), n_paths=100, nu=nu, window=window
-    )
+    est = lambda_average_propagator(spec, a1, a2, n_paths=100, nu=nu, window=window)
     weights = np.conj(coherent_vector(space, [a1]).amps) * coherent_vector(space, [a2]).amps
     s = math.sqrt(wiener.lapse_walk_variance(nu))
     # oracle: E[exp(-i tau x)] with tau = Uniform(-window, window) + N(0, s^2), by direct quadrature
