@@ -21,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+import locale  # noqa: F401 -- argparse's gettext imports it at the first parser; load it at start-up
 import math
 import os
 import sys

@@ -14,6 +14,13 @@ off-diagonal number-basis elements vanish to roundoff.  Because the rule is
 a tensor product, the closure sum factors into a radial Gram matrix times
 the angular sums of e^{i(n-m)theta}, which the resolution check evaluates
 separately instead of summing over every disc node.
+
+|<n|a>|^2 is the Poisson(|a|^2) probability of n, so the norm lost above
+the cutoff and the closure of the disc at finite radius R are Poisson
+tails: Pr[N > n] = P(n+1, x) and Pr[N <= n] = Q(n+1, x), the regularized
+incomplete gamma functions at integer order (DLMF 8.4).  Each tail is
+summed from its far end, so a tail near the warning or closure threshold
+keeps its relative accuracy.
 """
 
 from __future__ import annotations
@@ -24,15 +31,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import _kernels
 from .fock import FockSpace, FockVector
 
 TAIL_WARN = 1e-10
 TAIL_ERROR = 1e-6
-RESOLUTION_MAX_BYTES = 64 * 2**20  # radial amplitude block of the resolution check
-CLOSURE_TAIL = 1e-8  # incomplete-gamma deficit below which a level counts as closed
+RESOLUTION_MAX_BYTES = 64 * 2**20  # radial amplitude block (and its weighted copy) of the resolution check
+CLOSURE_TAIL = 1e-8  # Poisson lower tail (closure deficit) below which a level counts as closed
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class TruncationLeakageError(ValueError):
@@ -63,9 +70,80 @@ def single_mode_amplitudes(alpha: complex, nmax: int) -> np.ndarray:
     return amps
 
 
-def truncation_tail(alpha: complex, nmax: int) -> float:
-    """Probability mass of the coherent state above occupation nmax."""
-    return float(special.gammainc(nmax + 1, abs(alpha) ** 2))
+def _poisson_tail_above(p_n: float, x: float, n: int) -> float:
+    """sum_{k > n} e^-x x^k / k!, the Poisson(x) tail above n, from the term p_n; x < n + 1.
+
+    The terms p_{k+1} = p_k x / (k + 1) fall by ratios below 1, so the sum
+    stops once the bound p_k r / (1 - r), r = x / (k + 1), on what is left
+    is below an ulp of the running total.
+    """
+    total, term, k = 0.0, float(p_n), n + 1
+    while True:
+        term *= x / k
+        total += term
+        if term == 0.0 or term * x <= _EPS * (k + 1 - x) * total:
+            return total
+        k += 1
+
+
+def _poisson_pmf(x: float, nmax: int) -> np.ndarray:
+    """e^-x x^n / n! for n = 0..nmax, x > 0, built outward from n0 = min(floor(x), nmax).
+
+    Like single_mode_amplitudes, only the pivot n0 is taken in log space
+    and the rest are running products of factors <= 1.  From n0 = 20 the
+    pivot's logarithm is n0 (log1p(d) - d) - log(2 pi n0)/2 minus Stirling's
+    series for ln n0!, d = (x - n0)/n0, whose terms do not cancel, so the
+    pivot is good to a few ulps at any x.
+    """
+    n0 = min(math.floor(x), nmax)
+    if n0 < 20:
+        log_pivot = n0 * math.log(x) - x - math.lgamma(n0 + 1)
+    else:
+        d = (x - n0) / n0
+        stirling = 1 / (12 * n0) - 1 / (360 * n0**3) + 1 / (1260 * n0**5) - 1 / (1680 * n0**7)
+        log_pivot = n0 * (math.log1p(d) - d) - 0.5 * math.log(2 * math.pi * n0) - stirling
+    pmf = np.empty(nmax + 1)
+    pmf[n0] = math.exp(log_pivot)
+    pmf[n0 + 1 :] = pmf[n0] * np.cumprod(x / np.arange(n0 + 1, nmax + 1))
+    pmf[:n0][::-1] = pmf[n0] * np.cumprod(np.arange(n0, 0, -1) / x)
+    return pmf
+
+
+def _poisson_tails(x: float, nmax: int):
+    """(Pr[N > n], Pr[N <= n]) for N ~ Poisson(x), x > 0, at n = 0..nmax.
+
+    These are P(n+1, x) and Q(n+1, x).  Below the mean the lower tail is
+    the smaller: it is a running sum upward from n = 0.  From the mean on
+    the upper tail is: it is the tail above nmax (_poisson_tail_above) plus
+    a running sum downward from nmax.  Each other side is 1 minus the
+    small one, which is at least ~0.3 where the sides meet.
+    """
+    pmf = _poisson_pmf(x, nmax)
+    split = min(math.ceil(x), nmax + 1)  # levels n < x
+    lower = np.empty(nmax + 1)
+    upper = np.empty(nmax + 1)
+    lower[:split] = np.cumsum(pmf[:split])
+    upper[:split] = 1.0 - lower[:split]
+    if split <= nmax:
+        far = _poisson_tail_above(pmf[nmax], x, nmax)
+        upper[split:] = np.cumsum(np.concatenate(([far], pmf[nmax:split:-1])))[::-1]
+        lower[split:] = 1.0 - upper[split:]
+    return upper, lower
+
+
+def truncation_tail(amps: np.ndarray, alpha: complex) -> float:
+    """Probability mass above the last level of amps, the coherent state alpha's amplitudes.
+
+    That mass is the Poisson(|alpha|^2) tail above nmax = amps.size - 1,
+    summed from |amps[nmax]|^2 upward.  At |alpha|^2 >= nmax + 1 the
+    Poisson median lies above the cutoff, the tail is of order 1 and the
+    state is refused anyway, so 1 minus the kept norm is exact enough.
+    """
+    x = abs(alpha) ** 2
+    nmax = amps.size - 1
+    if x >= nmax + 1:
+        return max(0.0, 1.0 - math.fsum(np.abs(amps) ** 2))
+    return _poisson_tail_above(abs(amps[nmax]) ** 2, x, nmax)
 
 
 def coherent_vector(space: FockSpace, alphas) -> FockVector:
@@ -81,8 +159,10 @@ def coherent_vector(space: FockSpace, alphas) -> FockVector:
     if len(alphas) != space.modes:
         raise ValueError(f"expected {space.modes} mode labels")
     survive = 1.0
+    mode_amps = []
     for a in alphas:
-        tail = truncation_tail(a, space.nmax)
+        mode_amps.append(single_mode_amplitudes(a, space.nmax))
+        tail = truncation_tail(mode_amps[-1], a)
         if tail > TAIL_WARN:
             warnings.warn(
                 f"coherent-state tail {tail:.3e} above occupation {space.nmax} for |alpha|={abs(a):.3f}",
@@ -94,10 +174,10 @@ def coherent_vector(space: FockSpace, alphas) -> FockVector:
         raise TruncationLeakageError(
             f"truncation leakage {leakage:.3e} exceeds {TAIL_ERROR:.0e}; raise nmax"
         )
-    amps = single_mode_amplitudes(alphas[0], space.nmax)
-    for a in alphas[1:]:
+    amps = mode_amps[0]
+    for mode in mode_amps[1:]:
         # mode 0 varies fastest, so later modes go on the left of the kron
-        amps = np.kron(single_mode_amplitudes(a, space.nmax), amps)
+        amps = np.kron(mode, amps)
     return FockVector(space, amps)
 
 
@@ -136,12 +216,12 @@ def resolution_of_unity_check(
     """Quadrature of (1/pi) int |a><a| d^2alpha over the disc |a| <= radius.
 
     Reports the deviation of the integrated operator from the identity on
-    the block n <= n_keep, where n_keep is the largest level whose
-    incomplete-gamma deficit 1 - P(n+1, R^2) stays below CLOSURE_TAIL.  The
-    exact diagonal at finite radius is the regularized lower incomplete
-    gamma P(n+1, R^2), returned for finite-radius checks.  A radial
-    amplitude block (16 n_radial (nmax + 1) bytes) larger than
-    RESOLUTION_MAX_BYTES is refused with ValueError before it is built.
+    the block n <= n_keep, where n_keep is the largest level whose closure
+    deficit Q(n+1, R^2) = Pr[Poisson(R^2) <= n] stays below CLOSURE_TAIL.
+    The exact diagonal at finite radius is P(n+1, R^2) = Pr[Poisson(R^2) > n],
+    returned for finite-radius checks.  A real radial amplitude block and
+    its weighted copy (16 n_radial (nmax + 1) bytes together) larger than
+    RESOLUTION_MAX_BYTES are refused with ValueError before they are built.
     """
     if space.modes != 1:
         raise ValueError("resolution check is implemented for single-mode spaces")
@@ -159,15 +239,14 @@ def resolution_of_unity_check(
     r, dr, th, dth = _polar_nodes(radius, n_radial, n_angular)
     # the closure sum over the polar nodes, factored: node (r, theta) contributes
     # (r dr dtheta / pi) amp_n(r) amp_m(r) e^{i(n-m)theta} to entry (n, m)
-    radial = _kernels.coherent_amp_matrix(r.astype(np.complex128), space.nmax).real
+    radial = _kernels.coherent_amp_matrix(r, space.nmax)
     radial_gram = (radial.T * (r * dr / math.pi)) @ radial
     shifts = np.arange(-space.nmax, space.nmax + 1)
     angular = dth * np.exp(1j * np.outer(shifts, th)).sum(axis=1)
     levels = np.arange(space.nmax + 1)
     mat = radial_gram * angular[levels[:, None] - levels[None, :] + space.nmax]
 
-    diag_expected = special.gammainc(levels + 1, radius**2)
-    deficit = special.gammaincc(levels + 1, radius**2)
+    diag_expected, deficit = _poisson_tails(radius**2, space.nmax)
     qualifying = np.nonzero(deficit < CLOSURE_TAIL)[0]
     n_keep = int(qualifying.max()) if qualifying.size else -1
 

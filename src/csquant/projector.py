@@ -15,6 +15,9 @@ evaluated exactly per eigenvalue x as [Si(L(x+eps)) - Si(L(x-eps))]/pi
 (DLMF 6.2), which converges to the spectral weights as L grows.  The
 integrand decays only like 1/t, so L must scale like
 1/(eps * SIN_KERNEL_TOL); default_lam_max chooses it from that bound.
+_sine_integral evaluates Si with numpy alone: its Maclaurin series up to
+|x| = 4 and, beyond, pi/2 - f(x) cos x - g(x) sin x with the auxiliary
+functions f and g (DLMF 6.2, 6.7) integrated by a Gauss-Laguerre rule.
 
 Projecting a coherent state keeps one total-occupation sector: empty when
 the target is not near an integer, which is how energy quantization shows
@@ -27,13 +30,20 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
+from numpy.polynomial.laguerre import laggauss
 
 from .fock import FockSpace, FockVector
 
 BOUNDARY_TOL = 1e-12
 NULL_NORM = 1e-12
 SIN_KERNEL_TOL = 1e-4
+
+# Si's Maclaurin coefficients (-1)^k / ((2k+1) (2k+1)!): at |x| = 4 the last term is below 1e-24
+_SI_SERIES = np.array([(-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(20)])
+# 60-node Gauss-Laguerre rule for f and g past |x| = 4: it matches Si to ~2e-15 there
+_LAGUERRE_NODES, _LAGUERRE_WEIGHTS = laggauss(60)
+_LAGUERRE_NODES_SQ = _LAGUERRE_NODES**2
+_SI_CHUNK = 4096  # arguments per (chunk x nodes) block of the Laguerre sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,9 +121,38 @@ def sin_kernel_weights(eigs: np.ndarray, eps: float, lam_max: float) -> np.ndarr
     = [Si(L(x+eps)) - Si(L(x-eps))]/pi, which is real.
     """
     eigs = np.asarray(eigs, dtype=np.float64)
-    si_hi, _ = special.sici(lam_max * (eigs + eps))
-    si_lo, _ = special.sici(lam_max * (eigs - eps))
-    return (si_hi - si_lo) / math.pi
+    return (_sine_integral(lam_max * (eigs + eps)) - _sine_integral(lam_max * (eigs - eps))) / math.pi
+
+
+def _sine_integral(x: np.ndarray) -> np.ndarray:
+    """Si(x) = int_0^x sin(t)/t dt, elementwise, to ~2e-15 absolute.
+
+    |x| <= 4: the Maclaurin series sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!),
+    by Horner's rule in x^2.  |x| > 4: Si(x) = pi/2 - f(x) cos x - g(x) sin x
+    with f(x) = int_0^inf e^(-u) x / (x^2 + u^2) du and
+    g(x) = int_0^inf e^(-u) u / (x^2 + u^2) du (DLMF 6.7(iii) with t = u/x),
+    both smooth in u for |x| > 4, by the 60-node Gauss-Laguerre rule.  Si is
+    odd, so negative arguments take the sign of x.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    ax = np.abs(x)
+    out = np.empty_like(ax)
+    small = ax <= 4.0
+    x2 = ax[small] ** 2
+    series = np.full_like(x2, _SI_SERIES[-1])
+    for c in _SI_SERIES[-2::-1]:
+        series *= x2
+        series += c
+    out[small] = series * ax[small]
+    large = np.flatnonzero(~small)
+    for lo in range(0, large.size, _SI_CHUNK):
+        idx = large[lo : lo + _SI_CHUNK]
+        xl = ax[idx]
+        inv = _LAGUERRE_WEIGHTS / (xl[:, None] ** 2 + _LAGUERRE_NODES_SQ)
+        f = xl * inv.sum(axis=1)
+        g = inv @ _LAGUERRE_NODES
+        out[idx] = 0.5 * math.pi - f * np.cos(xl) - g * np.sin(xl)
+    return np.copysign(out, x)
 
 
 def build_projector(spec: ProjectorSpec) -> np.ndarray:

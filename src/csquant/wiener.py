@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from . import _kernels, projector
 from .coherent import coherent_vector
@@ -49,9 +50,9 @@ from .projector import ProjectorSpec
 LAPSE_STEPS = 32  # lapse-walk steps of lambda_average_propagator, over unit time
 
 
-def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
+def rng_stream(seed: int, stream: int = 0) -> Generator:
     """Counter-based generator; (seed, stream) is the whole key."""
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    return Generator(Philox(key=[seed, stream]))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from csquant import _kernels, cli, correlators, fock, wiener
+from csquant import _kernels, cli, correlators, wiener
 
 
 def _write_config(tmp_path, payload, name="cfg.json"):
@@ -253,21 +253,24 @@ def test_wiener_path_count_refused_before_sampling(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize(
     "payload",
     [
-        {"experiment": "correlations"},
-        {"experiment": "classical-limit", "model": "single"},
-        {"experiment": "classical-limit", "model": "double"},
+        {"experiment": "correlations", "nmax": 1600, "mprime": 1200},
+        {"experiment": "classical-limit", "model": "single", "m_values": [4, 1200]},
+        {"experiment": "classical-limit", "model": "double", "m_values": [4, 1200]},
     ],
     ids=["correlations", "classical-limit-single", "classical-limit-double"],
 )
-def test_correlators_build_no_dense_operator(tmp_path, monkeypatch, payload):
-    def refuse(self):
-        raise AssertionError("dense dim x dim operator built")
-
-    monkeypatch.setattr(fock.LinearOperator, "__post_init__", refuse)
+def test_correlators_build_no_dense_operator(tmp_path, payload):
+    # dim is ~1600 (nmax 1635 at m = 1200): a dense dim x dim float64 operator takes ~20 MB,
+    # while each O(dim) vector takes ~26 kB and a whole band-action run peaks near 0.25 MB
     cfg = _write_config(tmp_path, payload)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # truncation-tail warnings are expected here
-        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2 * 2**20
 
 
 def test_project_single_builds_one_coherent_state(tmp_path, monkeypatch):
@@ -351,7 +354,7 @@ def test_large_mprime_checks_pass(tmp_path, capsys, payload):
 # Top-level public definitions that no experiment reaches but that stay, each with its reason.
 _UNREACHED_KEEP = {
     ("_kernels", "backend_name"): "perfbench records the kernel backend of every run",
-    ("fock", "LinearOperator"): "perfbench's tracer and the dense-operator test patch its __post_init__",
+    ("fock", "LinearOperator"): "perfbench's tracer patches its __post_init__",
 }
 
 
@@ -384,10 +387,28 @@ def test_every_public_definition_is_reached_from_cli():
     assert unreached == set(_UNREACHED_KEEP)
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    code = "import sys, csquant.cli; print('scipy.linalg' in sys.modules)"
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; numpy.random loads at import, so the first
+    # seeded run does not pay for the Generator import inside its own run time
+    code = (
+        "import sys, csquant.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy.random' in sys.modules)"
+    )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[] True"
+
+
+def test_default_experiments_warn_of_the_same_tails(tmp_path):
+    # every truncation-tail warning of the eight default experiments at the default seed,
+    # recorded one per call: 7, all from spin-overlap's seeded labels, as incomplete-gamma tails give
+    count = 0
+    for name in cli.EXPERIMENTS:
+        cfg = _write_config(tmp_path, {"experiment": name}, name=f"{name}.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        count += sum(str(w.message).startswith("coherent-state tail") for w in caught)
+    assert count == 7
 
 
 def _floats(lo, hi):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -7,7 +8,16 @@ import pytest
 from scipy import special
 
 from csquant import _kernels
-from csquant.coherent import coherent_vector, resolution_of_unity_check, single_mode_amplitudes
+from csquant.coherent import (
+    TAIL_ERROR,
+    TAIL_WARN,
+    TruncationLeakageError,
+    _poisson_tails,
+    coherent_vector,
+    resolution_of_unity_check,
+    single_mode_amplitudes,
+    truncation_tail,
+)
 from csquant.fock import make_space
 from reference import kernel_composition_residual, overlap_alpha, polar_disc_grid, reproducing_propagation
 
@@ -84,6 +94,58 @@ def test_leakage_hard_error_and_warning():
         coherent_vector(s, 0.5)  # tail ~1e-8: inside the warn band, below the error bar
 
 
+_POISSON_MEANS = [0.3, 1.0, 64.0, 1e3, 5e4]
+
+
+@pytest.mark.parametrize("x", _POISSON_MEANS)
+def test_poisson_tails_match_incomplete_gamma(x):
+    # levels from 0 to 40 standard deviations above the mean: the bulk and both far tails
+    nmax = int(x + 40 * math.sqrt(x)) + 40
+    upper, lower = _poisson_tails(x, nmax)
+    levels = np.arange(nmax + 1)
+    # relative to each tail; scipy's own far tails are good to ~2e-12 (checked against 40-digit
+    # arithmetic), so the bound is scipy's error, not this sum's
+    for got, want in ((upper, special.gammainc(levels + 1, x)), (lower, special.gammaincc(levels + 1, x))):
+        normal = want > 1e-300
+        assert np.all(np.abs(got[normal] - want[normal]) <= 1e-11 * want[normal])
+        assert np.all(got[~normal] <= 1e-300)
+    assert upper[-1] < 1e-100 and (x < 64 or lower[0] < 1e-20)  # the far tails were reached
+
+
+@pytest.mark.parametrize("x", _POISSON_MEANS)
+def test_truncation_tail_matches_incomplete_gamma(x):
+    r = math.sqrt(x)
+    alpha = r * cmath.exp(0.7j)
+    eps = np.finfo(np.float64).eps
+    for nmax in sorted({0, int(x), int(x) + 1, int(x + 3 * r) + 1, int(x + 10 * r) + 5, int(x + 30 * r) + 20}):
+        amps = single_mode_amplitudes(alpha, nmax)
+        want = special.gammainc(nmax + 1, x)
+        # the tail starts from |amps[nmax]|^2, whose pivot is rounded in log space (see the decimal oracle test)
+        n0 = min(math.floor(x), nmax)
+        tol = 8 * eps * (n0 * abs(math.log(r)) + x + math.lgamma(n0 + 1) + nmax - n0 + 1)
+        assert abs(truncation_tail(amps, alpha) - want) <= tol * want
+
+
+@pytest.mark.parametrize("nmax", [1, 2, 6, 12, 40, 200])
+def test_leakage_boundaries_follow_incomplete_gamma(nmax):
+    # the |alpha| at which the tail P(nmax + 1, |alpha|^2) reaches the warning and error levels
+    s = make_space(1, nmax)
+    for level, expect in ((TAIL_WARN, "warn"), (TAIL_ERROR, "raise")):
+        edge = math.sqrt(special.gammaincinv(nmax + 1, level))
+        with warnings.catch_warnings(record=True) as below:
+            warnings.simplefilter("always")
+            coherent_vector(s, edge * (1 - 1e-6))
+        assert len(below) == (expect == "raise")  # below the error level a tail above TAIL_WARN still warns
+        if expect == "warn":
+            with pytest.warns(UserWarning, match="coherent-state tail"):
+                coherent_vector(s, edge * (1 + 1e-6))
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with pytest.raises(TruncationLeakageError):
+                    coherent_vector(s, edge * (1 + 1e-6))
+
+
 def test_overlap_identity_case():
     assert overlap_alpha(0.4 - 0.85j, 0.4 - 0.85j) == 1.0
 
@@ -158,6 +220,15 @@ def test_resolution_separable_gram_matches_dense_closure_sum():
     dense = (vecs.T * (weights / math.pi)) @ vecs.conj()
     assert np.max(np.abs(report.matrix - dense)) <= 1e-13
     assert report.max_offdiag > 0.0  # off-diagonals come from numeric angular sums
+
+
+def test_amp_matrix_keeps_the_kind_of_its_labels():
+    # radii give real rows, so the resolution Gram is a real matmul on contiguous rows
+    radii = np.linspace(0.01, 8.0, 64)
+    real = _kernels.coherent_amp_matrix(radii, 40)
+    cplx = _kernels.coherent_amp_matrix(radii.astype(np.complex128), 40)
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert np.max(np.abs(real - cplx.real)) <= 1e-15 and not cplx.imag.any()
 
 
 def test_resolution_quadrature_second_order_convergence():

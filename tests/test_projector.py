@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.linalg import expm
 
+from csquant import fock
 from csquant.coherent import coherent_vector
 from csquant.fock import FockVector, make_space
 from csquant.projector import (
     ProjectorSpec,
+    _sine_integral,
     build_projector,
     default_lam_max,
     double_constraint,
@@ -306,3 +309,15 @@ def test_sin_kernel_weights_match_simpson_oracle(lam_max, target):
     closed = sin_kernel_weights(eigs, eps, lam_max)
     oracle = _simpson_sin_kernel_weights(eigs, eps, lam_max)
     assert np.max(np.abs(closed - oracle)) <= 1e-8
+
+
+def test_sine_integral_matches_scipy_sici():
+    # the series (|x| <= 4) and Gauss-Laguerre (|x| > 4) branches, and their seam
+    linear = np.concatenate([np.linspace(-50.0, 50.0, 20001), np.linspace(3.99, 4.01, 2001)])
+    # the largest argument the CLI can reach: lam_max at the 1e-6 gap guard (~7e9) times the
+    # largest |eigenvalue| + eps of a space with MAX_DIM basis states
+    top = default_lam_max(0.25, np.array([0.25 + 1.000001e-6])) * (fock.MAX_DIM + 0.5)
+    logs = np.geomspace(1e-12, top, 4001)
+    for x in (linear, logs, -logs):
+        assert np.max(np.abs(_sine_integral(x) - special.sici(x)[0])) <= 1e-14
+    assert _sine_integral(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
