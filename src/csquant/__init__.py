@@ -7,14 +7,13 @@ Wiener-measure estimators, run as the eight experiments of the batch CLI.
 """
 
 from ._kernels import backend_name
-from .fock import FockSpace, FockVector, LinearOperator, make_space
+from .fock import FockSpace, LinearOperator, make_space
 from .coherent import coherent_vector
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FockSpace",
-    "FockVector",
     "LinearOperator",
     "make_space",
     "coherent_vector",

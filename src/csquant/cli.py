@@ -112,27 +112,25 @@ def _exp_project_single(cfg, seed):
     alpha = complex(_get(cfg, "alpha_re", 1.0, float), _get(cfg, "alpha_im", 0.0, float))
     space = make_space(1, nmax)
     vec = coherent_vector(space, alpha)
-    spec = projector.ProjectorSpec(projector.single_constraint(space, float(mprime)), epsilon=eps)
-    state = projector.project(spec, vec)
+    projected = projector.build_projector(projector.single_constraint(space, float(mprime)), eps) * vec
+    norm = float(np.linalg.norm(projected))
     expected = np.zeros(space.dim, dtype=np.complex128)
     if alpha:
         # exp(-|a|^2/2) a^m / sqrt(m!) in log space: m! overflows a float from m = 171
         expected[mprime] = cmath.exp(mprime * cmath.log(alpha) - 0.5 * (abs(alpha) ** 2 + math.lgamma(mprime + 1)))
     else:
         expected[mprime] = float(mprime == 0)  # the vacuum has only a |0> component
-    got = state.vec.amps if state.vec is not None else np.zeros(space.dim)  # null: the zero vector
+    got = projected if norm >= projector.NULL_NORM else 0.0  # a null projection is the zero vector
     resid = float(np.max(np.abs(got - expected)))
-    norm_err = abs(state.norm_in_full_space - abs(expected[mprime]))
+    norm_err = abs(norm - abs(expected[mprime]))
     null_norms = []
     # each probe target lies more than eps from every level, for any eps < 1/2
     for frac in ((0.5 + eps) / 2, 0.5, 1.5):
-        frac_spec = projector.ProjectorSpec(
-            projector.single_constraint(space, frac), epsilon=eps
-        )
-        null_norms.append(projector.project(frac_spec, vec).norm_in_full_space)
+        weights = projector.build_projector(projector.single_constraint(space, frac), eps)
+        null_norms.append(float(np.linalg.norm(weights * vec)))
     rows = [
         CheckRow("projected_component_residual", resid, 1e-12),
-        CheckRow("physical_norm_error", norm_err, 1e-12, observed=state.norm_in_full_space),
+        CheckRow("physical_norm_error", norm_err, 1e-12, observed=norm),
         CheckRow("null_norm_fractional_targets", max(null_norms), 1e-12),
     ]
     return rows, {}
@@ -147,22 +145,22 @@ def _exp_project_double(cfg, seed):
     if beta == 0:
         raise ConfigError("beta_re", "beta must be nonzero: the SU(2) label is alpha/beta")
     space = make_space(2, nmax)
-    spec = projector.ProjectorSpec(projector.double_constraint(space, float(mprime)), epsilon=eps)
-    state = projector.project(spec, coherent_vector(space, [alpha, beta]))
-    if not state.is_null:
-        state = projector.normalize_physical(state)
-    if state.gauge_phase is None:
+    weights = projector.build_projector(projector.double_constraint(space, float(mprime)), eps)
+    projected = weights * coherent_vector(space, [alpha, beta])
+    norm = float(np.linalg.norm(projected))
+    sector = spin.sector_indices(space, mprime)  # |0, mprime> first
+    if norm < projector.NULL_NORM or projected[sector[0]] == 0:
         raise ConfigError(
             "beta_re",
             f"the projected |0, {mprime}> amplitude vanishes, so the gauge phase (beta/|beta|)^mprime is undefined",
         )
-    sector = spin.basis_map(space, mprime)
-    mapped = sector.restrict_vector(state.vec.amps)
+    mapped = (projected / norm)[sector]
+    gauge_phase = mapped[0] / abs(mapped[0])
     try:
-        reference = spin.su2_coherent(sector.j, alpha / beta).amps
+        reference = spin.su2_coherent(mprime / 2.0, alpha / beta)
     except OverflowError:
         raise ConfigError("beta_re", "|alpha/beta| overflows the SU(2) coherent-state amplitudes") from None
-    resid = float(np.max(np.abs(mapped - state.gauge_phase * reference)))
+    resid = float(np.max(np.abs(mapped - gauge_phase * reference)))
     rows = [CheckRow("su2_state_match_residual", resid, 1e-10)]
     return rows, {}
 
@@ -172,7 +170,7 @@ def _exp_spin_overlap(cfg, seed):
     mprime = _get(cfg, "mprime", 6, int, 1, nmax)
     n_pairs = _get(cfg, "n_pairs", 10, int, 1)
     space = make_space(2, nmax)
-    weights = projector.build_projector(projector.ProjectorSpec(projector.double_constraint(space, float(mprime))))
+    weights = projector.build_projector(projector.double_constraint(space, float(mprime)))
     rng = wiener.rng_stream(seed, 1)
     j = mprime / 2.0
     worst = 0.0
@@ -182,7 +180,7 @@ def _exp_spin_overlap(cfg, seed):
         a1, b1, a2, b2 = (r * np.exp(1j * p) for r, p in zip(re, ph))
         units = []
         for labels in ((a1, b1), (a2, b2)):
-            projected = weights * coherent_vector(space, labels).amps
+            projected = weights * coherent_vector(space, labels)
             # the entries are ~ 1/sqrt(mprime!): scale by the largest before squaring them
             scale = np.max(np.abs(projected))
             if scale == 0.0:
@@ -294,17 +292,16 @@ def _exp_wiener(cfg, seed):
     var_expected = 1.0 * 0.5 * 0.5  # nu t (T - t) / T at the midpoint
     var_err = abs(float(np.var(mid)) - var_expected)
     var_band = 3.0 * var_expected * math.sqrt(2.0 / (n_paths - 1))
-    space = make_space(1, nmax)
-    spec = projector.ProjectorSpec(
-        projector.single_constraint(space, float(mprime)), epsilon=eps
-    )
+    constraint = projector.single_constraint(make_space(1, nmax), float(mprime))
     alpha = 1.0
-    est = wiener.lambda_average_propagator(spec, alpha, alpha, n_paths=n_paths, seed=seed, stream=4)
+    est = wiener.lambda_average_propagator(constraint, eps, alpha, alpha, n_paths=n_paths, seed=seed, stream=4)
     est_wide = wiener.lambda_average_propagator(
-        spec, alpha, alpha, n_paths=n_paths, window=4000.0, seed=seed, stream=5
+        constraint, eps, alpha, alpha, n_paths=n_paths, window=4000.0, seed=seed, stream=5
     )
     est_nu = [
-        wiener.lambda_average_propagator(spec, alpha, alpha, n_paths=n_paths, nu=nu, seed=seed, stream=6 + k)
+        wiener.lambda_average_propagator(
+            constraint, eps, alpha, alpha, n_paths=n_paths, nu=nu, seed=seed, stream=6 + k
+        )
         for k, nu in enumerate((0.5, 2.0))
     ]
     nu_errors = [e.mc_error - 3.0 * e.mc_se for e in est_nu]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .fock import FockSpace, FockVector
+from .fock import FockSpace
 
 TAIL_WARN = 1e-10
 TAIL_ERROR = 1e-6
@@ -146,8 +146,8 @@ def truncation_tail(amps: np.ndarray, alpha: complex) -> float:
     return _poisson_tail_above(abs(amps[nmax]) ** 2, x, nmax)
 
 
-def coherent_vector(space: FockSpace, alphas) -> FockVector:
-    """Product coherent state with per-mode labels `alphas`.
+def coherent_vector(space: FockSpace, alphas) -> np.ndarray:
+    """Amplitudes of the product coherent state with per-mode labels `alphas`, in basis order.
 
     Amplitudes are exactly the series coefficients up to the cutoff (no
     renormalization); the norm deficit is the truncation leakage.  Leakage
@@ -178,7 +178,7 @@ def coherent_vector(space: FockSpace, alphas) -> FockVector:
     for mode in mode_amps[1:]:
         # mode 0 varies fastest, so later modes go on the left of the kron
         amps = np.kron(mode, amps)
-    return FockVector(space, amps)
+    return amps
 
 
 def _polar_nodes(radius: float, n_radial: int, n_angular: int):

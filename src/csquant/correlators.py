@@ -98,11 +98,10 @@ def projected_ratios(model: str, ket, evals, mprime: int, nmax: int, ops) -> np.
             raise ValueError(f"operator {op!r} not available for the {model} model")
     space = make_space(1 if model == "single" else 2, nmax)
     build = projector.single_constraint if model == "single" else projector.double_constraint
-    weights = projector.build_projector(projector.ProjectorSpec(build(space, float(mprime))))
-    projected = weights * coherent_vector(space, ket).amps
+    projected = projector.build_projector(build(space, float(mprime))) * coherent_vector(space, ket)
     ratios = np.empty((len(evals), len(ops)), dtype=np.complex128)
     for i, label in enumerate(evals):
-        bra = coherent_vector(space, label).amps
+        bra = coherent_vector(space, label)
         overlap = complex(np.vdot(bra, projected))
         if abs(overlap) < RATIO_FLOOR:
             raise ValueError(f"overlap {abs(overlap):.3e} below {RATIO_FLOOR:g}: the ratio is undefined")

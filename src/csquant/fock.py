@@ -36,19 +36,6 @@ class FockSpace:
     def dim(self) -> int:
         return (self.nmax + 1) ** self.modes
 
-    def index(self, occupation) -> int:
-        """Basis index of an occupation tuple."""
-        if len(occupation) != self.modes:
-            raise ValueError(f"expected {self.modes} occupation numbers")
-        base = self.nmax + 1
-        idx = 0
-        for k in reversed(range(self.modes)):
-            n = occupation[k]
-            if not 0 <= n <= self.nmax:
-                raise ValueError(f"occupation {n} outside [0, {self.nmax}]")
-            idx = idx * base + n
-        return idx
-
     def mode_occupations(self, mode: int) -> np.ndarray:
         """Occupation of the given mode for every basis index."""
         if not 0 <= mode < self.modes:
@@ -74,42 +61,25 @@ def make_space(modes: int, nmax: int) -> FockSpace:
     return FockSpace(modes=modes, nmax=nmax)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class FockVector:
-    """Complex amplitude vector over the occupation basis of `space`."""
-
-    space: FockSpace
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=np.complex128)
-        if amps.shape != (self.space.dim,):
-            raise ValueError(f"amplitude vector must have length {self.space.dim}")
-        object.__setattr__(self, "amps", _freeze(amps.copy()))
-
-
 @dataclass(frozen=True, eq=False)
 class LinearOperator:
     """Dense complex matrix acting on the occupation basis of `space`.
 
-    No experiment builds one: perfbench's tracer wraps `__post_init__` to
-    count the bytes of any that would be, and the tests patch it to refuse.
+    Nothing in the package builds one.  The class stays because perfbench's
+    tracer wraps `__post_init__` to count the bytes of any that would be
+    (its fock.dense_bytes counter, which reads 0).
     """
 
     space: FockSpace
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=np.complex128)
+        mat = np.array(self.mat, dtype=np.complex128)
         d = self.space.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix must be {d} x {d}")
-        object.__setattr__(self, "mat", _freeze(mat.copy()))
+        mat.flags.writeable = False
+        object.__setattr__(self, "mat", mat)
 
 
 def lower(space: FockSpace, mode: int, amps) -> np.ndarray:

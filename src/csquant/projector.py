@@ -27,12 +27,12 @@ up here as observed behavior rather than an input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from .fock import FockSpace, FockVector
+from .fock import FockSpace
 
 BOUNDARY_TOL = 1e-12
 NULL_NORM = 1e-12
@@ -76,24 +76,6 @@ def double_constraint(space: FockSpace, target: float) -> ConstraintOp:
     if space.modes != 2:
         raise ValueError("double constraint needs a two-mode space")
     return ConstraintOp(space, space.total_occupations() - target, float(target))
-
-
-@dataclass(frozen=True)
-class ProjectorSpec:
-    """Constraint plus the half-width of its spectral window."""
-
-    constraint: ConstraintOp
-    epsilon: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError("epsilon must lie in (0, 1/2)")
-
-
-def _spectral_weights(eigs: np.ndarray, eps: float) -> np.ndarray:
-    w = np.where(np.abs(eigs) < eps, 1.0, 0.0)
-    w[np.abs(np.abs(eigs) - eps) <= BOUNDARY_TOL] = 0.5
-    return w
 
 
 def default_lam_max(epsilon: float, eigs: np.ndarray) -> float:
@@ -155,48 +137,14 @@ def _sine_integral(x: np.ndarray) -> np.ndarray:
     return np.copysign(out, x)
 
 
-def build_projector(spec: ProjectorSpec) -> np.ndarray:
-    """The projector's spectral-interval weight per basis state."""
-    return _spectral_weights(spec.constraint.eigensystem(), spec.epsilon)
+def build_projector(constraint: ConstraintOp, epsilon: float = 0.1) -> np.ndarray:
+    """Spectral-interval weight per basis state: 1 for |eigenvalue| < epsilon, 1/2 on the edge, else 0.
 
-
-@dataclass(frozen=True, eq=False)
-class PhysicalState:
-    """Result of projecting a vector; null when nothing survives."""
-
-    spec: ProjectorSpec
-    vec: FockVector | None
-    norm_in_full_space: float
-    gauge_phase: complex | None = None
-
-    @property
-    def is_null(self) -> bool:
-        return self.vec is None
-
-
-def project(spec: ProjectorSpec, v: FockVector) -> PhysicalState:
-    if v.space != spec.constraint.space:
-        raise ValueError("vector lives on a different space than the constraint")
-    amps = build_projector(spec) * v.amps
-    norm = float(np.linalg.norm(amps))
-    if norm < NULL_NORM:
-        return PhysicalState(spec=spec, vec=None, norm_in_full_space=norm)
-    return PhysicalState(spec=spec, vec=FockVector(v.space, amps), norm_in_full_space=norm)
-
-
-def _extract_gauge_phase(state: PhysicalState) -> complex | None:
-    """Phase of the |m> (one mode) or |0, m> (two modes) component; (beta/|beta|)^m for coherent input."""
-    space = state.spec.constraint.space
-    m = int(round(state.spec.constraint.target))
-    if space.modes > 2 or not 0 <= m <= space.nmax:
-        return None
-    c = state.vec.amps[space.index((0,) * (space.modes - 1) + (m,))]
-    return c / abs(c) if abs(c) > 0.0 else None
-
-
-def normalize_physical(state: PhysicalState) -> PhysicalState:
-    if state.is_null:
-        raise ValueError("no physical component to normalize")
-    unit = FockVector(state.vec.space, state.vec.amps / state.norm_in_full_space)
-    normalized = replace(state, vec=unit)
-    return replace(normalized, gauge_phase=_extract_gauge_phase(normalized))
+    A projected state is this vector times the state's amplitudes.
+    """
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError("epsilon must lie in (0, 1/2)")
+    eigs = constraint.eigensystem()
+    w = np.where(np.abs(eigs) < epsilon, 1.0, 0.0)
+    w[np.abs(np.abs(eigs) - epsilon) <= BOUNDARY_TOL] = 0.5
+    return w

@@ -19,49 +19,20 @@ as in the canonical resolution check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import FockSpace
 
 
-@dataclass(frozen=True, eq=False)
-class SectorMap:
-    """Bijection between the total-occupation-mprime sector and a spin-j multiplet."""
-
-    space: FockSpace
-    mprime: int
-    j: float
-    fock_indices: np.ndarray  # ordered by m = -j .. +j, i.e. n = 0 .. mprime
-
-    def restrict_vector(self, amps: np.ndarray) -> np.ndarray:
-        return amps[self.fock_indices]
-
-
-def basis_map(space: FockSpace, mprime: int) -> SectorMap:
-    """j = mprime/2, m = n - j for sector states |n, mprime - n>."""
+def sector_indices(space: FockSpace, mprime: int) -> np.ndarray:
+    """Basis indices of the sector states |n, mprime - n>, n = 0..mprime, i.e. |j, m = n - j>, j = mprime/2."""
     if space.modes != 2:
-        raise ValueError("basis map needs a two-mode space")
+        raise ValueError("the sector map needs a two-mode space")
     if not 0 <= mprime <= space.nmax:
         raise ValueError(f"sector {mprime} is truncated (nmax={space.nmax})")
-    idx = np.array([space.index((n, mprime - n)) for n in range(mprime + 1)])
-    return SectorMap(space=space, mprime=mprime, j=mprime / 2.0, fock_indices=idx)
-
-
-@dataclass(frozen=True, eq=False)
-class SpinState:
-    """Amplitudes over |j, m>, m = -j..j."""
-
-    j: float
-    amps: np.ndarray
-
-    def __post_init__(self):
-        dim = int(round(2 * self.j)) + 1
-        amps = np.asarray(self.amps, dtype=np.complex128)
-        if amps.shape != (dim,):
-            raise ValueError(f"spin-{self.j} state needs {dim} amplitudes")
-        object.__setattr__(self, "amps", amps)
+    n = np.arange(mprime + 1)
+    return n + (mprime - n) * (space.nmax + 1)
 
 
 def _check_j(j: float) -> int:
@@ -71,15 +42,15 @@ def _check_j(j: float) -> int:
     return int(twoj)
 
 
-def su2_coherent(j: float, xi: complex) -> SpinState:
-    """(1+|xi|^2)^-j sum_k sqrt(C(2j,k)) xi^k |j, -j+k>; unit norm by the binomial sum."""
+def su2_coherent(j: float, xi: complex) -> np.ndarray:
+    """Amplitudes (1+|xi|^2)^-j sqrt(C(2j,k)) xi^k of |j, -j+k>, k = 0..2j; unit norm by the binomial sum."""
     twoj = _check_j(j)
     xi = complex(xi)
     k = np.arange(twoj + 1)
     binom = np.array([math.comb(twoj, int(kk)) for kk in k], dtype=np.float64)
     amps = np.sqrt(binom) * xi ** k
     amps *= (1.0 + abs(xi) ** 2) ** (-j)
-    return SpinState(j=j, amps=amps)
+    return amps
 
 
 def su2_overlap(j: float, xi_bra: complex, xi_ket: complex) -> complex:

@@ -44,7 +44,6 @@ from numpy.random import Generator, Philox
 
 from . import _kernels, projector
 from .coherent import coherent_vector
-from .projector import ProjectorSpec
 
 
 LAPSE_STEPS = 32  # lapse-walk steps of lambda_average_propagator, over unit time
@@ -55,38 +54,22 @@ def rng_stream(seed: int, stream: int = 0) -> Generator:
     return Generator(Philox(key=[seed, stream]))
 
 
-@dataclass(frozen=True)
-class HeatKernelParams:
-    nu: float
-    t1: float
-    t2: float
-
-    def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("nu must be > 0")
-        if self.t2 <= self.t1:
-            raise ValueError("t2 must exceed t1")
-
-    @property
-    def variance(self) -> float:
-        return self.nu * (self.t2 - self.t1)
-
-
-def heat_kernel(params: HeatKernelParams, x1, x2):
-    """Spreading Gaussian density (2 pi nu dt)^(-d/2) exp(-|x2-x1|^2 / 2 nu dt).
+def heat_kernel(variance: float, x1, x2):
+    """Spreading Gaussian density (2 pi v)^(-d/2) exp(-|x2-x1|^2 / 2 v), v = nu (t2 - t1) > 0.
 
     x1 and x2 are points of shape (..., d) whose leading axes broadcast
     against each other; a scalar is a point with d = 1.  One pair of points
     gives a float, a batch gives an array over the broadcast leading axes.
     """
+    if not variance > 0:
+        raise ValueError("variance must be > 0")
     x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
     x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
     if x1.shape[-1] != x2.shape[-1]:
         raise ValueError("endpoint dimensions differ")
     d = x1.shape[-1]
-    var = params.variance
-    norm = (2.0 * math.pi * var) ** (-d / 2.0)
-    vals = norm * np.exp(-np.sum((x2 - x1) ** 2, axis=-1) / (2.0 * var))
+    norm = (2.0 * math.pi * variance) ** (-d / 2.0)
+    vals = norm * np.exp(-np.sum((x2 - x1) ** 2, axis=-1) / (2.0 * variance))
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -117,12 +100,10 @@ def semigroup_residual(nu: float, t1: float, t2: float, t3: float, x1, x3, n_nod
         raise ValueError("need t1 < t2 < t3")
     x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
     x3 = np.atleast_1d(np.asarray(x3, dtype=np.float64))
-    first = HeatKernelParams(nu=nu, t1=t1, t2=t2)
-    second = HeatKernelParams(nu=nu, t1=t2, t2=t3)
-    direct = heat_kernel(HeatKernelParams(nu=nu, t1=t1, t2=t3), x1, x3)
+    direct = heat_kernel(nu * (t3 - t1), x1, x3)
     spread = 8.0 * math.sqrt(nu * (t3 - t1)) + float(np.max(np.abs(x3 - x1)))
     points, weights = _simpson_product_grid(0.5 * (x1 + x3), spread, n_nodes)
-    integrand = heat_kernel(first, x1, points) * heat_kernel(second, points, x3)
+    integrand = heat_kernel(nu * (t2 - t1), x1, points) * heat_kernel(nu * (t3 - t2), points, x3)
     return abs(float(np.sum(weights * integrand)) - direct)
 
 
@@ -214,7 +195,8 @@ class PropagatorEstimates:
 
 
 def lambda_average_propagator(
-    spec: ProjectorSpec,
+    constraint: projector.ConstraintOp,
+    epsilon: float,
     alphas_bra,
     alphas_ket,
     n_paths: int = 100_000,
@@ -226,22 +208,21 @@ def lambda_average_propagator(
     """Average of <bra| exp(-i tau Phi) |ket> over the proper-time measure.
 
     bra and ket are the coherent states of the per-mode labels alphas_bra
-    and alphas_ket on the constraint's space.  Returns the spectral reference, the sin-kernel quadrature (range
+    and alphas_ket on the constraint's space; Phi is the constraint, and
+    the spectral reference projects with window half-width epsilon.
+    Returns the spectral reference, the sin-kernel quadrature (range
     default_lam_max), the Monte Carlo estimate and its finite-window mean;
     callers score the errors.  For an integer target window_bias_bound,
     sum_{x != 0} |w_x| / (window |x|), bounds |finite_window - spectral|.
     """
-    space = spec.constraint.space
-    v_bra = coherent_vector(space, alphas_bra)
-    v_ket = coherent_vector(space, alphas_ket)
-    eigs = spec.constraint.eigensystem()
-    target = spec.constraint.target
-    weights = np.conj(v_bra.amps) * v_ket.amps
+    eigs = constraint.eigensystem()
+    target = constraint.target
+    weights = np.conj(coherent_vector(constraint.space, alphas_bra)) * coherent_vector(constraint.space, alphas_ket)
 
-    spectral = complex(np.sum(weights * projector._spectral_weights(eigs, spec.epsilon)))
+    spectral = complex(np.sum(weights * projector.build_projector(constraint, epsilon)))
 
-    lam_max = projector.default_lam_max(spec.epsilon, eigs)
-    quadrature = complex(np.sum(weights * projector.sin_kernel_weights(eigs, spec.epsilon, lam_max)))
+    lam_max = projector.default_lam_max(epsilon, eigs)
+    quadrature = complex(np.sum(weights * projector.sin_kernel_weights(eigs, epsilon, lam_max)))
 
     gauss = np.exp(-0.5 * lapse_walk_variance(nu) * eigs**2)
     finite_window = complex(np.sum(weights * np.sinc(window * eigs / math.pi) * gauss))

@@ -13,7 +13,7 @@ import numpy as np
 
 from csquant import _kernels, fock, wiener
 from csquant.coherent import coherent_vector
-from csquant.projector import _spectral_weights, build_projector, default_lam_max, sin_kernel_weights
+from csquant.projector import build_projector, default_lam_max, sin_kernel_weights
 
 # ---------------------------------------------------------------------------
 # Fock space and dense operators
@@ -26,9 +26,21 @@ def occupation(space, index: int) -> tuple:
     return tuple((index // (space.nmax + 1) ** k) % (space.nmax + 1) for k in range(space.modes))
 
 
+def index(space, occ) -> int:
+    """Basis index of an occupation tuple (mode 0 fastest)."""
+    if len(occ) != space.modes:
+        raise ValueError(f"expected {space.modes} occupation numbers")
+    idx = 0
+    for n in reversed(occ):
+        if not 0 <= n <= space.nmax:
+            raise ValueError(f"occupation {n} outside [0, {space.nmax}]")
+        idx = idx * (space.nmax + 1) + n
+    return idx
+
+
 def basis_vector(space, occ) -> np.ndarray:
     amps = np.zeros(space.dim, dtype=np.complex128)
-    amps[space.index(occ)] = 1.0
+    amps[index(space, occ)] = 1.0
     return amps
 
 
@@ -117,7 +129,7 @@ def kernel_composition_residual(nodes, weights, a_bra: complex, a_ket: complex) 
 # projector
 
 
-def projector_identities(spec, hamiltonian: np.ndarray, sigmas=(0.3, 1.7, math.pi)) -> dict:
+def projector_identities(constraint, hamiltonian: np.ndarray, epsilon=0.1, sigmas=(0.3, 1.7, math.pi)) -> dict:
     """Residuals of P^2 = P, P+ = P, exp(i s Phi) P = P and [P, U(t)] = 0 at t = 0.5, 2.
 
     Keys: "idempotency", "hermiticity", "gauge@<sigma>", "evolution@<t>".
@@ -126,8 +138,8 @@ def projector_identities(spec, hamiltonian: np.ndarray, sigmas=(0.3, 1.7, math.p
     """
     if not np.allclose(hamiltonian, hamiltonian.conj().T, rtol=0.0, atol=1e-12):
         raise ValueError("hamiltonian must be Hermitian")
-    w = build_projector(spec)
-    eigs = spec.constraint.eigs
+    w = build_projector(constraint, epsilon)
+    eigs = constraint.eigs
     report = {
         "idempotency": float(np.max(np.abs(w * w - w))),
         "hermiticity": float(np.max(np.abs(w - np.conj(w)))),
@@ -141,18 +153,17 @@ def projector_identities(spec, hamiltonian: np.ndarray, sigmas=(0.3, 1.7, math.p
     return report
 
 
-def projected_propagator(spec, alphas_bra, alphas_ket) -> complex:
+def projected_propagator(constraint, alphas_bra, alphas_ket, epsilon=0.1) -> complex:
     """<coherent(bra)| P |coherent(ket)> on the constraint's space."""
-    space = spec.constraint.space
-    bra = coherent_vector(space, alphas_bra).amps
-    return complex(np.vdot(bra, build_projector(spec) * coherent_vector(space, alphas_ket).amps))
+    bra = coherent_vector(constraint.space, alphas_bra)
+    return complex(np.vdot(bra, build_projector(constraint, epsilon) * coherent_vector(constraint.space, alphas_ket)))
 
 
-def sin_kernel_residual(spec) -> float:
+def sin_kernel_residual(constraint, epsilon) -> float:
     """max |sin-kernel weights - spectral weights| at the constraint's spectrum."""
-    eigs = spec.constraint.eigs
-    w_sin = sin_kernel_weights(eigs, spec.epsilon, default_lam_max(spec.epsilon, eigs))
-    return float(np.max(np.abs(w_sin - _spectral_weights(eigs, spec.epsilon))))
+    eigs = constraint.eigs
+    w_sin = sin_kernel_weights(eigs, epsilon, default_lam_max(epsilon, eigs))
+    return float(np.max(np.abs(w_sin - build_projector(constraint, epsilon))))
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +187,14 @@ def phys_wavefunction(model: str, ket, evaluation, mprime: int) -> complex:
 # heat kernel
 
 
-def kernel_normalization_residual(params, x1, n_nodes: int = 513) -> float:
+def kernel_normalization_residual(variance, x1, n_nodes: int = 513) -> float:
     """|int rho(x1, x2) dx2 - 1| by Simpson quadrature over +-8 standard deviations."""
     x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
-    points, weights = wiener._simpson_product_grid(x1, 8.0 * math.sqrt(params.variance), n_nodes)
-    return abs(float(np.sum(weights * wiener.heat_kernel(params, x1, points))) - 1.0)
+    points, weights = wiener._simpson_product_grid(x1, 8.0 * math.sqrt(variance), n_nodes)
+    return abs(float(np.sum(weights * wiener.heat_kernel(variance, x1, points))) - 1.0)
 
 
-def kernel_variance(params, n_nodes: int = 513) -> float:
+def kernel_variance(variance, n_nodes: int = 513) -> float:
     """Second moment of the 1-d kernel about its start, by Simpson quadrature."""
-    xs, ws = wiener._simpson_grid(0.0, 8.0 * math.sqrt(params.variance), n_nodes)
-    return float(np.sum(ws * xs**2 * wiener.heat_kernel(params, [0.0], xs[:, None])))
+    xs, ws = wiener._simpson_grid(0.0, 8.0 * math.sqrt(variance), n_nodes)
+    return float(np.sum(ws * xs**2 * wiener.heat_kernel(variance, [0.0], xs[:, None])))

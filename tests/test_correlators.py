@@ -12,7 +12,7 @@ from csquant.correlators import (
     projected_ratios,
 )
 from csquant.fock import make_space
-from csquant.projector import ProjectorSpec, single_constraint
+from csquant.projector import single_constraint
 from reference import ho_hamiltonian, momentum_operator, phys_wavefunction, position_operator, projected_propagator
 
 
@@ -32,8 +32,7 @@ def test_wavefunction_vacuum_orthogonal_to_excited():
 def test_wavefunction_matches_truncated_matrix_element(nmax):
     m = 4
     a_ket, a_eval = 1.1 * cmath.exp(0.3j), 0.9 * cmath.exp(-0.8j)
-    spec = ProjectorSpec(single_constraint(make_space(1, nmax), float(m)), epsilon=0.1)
-    direct = projected_propagator(spec, a_eval, a_ket)
+    direct = projected_propagator(single_constraint(make_space(1, nmax), float(m)), a_eval, a_ket)
     assert phys_wavefunction("single", a_ket, a_eval, m) == pytest.approx(direct, rel=1e-10)
 
 

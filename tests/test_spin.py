@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from csquant.fock import make_space
-from csquant.spin import SpinState, _closure_matrix, basis_map, su2_coherent, su2_overlap, su2_resolution_check
-from reference import basis_vector, commutator, schwinger_operators
+from csquant.spin import _closure_matrix, sector_indices, su2_coherent, su2_overlap, su2_resolution_check
+from reference import basis_vector, commutator, index, schwinger_operators
 
 
 @pytest.fixture(scope="module")
@@ -60,24 +60,25 @@ def test_spin_operators_preserve_sectors(two_mode):
         assert np.array_equal(total[rows], total[cols])
 
 
-def test_basis_map_examples(two_mode):
+def test_sector_indices_examples(two_mode):
     space, _ = two_mode
-    sm = basis_map(space, 2)
-    assert sm.j == 1.0
-    assert sm.fock_indices[0] == space.index((0, 2))  # n = 0 maps to the lowest weight, m = -1
-    trivial = basis_map(space, 0)
-    assert trivial.j == 0.0 and trivial.fock_indices.size == 1
+    for mprime in (0, 2, space.nmax):
+        # n = 0 maps to the lowest weight m = -j: |n, mprime - n> in order of n
+        want = [index(space, (n, mprime - n)) for n in range(mprime + 1)]
+        assert sector_indices(space, mprime).tolist() == want
     with pytest.raises(ValueError):
-        basis_map(space, space.nmax + 1)
+        sector_indices(space, space.nmax + 1)
+    with pytest.raises(ValueError):
+        sector_indices(make_space(1, 4), 2)
 
 
 def test_mapped_ladder_matrix_elements(two_mode):
     space, ops = two_mode
     for mprime in (1, 4, 7):
-        sm = basis_map(space, mprime)
-        j = sm.j
+        idx = sector_indices(space, mprime)
+        j = mprime / 2.0
         m = np.arange(-j, j + 1)
-        block = np.ix_(sm.fock_indices, sm.fock_indices)
+        block = np.ix_(idx, idx)
         splus = (ops["s1"] + 1j * ops["s2"])[block]
         expected = np.zeros_like(splus)
         amp = np.sqrt((j - m[:-1]) * (j + m[:-1] + 1))
@@ -92,12 +93,12 @@ def test_su2_coherent_fiducial_recovery():
     st = su2_coherent(2.5, 0.0)
     expected = np.zeros(6, dtype=complex)
     expected[0] = 1.0
-    assert np.array_equal(st.amps, expected)
+    assert np.array_equal(st, expected)
 
 
 def test_su2_coherent_half_spin_equal_weights():
     st = su2_coherent(0.5, 1.0)
-    assert st.amps == pytest.approx(np.array([1.0, 1.0]) / math.sqrt(2.0), rel=1e-15)
+    assert st == pytest.approx(np.array([1.0, 1.0]) / math.sqrt(2.0), rel=1e-15)
 
 
 def test_su2_coherent_norm_random_labels():
@@ -105,7 +106,7 @@ def test_su2_coherent_norm_random_labels():
     for _ in range(20):
         j = rng.integers(0, 41) / 2.0
         xi = rng.uniform(0, 3) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        assert np.linalg.norm(su2_coherent(j, xi).amps) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(su2_coherent(j, xi)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_su2_coherent_rejects_bad_j():
@@ -128,7 +129,7 @@ def test_su2_overlap_matches_amplitudes():
         xi1 = rng.uniform(0, 2) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         xi2 = rng.uniform(0, 2) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         s1, s2 = su2_coherent(j, xi1), su2_coherent(j, xi2)
-        direct = np.vdot(s1.amps, s2.amps)
+        direct = np.vdot(s1, s2)
         assert su2_overlap(j, xi1, xi2) == pytest.approx(direct, abs=1e-12)
         assert abs(su2_overlap(j, xi1, xi2)) <= 1.0 + 1e-14
 
@@ -149,7 +150,7 @@ def _closure_matrix_per_node(j, n_theta, n_phi):
     for xv, wv in zip(x, wx):
         t = math.sqrt((1.0 - xv) / (1.0 + xv))  # tan(theta/2)
         for ph in phi:
-            amps = su2_coherent(j, t * np.exp(1j * ph)).amps
+            amps = su2_coherent(j, t * np.exp(1j * ph))
             mat += (wv * wphi) * np.outer(amps, amps.conj())
     return mat * dim / (4.0 * math.pi)
 
@@ -189,7 +190,7 @@ def _spin_matrices(j):
 
 def _uncertainty(j, xi):
     """Var(Jx) Var(Jy) and <Jz>^2 / 4 of |xi>, then the same in a frame whose third axis is the mean spin."""
-    state = su2_coherent(j, xi).amps
+    state = su2_coherent(j, xi)
     ops = _spin_matrices(j)
 
     def ev(op):
@@ -233,8 +234,3 @@ def test_uncertainty_robertson_bound_and_rotated_saturation():
 def test_spin_matrices_algebra():
     jx, jy, jz = _spin_matrices(1.5)
     assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) < 1e-14
-
-
-def test_spin_state_dimension_check():
-    with pytest.raises(ValueError):
-        SpinState(j=1.0, amps=np.array([1.0, 0.0]))

@@ -8,9 +8,8 @@ from scipy.stats import ks_2samp
 from csquant import _kernels, wiener
 from csquant.coherent import coherent_vector
 from csquant.fock import make_space
-from csquant.projector import ProjectorSpec, double_constraint, single_constraint
+from csquant.projector import double_constraint, single_constraint
 from csquant.wiener import (
-    HeatKernelParams,
     heat_kernel,
     lambda_average_propagator,
     rng_stream,
@@ -22,36 +21,36 @@ from reference import kernel_normalization_residual, kernel_variance
 
 
 def test_heat_kernel_params_validation():
-    with pytest.raises(ValueError):
-        HeatKernelParams(nu=-1.0, t1=0.0, t2=1.0)
-    with pytest.raises(ValueError):
-        HeatKernelParams(nu=1.0, t1=1.0, t2=1.0)
+    for variance in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="variance"):
+            heat_kernel(variance, [0.0], [1.0])
+    for nu, t in ((-1.0, 0.7), (0.0, 0.7), (1.0, 0.0)):  # the variance nu (t2 - t1) must be positive
+        with pytest.raises(ValueError):
+            semigroup_residual(nu, 0.0, t, 1.0, [0.1], [0.4])
 
 
 def test_heat_kernel_symmetric_in_displacement():
-    params = HeatKernelParams(nu=0.8, t1=0.0, t2=0.7)
-    assert heat_kernel(params, [0.2, -0.4], [1.0, 0.3]) == heat_kernel(
-        params, [1.0, 0.3], [0.2, -0.4]
-    )
+    variance = 0.8 * 0.7
+    assert heat_kernel(variance, [0.2, -0.4], [1.0, 0.3]) == heat_kernel(variance, [1.0, 0.3], [0.2, -0.4])
 
 
 def test_heat_kernel_batch_equals_scalar_calls():
     rng = np.random.default_rng(44)
-    params = HeatKernelParams(nu=0.9, t1=0.1, t2=0.8)
+    variance = 0.9 * (0.8 - 0.1)
     for d in (1, 2, 3):
         x1 = rng.normal(size=(4, 5, d))
         x2 = rng.normal(size=(4, 5, d))
-        batch = heat_kernel(params, x1, x2)
+        batch = heat_kernel(variance, x1, x2)
         assert batch.shape == (4, 5)
-        scalar = [[heat_kernel(params, x1[i, j], x2[i, j]) for j in range(5)] for i in range(4)]
+        scalar = [[heat_kernel(variance, x1[i, j], x2[i, j]) for j in range(5)] for i in range(4)]
         assert np.array_equal(batch, np.array(scalar))
         # one fixed endpoint broadcasts against a batch of the other
-        fixed = heat_kernel(params, x1[0, 0], x2)
-        assert np.array_equal(fixed[1], [heat_kernel(params, x1[0, 0], p) for p in x2[1]])
-    single = heat_kernel(params, [0.2, -0.4], [1.0, 0.3])
+        fixed = heat_kernel(variance, x1[0, 0], x2)
+        assert np.array_equal(fixed[1], [heat_kernel(variance, x1[0, 0], p) for p in x2[1]])
+    single = heat_kernel(variance, [0.2, -0.4], [1.0, 0.3])
     assert type(single) is float
     with pytest.raises(ValueError):
-        heat_kernel(params, [0.0, 0.0], [[1.0, 2.0, 3.0]])
+        heat_kernel(variance, [0.0, 0.0], [[1.0, 2.0, 3.0]])
 
 
 def test_semigroup_2d_heat_kernel_call_count(monkeypatch):
@@ -68,19 +67,18 @@ def test_semigroup_2d_heat_kernel_call_count(monkeypatch):
 
 
 def test_heat_kernel_normalization_by_quadrature():
-    params = HeatKernelParams(nu=0.7, t1=0.0, t2=0.5)
-    assert kernel_normalization_residual(params, [0.3]) < 1e-8
-    assert kernel_normalization_residual(params, [0.1, -0.2]) < 1e-8
+    assert kernel_normalization_residual(0.7 * 0.5, [0.3]) < 1e-8
+    assert kernel_normalization_residual(0.7 * 0.5, [0.1, -0.2]) < 1e-8
 
 
 def test_heat_kernel_variance():
-    params = HeatKernelParams(nu=1.3, t1=0.2, t2=1.0)
-    assert kernel_variance(params) == pytest.approx(params.variance, abs=1e-8)
+    variance = 1.3 * (1.0 - 0.2)
+    assert kernel_variance(variance) == pytest.approx(variance, abs=1e-8)
 
 
 def test_semigroup_equal_subintervals_closed_form():
     nu = 1.3
-    direct = heat_kernel(HeatKernelParams(nu=nu, t1=0.0, t2=2.0), [0.0, 0.0], [0.0, 0.0])
+    direct = heat_kernel(nu * 2.0, [0.0, 0.0], [0.0, 0.0])
     assert direct == pytest.approx(1.0 / (2.0 * math.pi * nu * 2.0), rel=1e-14)
     assert semigroup_residual(nu, 0.0, 1.0, 2.0, [0.0, 0.0], [0.0, 0.0]) < 1e-8
 
@@ -237,8 +235,7 @@ def propagator_setup():
 
 def test_lambda_propagator_selected_level(propagator_setup):
     space, alpha = propagator_setup
-    spec = ProjectorSpec(single_constraint(space, 1.0), epsilon=0.45)
-    est = lambda_average_propagator(spec, alpha, alpha, seed=101)
+    est = lambda_average_propagator(single_constraint(space, 1.0), 0.45, alpha, alpha, seed=101)
     assert est.spectral == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert est.quadrature_error < 1e-4
     assert est.mc_error <= 3.0 * est.mc_se
@@ -246,8 +243,7 @@ def test_lambda_propagator_selected_level(propagator_setup):
 
 def test_lambda_propagator_null_window(propagator_setup):
     space, alpha = propagator_setup
-    spec = ProjectorSpec(single_constraint(space, 0.5), epsilon=0.1)
-    est = lambda_average_propagator(spec, alpha, alpha, seed=103)
+    est = lambda_average_propagator(single_constraint(space, 0.5), 0.1, alpha, alpha, seed=103)
     assert est.spectral == 0.0
     assert abs(est.quadrature) < 1e-4
     assert abs(est.mc_value) <= 3.0 * est.mc_se
@@ -255,25 +251,23 @@ def test_lambda_propagator_null_window(propagator_setup):
 
 def test_lambda_propagator_degenerate_tau_is_plain_overlap(propagator_setup):
     space, alpha = propagator_setup
-    spec = ProjectorSpec(single_constraint(space, 1.0), epsilon=0.45)
-    est = lambda_average_propagator(spec, alpha, alpha, nu=0.0, window=0.0, seed=104)
+    est = lambda_average_propagator(single_constraint(space, 1.0), 0.45, alpha, alpha, nu=0.0, window=0.0, seed=104)
     assert est.mc_value == pytest.approx(1.0, abs=1e-7)  # <a|a> = 1 up to truncation
     assert est.mc_se < 1e-12
 
 
 def test_lambda_propagator_window_and_nu_stability(propagator_setup):
     space, alpha = propagator_setup
-    spec = ProjectorSpec(single_constraint(space, 1.0), epsilon=0.45)
+    constraint = single_constraint(space, 1.0)
     for kwargs in ({"window": 4000.0}, {"nu": 0.5}, {"nu": 2.0}):
-        est = lambda_average_propagator(spec, alpha, alpha, seed=105, **kwargs)
+        est = lambda_average_propagator(constraint, 0.45, alpha, alpha, seed=105, **kwargs)
         assert est.mc_error <= 3.0 * est.mc_se
 
 
 def test_lambda_propagator_distinct_labels(propagator_setup):
     space, _ = propagator_setup
-    spec = ProjectorSpec(single_constraint(space, 2.0), epsilon=0.3)
     a1, a2 = 1.1, 0.7 + 0.6j
-    est = lambda_average_propagator(spec, a1, a2, seed=106)
+    est = lambda_average_propagator(single_constraint(space, 2.0), 0.3, a1, a2, seed=106)
     assert est.quadrature_error < 1e-4
     assert est.mc_error <= 3.0 * est.mc_se
     expected = (
@@ -284,15 +278,15 @@ def test_lambda_propagator_distinct_labels(propagator_setup):
 
 def test_finite_window_matches_characteristic_function_quadrature(propagator_setup):
     space, _ = propagator_setup
-    spec = ProjectorSpec(single_constraint(space, 2.0), epsilon=0.3)
+    constraint = single_constraint(space, 2.0)
     a1, a2 = 1.1, 0.7 + 0.6j
     nu, window = 0.8, 0.7
-    est = lambda_average_propagator(spec, a1, a2, n_paths=100, nu=nu, window=window)
-    weights = np.conj(coherent_vector(space, [a1]).amps) * coherent_vector(space, [a2]).amps
+    est = lambda_average_propagator(constraint, 0.3, a1, a2, n_paths=100, nu=nu, window=window)
+    weights = np.conj(coherent_vector(space, [a1])) * coherent_vector(space, [a2])
     s = math.sqrt(wiener.lapse_walk_variance(nu))
     # oracle: E[exp(-i tau x)] with tau = Uniform(-window, window) + N(0, s^2), by direct quadrature
     expected = 0.0
-    for w, x in zip(weights, spec.constraint.eigs):
+    for w, x in zip(weights, constraint.eigs):
         uniform = quad(lambda lam: np.exp(-1j * lam * x) / (2.0 * window), -window, window, complex_func=True)[0]
         gauss = quad(
             lambda g: np.exp(-0.5 * g * g - 1j * s * g * x) / math.sqrt(2.0 * math.pi),
