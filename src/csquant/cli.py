@@ -115,11 +115,9 @@ def _exp_project_single(cfg, seed):
     projected = projector.build_projector(projector.single_constraint(space, float(mprime)), eps) * vec
     norm = float(np.linalg.norm(projected))
     expected = np.zeros(space.dim, dtype=np.complex128)
-    if alpha:
-        # exp(-|a|^2/2) a^m / sqrt(m!) in log space: m! overflows a float from m = 171
-        expected[mprime] = cmath.exp(mprime * cmath.log(alpha) - 0.5 * (abs(alpha) ** 2 + math.lgamma(mprime + 1)))
-    else:
-        expected[mprime] = float(mprime == 0)  # the vacuum has only a |0> component
+    # exp(-|a|^2/2) a^m / sqrt(m!) from the log Poisson term: m! overflows a float from m = 171
+    modulus = math.exp(0.5 * coherent.log_poisson_term(abs(alpha) ** 2, mprime))
+    expected[mprime] = cmath.rect(modulus, mprime * cmath.phase(alpha))
     got = projected if norm >= projector.NULL_NORM else 0.0  # a null projection is the zero vector
     resid = float(np.max(np.abs(got - expected)))
     norm_err = abs(norm - abs(expected[mprime]))

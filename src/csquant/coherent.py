@@ -3,9 +3,12 @@
 States are labeled by a complex alpha (alpha = (q + i p)/sqrt(2) in units
 hbar = omega = 1), with the oscillator ground state as fiducial vector and
 the arbitrary overall phase fixed to zero, so the number-basis expansion is
-exp(-|a|^2/2) sum_n a^n/sqrt(n!) |n>.  Those amplitudes are built outward
-from the largest term (n near |a|^2) by factors of modulus <= 1, so no term
-overflows at large |a|.
+exp(-|a|^2/2) sum_n a^n/sqrt(n!) |n>.  coherent_vector returns those
+amplitudes as one complex array in basis order.  They are built outward
+from the largest term (n near |a|^2), taken from the accurate log-Poisson
+term, by factors of modulus <= 1, so no term overflows at large |a|.  A
+label with |a| >= sqrt(nmax + 1) has most of its norm above the cutoff and
+is refused before any amplitude is built.
 
 Phase-space measure: dp dq / (2 pi) = d^2alpha / pi.  Disc quadrature
 uses a midpoint product rule in polar coordinates; uniform angular nodes
@@ -46,15 +49,34 @@ class TruncationLeakageError(ValueError):
     """A coherent state loses more than TAIL_ERROR of its norm above the cutoff."""
 
 
+def log_poisson_term(x: float, n: int) -> float:
+    """ln(e^-x x^n / n!), the log of the Poisson(x) probability of n, to a few ulps of the term.
+
+    From n = 20 it is n (ln(x/n) - d) - ln(2 pi n)/2 minus the Stirling
+    series 1/(12 n) - 1/(360 n^3) + ... of ln n!, with d = (x - n)/n and
+    ln(x/n) = log1p(d) near x = n.  These terms do not cancel; the direct
+    n ln x - x - lgamma(n + 1) would lose ~ x eps.  At x = 0 the term is -x
+    for n = 0 and -inf above.
+    """
+    if x == 0:
+        return -x if n == 0 else -math.inf
+    if n < 20:
+        return n * math.log(x) - x - math.lgamma(n + 1)
+    d = (x - n) / n
+    # far below n, d rounds toward -1 (log1p(-1) is a domain error) and ln(x/n) is the accurate form
+    log_ratio = math.log1p(d) if d > -0.5 else math.log(x / n)
+    stirling = 1 / (12 * n) - 1 / (360 * n**3) + 1 / (1260 * n**5) - 1 / (1680 * n**7)
+    return n * (log_ratio - d) - 0.5 * math.log(2 * math.pi * n) - stirling
+
+
 def single_mode_amplitudes(alpha: complex, nmax: int) -> np.ndarray:
     """exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..nmax, built outward from the largest term.
 
     The modulus peaks at n0 = min(floor(|a|^2), nmax).  Only that term is
-    taken in log space; the others are running products of a/sqrt(n)
-    upward and sqrt(n)/a downward, factors of modulus <= 1, so nothing
-    overflows and the error of a term grows with its distance from n0, not
-    with n log|a|.  The pivot's own rounding is one factor common to all
-    terms, so it cancels from ratios of matrix elements.
+    taken in log space (log_poisson_term, so it is good to a few ulps); the
+    others are running products of a/sqrt(n) upward and sqrt(n)/a
+    downward, factors of modulus <= 1, so nothing overflows and the error
+    of a term grows with its distance from n0, not with n log|a|.
     """
     alpha = complex(alpha)
     amps = np.zeros(nmax + 1, dtype=np.complex128)
@@ -63,8 +85,7 @@ def single_mode_amplitudes(alpha: complex, nmax: int) -> np.ndarray:
         return amps
     r2 = abs(alpha) ** 2
     n0 = min(math.floor(r2), nmax)
-    log_modulus = n0 * math.log(abs(alpha)) - 0.5 * (r2 + math.lgamma(n0 + 1))
-    amps[n0] = cmath.rect(math.exp(log_modulus), n0 * cmath.phase(alpha))
+    amps[n0] = cmath.rect(math.exp(0.5 * log_poisson_term(r2, n0)), n0 * cmath.phase(alpha))
     amps[n0 + 1 :] = amps[n0] * np.cumprod(alpha / np.sqrt(np.arange(n0 + 1, nmax + 1)))
     amps[:n0][::-1] = amps[n0] * np.cumprod(np.sqrt(np.arange(n0, 0, -1)) / alpha)
     return amps
@@ -90,20 +111,11 @@ def _poisson_pmf(x: float, nmax: int) -> np.ndarray:
     """e^-x x^n / n! for n = 0..nmax, x > 0, built outward from n0 = min(floor(x), nmax).
 
     Like single_mode_amplitudes, only the pivot n0 is taken in log space
-    and the rest are running products of factors <= 1.  From n0 = 20 the
-    pivot's logarithm is n0 (log1p(d) - d) - log(2 pi n0)/2 minus Stirling's
-    series for ln n0!, d = (x - n0)/n0, whose terms do not cancel, so the
-    pivot is good to a few ulps at any x.
+    (log_poisson_term) and the rest are running products of factors <= 1.
     """
     n0 = min(math.floor(x), nmax)
-    if n0 < 20:
-        log_pivot = n0 * math.log(x) - x - math.lgamma(n0 + 1)
-    else:
-        d = (x - n0) / n0
-        stirling = 1 / (12 * n0) - 1 / (360 * n0**3) + 1 / (1260 * n0**5) - 1 / (1680 * n0**7)
-        log_pivot = n0 * (math.log1p(d) - d) - 0.5 * math.log(2 * math.pi * n0) - stirling
     pmf = np.empty(nmax + 1)
-    pmf[n0] = math.exp(log_pivot)
+    pmf[n0] = math.exp(log_poisson_term(x, n0))
     pmf[n0 + 1 :] = pmf[n0] * np.cumprod(x / np.arange(n0 + 1, nmax + 1))
     pmf[:n0][::-1] = pmf[n0] * np.cumprod(np.arange(n0, 0, -1) / x)
     return pmf
@@ -135,15 +147,10 @@ def truncation_tail(amps: np.ndarray, alpha: complex) -> float:
     """Probability mass above the last level of amps, the coherent state alpha's amplitudes.
 
     That mass is the Poisson(|alpha|^2) tail above nmax = amps.size - 1,
-    summed from |amps[nmax]|^2 upward.  At |alpha|^2 >= nmax + 1 the
-    Poisson median lies above the cutoff, the tail is of order 1 and the
-    state is refused anyway, so 1 minus the kept norm is exact enough.
+    summed from |amps[nmax]|^2 upward; it needs |alpha|^2 < nmax + 1,
+    which coherent_vector checks first.
     """
-    x = abs(alpha) ** 2
-    nmax = amps.size - 1
-    if x >= nmax + 1:
-        return max(0.0, 1.0 - math.fsum(np.abs(amps) ** 2))
-    return _poisson_tail_above(abs(amps[nmax]) ** 2, x, nmax)
+    return _poisson_tail_above(abs(amps[-1]) ** 2, abs(alpha) ** 2, amps.size - 1)
 
 
 def coherent_vector(space: FockSpace, alphas) -> np.ndarray:
@@ -152,12 +159,22 @@ def coherent_vector(space: FockSpace, alphas) -> np.ndarray:
     Amplitudes are exactly the series coefficients up to the cutoff (no
     renormalization); the norm deficit is the truncation leakage.  Leakage
     above TAIL_ERROR raises TruncationLeakageError, above TAIL_WARN warns.
+    A label with |alpha| >= sqrt(nmax + 1) puts the Poisson median above
+    the cutoff, so its leakage is of order 1: it is refused before any
+    amplitude is built, which also keeps |alpha|^2 finite.
     """
     if np.isscalar(alphas) or isinstance(alphas, complex):
         alphas = [alphas]
     alphas = [complex(a) for a in alphas]
     if len(alphas) != space.modes:
         raise ValueError(f"expected {space.modes} mode labels")
+    for a in alphas:
+        modulus = math.hypot(a.real, a.imag)  # abs(a) overflows from |alpha| ~ 1.8e308
+        if modulus >= math.sqrt(space.nmax + 1):
+            raise TruncationLeakageError(
+                f"|alpha|={modulus:.3e} is at least sqrt(nmax + 1): most of the state lies above "
+                f"occupation {space.nmax}; raise nmax"
+            )
     survive = 1.0
     mode_amps = []
     for a in alphas:

@@ -3,7 +3,9 @@
 Both oscillator models carry a single constraint, a number operator minus
 a real target, which is diagonal in the occupation basis.  A constraint is
 therefore stored as its eigenvalue per basis state, and its projector as a
-weight per basis state: projecting a vector is an elementwise product.
+weight per basis state (build_projector): a projected state is that weight
+vector times the state's amplitudes.  A projected norm below NULL_NORM
+counts as a null projection.
 The weights are spectral-interval weights: eigenvalues of the constraint
 within (-eps, eps) get weight 1, exactly on the boundary weight 1/2,
 outside 0.

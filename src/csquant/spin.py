@@ -1,13 +1,16 @@
-"""The two-mode sector map onto spin multiplets, and SU(2) coherent states.
+"""The two-mode occupation sectors as spin multiplets, and SU(2) coherent states.
 
 The Schwinger bilinears S1 = (a b+ + a+ b)/2, S2 = i(a b+ - a+ b)/2,
 S3 = (a+ a - b+ b)/2, S0 = (a+ a + b+ b)/2 close the angular momentum
 algebra on every total-occupation sector that survives the cutoff intact
 (m + n <= nmax).  The sector with total occupation mprime carries spin
-j = mprime/2 under the map |n, mprime - n>  <->  |j, m = n - j>.
+j = mprime/2 under the map |n, mprime - n>  <->  |j, m = n - j>, and
+sector_indices lists its basis indices in that order, so restricting a
+two-mode amplitude array to them gives the spin-j amplitudes.
 
-SU(2) coherent states are built on the lowest weight vector |j, -j> and
-labeled by the stereographic coordinate xi; their overlap is
+SU(2) coherent states (amplitude arrays over m = -j..j) are built on the
+lowest weight vector |j, -j> and labeled by the stereographic coordinate
+xi; their overlap is
 (1+|xi'|^2)^-j (1+|xi|^2)^-j (1 + conj(xi') xi)^2j and they resolve the
 identity with weight (2j+1)/pi * d^2xi / (1+|xi|^2)^2.  The closure check
 integrates that on a Gauss-Legendre (cos theta) x uniform (phi) product

@@ -1,9 +1,9 @@
 """Discrete-time Wiener-measure machinery.
 
-Flat-metric heat kernel and its semigroup rule, exact Brownian-bridge
-sampling of one time column of pinned phase-space paths, the exact law of
-an unpinned lapse walk's proper time, and estimators of the projected
-propagator:
+Flat-metric heat kernel (a function of the variance nu (t2 - t1)) and its
+semigroup rule, exact Brownian-bridge sampling of one time column of
+pinned phase-space paths, the exact law of an unpinned lapse walk's proper
+time, and estimators of the projected propagator:
 
 * the sin-kernel measure integrated over the accumulated proper time,
   in closed form (projector.sin_kernel_weights over default_lam_max),
@@ -20,7 +20,8 @@ propagator:
   is a polynomial in exp(-i tau) with one coefficient per level
   (_kernels.phase_samples), not one exponential per basis state.
 
-lambda_average_propagator returns the estimates beside the spectral
+lambda_average_propagator takes the constraint and the half-width epsilon
+of its spectral window, returns the estimates beside the spectral
 reference and enforces nothing; its callers score them (quadrature within
 1e-4, Monte Carlo within three standard errors).  The bridge and the phase
 average run over chunks of paths, so n_paths costs O(n_paths) for the

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -205,6 +206,9 @@ def test_integral_float_accepted_for_int_field(tmp_path):
         ({"experiment": "spin-overlap", "nmax": 1001}, "nmax"),
         ({"experiment": "classical-limit", "m_values": [4, 2_000_000]}, "m_values"),
         ({"experiment": "spin-overlap", "nmax": 302, "mprime": 300}, "mprime"),
+        ({"experiment": "project-single", "alpha_re": 1e200}, "nmax"),
+        ({"experiment": "project-double", "alpha_re": 1e200}, "nmax"),
+        ({"experiment": "project-double", "beta_re": 1e200}, "nmax"),
     ],
     ids=[
         "single-leakage",
@@ -223,6 +227,9 @@ def test_integral_float_accepted_for_int_field(tmp_path):
         "spin-overlap-dim-guard",
         "classical-limit-dim-guard",
         "spin-overlap-underflow",
+        "single-label-overflow",
+        "double-alpha-overflow",
+        "double-beta-overflow",
     ],
 )
 def test_unusable_config_exit_3_naming_field(tmp_path, capsys, payload, field):
@@ -330,6 +337,8 @@ def test_correlations_large_mprime_exits_0(tmp_path, capsys):
         {"experiment": "correlations", "nmax": 5600, "mprime": 5000},
         {"experiment": "correlations", "nmax": 55000, "mprime": 50000},
         {"experiment": "project-single", "nmax": 300, "mprime": 200, "alpha_re": 14.14},
+        {"experiment": "project-single", "nmax": 103814, "mprime": 100000, "alpha_re": math.sqrt(1e5) - 0.1},
+        {"experiment": "project-single", "nmax": 911404, "mprime": 900000, "alpha_re": math.sqrt(9e5) - 0.1},
         {"experiment": "spin-overlap", "nmax": 162, "mprime": 160},
         {"experiment": "classical-limit", "m_values": [4, 900000]},
         {"experiment": "correlations", "nmax": 542000, "mprime": 530000},
@@ -338,6 +347,8 @@ def test_correlations_large_mprime_exits_0(tmp_path, capsys):
         "correlations-5000",
         "correlations-50000",
         "project-single-200",
+        "project-single-100000",
+        "project-single-900000",
         "spin-overlap-160",
         "classical-limit-900000",
         "correlations-530000",
@@ -345,13 +356,14 @@ def test_correlations_large_mprime_exits_0(tmp_path, capsys):
 )
 def test_large_mprime_checks_pass(tmp_path, capsys, payload):
     # ratios of matrix elements keep roundoff relative, and no m! or 1/sqrt(m!) leaves float range;
-    # the H ratio is scored relative to E, whose own ulp exceeds 1e-10 from E >= 2^19
+    # the H ratio is scored relative to E, whose own ulp exceeds 1e-10 from E >= 2^19; project-single
+    # scores the amplitude itself, so its log-Poisson pivot must be good to a few ulps
     cfg = _write_config(tmp_path, payload)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
     assert "Traceback" not in capsys.readouterr().err
 
 
-# Top-level public definitions that no experiment reaches but that stay, each with its reason.
+# Public definitions that no experiment reaches but that stay, each with its reason.
 _UNREACHED_KEEP = {
     ("_kernels", "backend_name"): "perfbench records the kernel backend of every run",
     ("fock", "LinearOperator"): "perfbench's tracer patches its __post_init__",
@@ -360,20 +372,23 @@ _UNREACHED_KEEP = {
 
 def test_every_public_definition_is_reached_from_cli():
     # a name walk: every top-level definition of cli is reached, and a reached definition
-    # reaches every top-level definition of any module whose name it mentions
+    # reaches every top-level definition or class method (keyed "Class.method") whose name it mentions
     src = pathlib.Path(cli.__file__).parent
     defs = {}
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[(path.stem, node.name)] = node
+                for item in node.body if isinstance(node, ast.ClassDef) else []:
+                    if isinstance(item, ast.FunctionDef):
+                        defs[(path.stem, f"{node.name}.{item.name}")] = item
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                     if isinstance(target, ast.Name):
                         defs[(path.stem, target.id)] = node
     by_name = {}
     for module, name in defs:
-        by_name.setdefault(name, []).append((module, name))
+        by_name.setdefault(name.split(".")[-1], []).append((module, name))
     reached = {key for key in defs if key[0] == "cli"}
     todo = list(reached)
     while todo:
@@ -383,7 +398,7 @@ def test_every_public_definition_is_reached_from_cli():
                 if key not in reached:
                     reached.add(key)
                     todo.append(key)
-    unreached = {key for key in defs if key not in reached and not key[1].startswith("_")}
+    unreached = {key for key in defs if key not in reached and not key[1].split(".")[-1].startswith("_")}
     assert unreached == set(_UNREACHED_KEEP)
 
 

@@ -1,7 +1,7 @@
 import cmath
 import math
 import warnings
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from csquant.coherent import (
     single_mode_amplitudes,
     truncation_tail,
 )
-from csquant.fock import make_space
+from csquant.fock import FockSpace, make_space
 from reference import kernel_composition_residual, overlap_alpha, polar_disc_grid, reproducing_propagation
 
 
@@ -48,42 +48,46 @@ def test_amplitudes_match_series_terms():
 
 
 def _decimal_log_amplitudes(r: float, ns) -> dict:
-    """ln(exp(-r^2/2) r^n / sqrt(n!)) at 50 digits for ascending ns, from exact factorials."""
+    """ln(exp(-r^2/2) r^n / sqrt(n!)) in 60-digit decimals for ascending ns.
+
+    n! is a running 60-digit product: each factor rounds it by at most
+    5e-60 relative, so ln(n!) is good to n * 5e-60, far below a double's ulp.
+    """
     logs = {}
-    fact, prev = math.factorial(ns[0]), ns[0]
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = 60
+        ctx.Emax = MAX_EMAX
         rd = Decimal(r)
+        fact, prev = Decimal(1), 0
         for n in ns:
-            fact *= math.prod(range(prev + 1, n + 1))
+            fact *= math.prod(map(Decimal, range(prev + 1, n + 1)))
             prev = n
-            # the leading 200 bits give ln(n!) to 50 digits; converting all of n! is quadratic
-            shift = max(fact.bit_length() - 200, 0)
-            log_fact = Decimal(fact >> shift).ln() + shift * Decimal(2).ln()
-            logs[n] = n * rd.ln() - rd * rd / 2 - log_fact / 2
+            logs[n] = n * rd.ln() - rd * rd / 2 - fact.ln() / 2
     return logs
 
 
-@pytest.mark.parametrize("r2", [0.3, 1e3, 5e4])
+@pytest.mark.parametrize("r2", [0.3, 1e3, 5e4, 9e5])
 def test_amplitudes_match_decimal_oracle_around_the_pivot(r2):
-    # alpha = i r: the phase of term n is exactly i^n, the modulus comes from the 50-digit oracle
+    # alpha = i r: the phase of term n is exactly i^n, the modulus comes from the decimal oracle
     r = math.sqrt(r2)
     n0 = math.floor(r * r)
     width = int(10 * math.sqrt(r2))
     lo, hi = max(0, n0 - width), n0 + width
     amps = single_mode_amplitudes(1j * r, hi)
     eps = np.finfo(np.float64).eps
-    # the pivot is rounded in log space, once, for every term; each step away adds a few eps
-    pivot_tol = 4 * eps * (n0 * abs(math.log(r)) + r * r + math.lgamma(n0 + 1))
+    # the pivot's modulus is good to a few eps at any r, and each step away adds a few eps; its
+    # phase n0 arg(alpha) carries the rounding of arg(alpha) = pi/2 times n0
+    phase_tol = eps * (n0 + 1)
     logs = _decimal_log_amplitudes(r, sorted(set(np.linspace(lo, hi, 21).astype(int).tolist()) | {n0}))
     for n, log_n in logs.items():
         with localcontext() as ctx:
             ctx.prec = 50
-            want = complex(float(log_n.exp())) * 1j ** (n % 4)
+            want = float(log_n.exp())
             shape = float((log_n - logs[n0]).exp())  # |amp_n / amp_n0|
         step_tol = 4 * eps * (abs(n - n0) + 1)
         assert abs(amps[n] / amps[n0] - shape * 1j ** ((n - n0) % 4)) <= step_tol * shape
-        assert abs(amps[n] - want) <= (pivot_tol + step_tol) * abs(want)
+        assert abs(abs(amps[n]) - want) <= (4 * eps + step_tol) * want
+        assert abs(amps[n] / abs(amps[n]) - 1j ** (n % 4)) <= phase_tol + step_tol
 
 
 def test_leakage_hard_error_and_warning():
@@ -118,12 +122,15 @@ def test_truncation_tail_matches_incomplete_gamma(x):
     alpha = r * cmath.exp(0.7j)
     eps = np.finfo(np.float64).eps
     for nmax in sorted({0, int(x), int(x) + 1, int(x + 3 * r) + 1, int(x + 10 * r) + 5, int(x + 30 * r) + 20}):
+        if x >= nmax + 1:  # the Poisson median lies above the cutoff: refused before any amplitude is built
+            with pytest.raises(TruncationLeakageError, match="sqrt"):
+                coherent_vector(FockSpace(1, nmax), alpha)
+            continue
         amps = single_mode_amplitudes(alpha, nmax)
         want = special.gammainc(nmax + 1, x)
-        # the tail starts from |amps[nmax]|^2, whose pivot is rounded in log space (see the decimal oracle test)
+        # the tail starts from |amps[nmax]|^2, nmax - n0 steps from the pivot (see the decimal oracle test)
         n0 = min(math.floor(x), nmax)
-        tol = 8 * eps * (n0 * abs(math.log(r)) + x + math.lgamma(n0 + 1) + nmax - n0 + 1)
-        assert abs(truncation_tail(amps, alpha) - want) <= tol * want
+        assert abs(truncation_tail(amps, alpha) - want) <= 8 * eps * (nmax - n0 + 1) * want
 
 
 @pytest.mark.parametrize("nmax", [1, 2, 6, 12, 40, 200])
