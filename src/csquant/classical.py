@@ -33,12 +33,6 @@ def reduced_metric_eval(s_squared: float, r1: float):
 
     The metric does not depend on theta1 and is defined for 0 <= r1 < S only.
     """
-    s = math.sqrt(s_squared)
-    if not 0.0 <= r1 < s:
-        raise ValueError(
-            f"r1={r1} outside the patch [0, S={s}); "
-            "metric singular at the gauge-fixing locus"
-        )
     return 1.0 / (1.0 - r1**2 / s_squared), r1**2
 
 
@@ -108,10 +102,8 @@ def area_quantization(n: int) -> AreaQuantization:
     """Quantized constraint radius and energy for winding number n >= 1.
 
     2 pi n = (symplectic area) = pi S^2 gives S^2 = 2n and E = S^2/2 = n.
-    n = 0 is rejected: the metric and the gauge slice degenerate at S = 0.
+    n = 0 is excluded: the metric and the gauge slice degenerate at S = 0.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1; the S = 0 sphere is excluded")
     s_squared = 2.0 * n
     return AreaQuantization(
         n=n,

@@ -5,12 +5,15 @@ experiment deterministically and writes a JSON table of checks (value,
 tolerance, pass) plus CSV sweeps; `csquant list` dumps the registry.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 unknown experiment,
-3 config validation error (printed with the offending field).  Reruns with
-the same config and seed reproduce the output files byte for byte: every
-check is seeded, outputs carry no timestamps, and files are written via
-temp-file + rename.  A coherent state that leaks through the occupation
-cutoff, or a space over the fock.MAX_DIM basis-state guard, is a config
-error naming `nmax` (`m_values` for classical-limit, whose m sets the cutoff).
+3 config validation error (printed with the offending field).  This is the
+one layer that validates input: the library modules assume in-range
+arguments, so every config field, `--out` and `--seed` is bounded here
+before it reaches them.  A coherent state that leaks through the
+occupation cutoff, or a space over the fock.MAX_DIM basis-state guard, is
+a config error naming `nmax` (`m_values` for classical-limit, whose m sets
+the cutoff).  Reruns with the same config and seed reproduce the output
+files byte for byte: every check is seeded, outputs carry no timestamps,
+and files are written via temp-file + rename.
 """
 
 from __future__ import annotations
@@ -35,8 +38,13 @@ from .fock import make_space
 from .coherent import coherent_vector
 
 DEFAULT_SEED = 20260810
+MAX_SEED = 2**64 - 1  # the seed is one uint64 word of the Philox key
 # wiener holds ~40 bytes per path (80 MiB at the cap) plus one chunk: the cap bounds run time
 WIENER_MAX_PATHS = 2**21
+SPIN_MAX_PAIRS = 1000  # spin-overlap's label pairs: the cap bounds run time
+# geometry's curvature 2/S^2 = 1/n stays 10x above its row's 1e-4 tolerance, so a zero curvature fails
+GEOMETRY_MAX_N = 1000
+CLASSICAL_MAX_M = 2**53  # the largest m that is exact as a float
 
 
 class ConfigError(ValueError):
@@ -118,8 +126,7 @@ def _exp_project_single(cfg, seed):
     # exp(-|a|^2/2) a^m / sqrt(m!) from the log Poisson term: m! overflows a float from m = 171
     modulus = math.exp(0.5 * coherent.log_poisson_term(abs(alpha) ** 2, mprime))
     expected[mprime] = cmath.rect(modulus, mprime * cmath.phase(alpha))
-    got = projected if norm >= projector.NULL_NORM else 0.0  # a null projection is the zero vector
-    resid = float(np.max(np.abs(got - expected)))
+    resid = float(np.max(np.abs(projected - expected)))
     norm_err = abs(norm - abs(expected[mprime]))
     null_norms = []
     # each probe target lies more than eps from every level, for any eps < 1/2
@@ -134,6 +141,25 @@ def _exp_project_single(cfg, seed):
     return rows, {}
 
 
+def _gauge_fixed_projection(weights, space, labels, mprime, field):
+    """Projected two-mode coherent state of labels (alpha, beta), unit norm, divided by (beta/|beta|)^mprime.
+
+    Its sector amplitudes are then the SU(2) coherent state of alpha/beta.
+    The entries are ~ 1/sqrt(mprime!), so the state is scaled by its largest
+    before the norm squares them; the norm is that of the whole vector, so
+    amplitude left outside the sector still shows.  A largest entry below
+    the normal float range (all zeros, or subnormal: its digits are lost,
+    and dividing a complex array by it overflows) exits 3 naming `field`.
+    """
+    projected = weights * coherent_vector(space, labels)
+    scale = np.max(np.abs(projected))
+    if scale < np.finfo(np.float64).tiny:
+        raise ConfigError(field, f"a projected coherent state underflows (largest entry {scale:.3g}, mprime {mprime})")
+    projected = projected / scale
+    beta = labels[1]
+    return projected / (np.linalg.norm(projected) * (beta / abs(beta)) ** mprime)
+
+
 def _exp_project_double(cfg, seed):
     nmax = _get(cfg, "nmax", 16, int, 1)
     mprime = _get(cfg, "mprime", 4, int, 1, nmax)
@@ -142,23 +168,13 @@ def _exp_project_double(cfg, seed):
     beta = complex(_get(cfg, "beta_re", 0.9, float), _get(cfg, "beta_im", -0.2, float))
     if beta == 0:
         raise ConfigError("beta_re", "beta must be nonzero: the SU(2) label is alpha/beta")
+    xi = alpha / beta
+    if not math.isfinite(math.hypot(xi.real, xi.imag)):
+        raise ConfigError("beta_re", "|alpha/beta| is not finite: the SU(2) label overflows")
     space = make_space(2, nmax)
     weights = projector.build_projector(projector.double_constraint(space, float(mprime)), eps)
-    projected = weights * coherent_vector(space, [alpha, beta])
-    norm = float(np.linalg.norm(projected))
-    sector = spin.sector_indices(space, mprime)  # |0, mprime> first
-    if norm < projector.NULL_NORM or projected[sector[0]] == 0:
-        raise ConfigError(
-            "beta_re",
-            f"the projected |0, {mprime}> amplitude vanishes, so the gauge phase (beta/|beta|)^mprime is undefined",
-        )
-    mapped = (projected / norm)[sector]
-    gauge_phase = mapped[0] / abs(mapped[0])
-    try:
-        reference = spin.su2_coherent(mprime / 2.0, alpha / beta)
-    except OverflowError:
-        raise ConfigError("beta_re", "|alpha/beta| overflows the SU(2) coherent-state amplitudes") from None
-    resid = float(np.max(np.abs(mapped - gauge_phase * reference)))
+    unit = _gauge_fixed_projection(weights, space, [alpha, beta], mprime, "beta_re")
+    resid = float(np.max(np.abs(unit[spin.sector_indices(space, mprime)] - spin.su2_coherent(mprime, xi))))
     rows = [CheckRow("su2_state_match_residual", resid, 1e-10)]
     return rows, {}
 
@@ -166,31 +182,18 @@ def _exp_project_double(cfg, seed):
 def _exp_spin_overlap(cfg, seed):
     nmax = _get(cfg, "nmax", 12, int, 2)
     mprime = _get(cfg, "mprime", 6, int, 1, nmax)
-    n_pairs = _get(cfg, "n_pairs", 10, int, 1)
+    n_pairs = _get(cfg, "n_pairs", 10, int, 1, SPIN_MAX_PAIRS)
     space = make_space(2, nmax)
     weights = projector.build_projector(projector.double_constraint(space, float(mprime)))
     rng = wiener.rng_stream(seed, 1)
-    j = mprime / 2.0
     worst = 0.0
     for _ in range(n_pairs):
         re = rng.uniform(0.3, 1.2, size=4)
         ph = rng.uniform(0.0, 2.0 * math.pi, size=4)
         a1, b1, a2, b2 = (r * np.exp(1j * p) for r, p in zip(re, ph))
-        units = []
-        for labels in ((a1, b1), (a2, b2)):
-            projected = weights * coherent_vector(space, labels)
-            # the entries are ~ 1/sqrt(mprime!): scale by the largest before squaring them
-            scale = np.max(np.abs(projected))
-            if scale == 0.0:
-                raise ConfigError("mprime", f"a projected coherent state underflows to zero at mprime {mprime}")
-            projected = projected / scale
-            units.append(projected / np.linalg.norm(projected))
-        normalized = np.vdot(units[0], units[1])
-        g_bra = (b1 / abs(b1)) ** mprime
-        g_ket = (b2 / abs(b2)) ** mprime
-        gaugefree = normalized * g_bra * np.conj(g_ket)
-        worst = max(worst, abs(gaugefree - spin.su2_overlap(j, a1 / b1, a2 / b2)))
-    resolution = spin.su2_resolution_check(j)
+        bra, ket = (_gauge_fixed_projection(weights, space, pair, mprime, "mprime") for pair in ((a1, b1), (a2, b2)))
+        worst = max(worst, abs(np.vdot(bra, ket) - spin.su2_overlap(mprime, a1 / b1, a2 / b2)))
+    resolution = spin.su2_resolution_check(mprime)
     rows = [
         CheckRow("projected_vs_su2_overlap", worst, 1e-10),
         CheckRow("su2_resolution_residual", resolution, 1e-8),
@@ -237,9 +240,9 @@ def _exp_classical_limit(cfg, seed):
         raise ConfigError("model", "must be 'single' or 'double'")
     m_values = cfg.get("m_values", [4, 16, 64])
     if not isinstance(m_values, list) or not all(
-        isinstance(m, int) and not isinstance(m, bool) and m > 0 for m in m_values
+        isinstance(m, int) and not isinstance(m, bool) and 0 < m <= CLASSICAL_MAX_M for m in m_values
     ):
-        raise ConfigError("m_values", "must be a list of positive integers")
+        raise ConfigError("m_values", f"must be a list of integers in [1, {CLASSICAL_MAX_M}]")
     m_values = sorted(set(m_values))
     if len(m_values) < 2:
         raise ConfigError("m_values", "needs at least two distinct values to fit a scaling exponent")
@@ -255,7 +258,7 @@ def _exp_classical_limit(cfg, seed):
 
 
 def _exp_geometry(cfg, seed):
-    n = _get(cfg, "n", 1, int, 1)
+    n = _get(cfg, "n", 1, int, 1, GEOMETRY_MAX_N)
     quant = classical.area_quantization(n)
     s2 = quant.s_squared
     r1 = 0.5 * math.sqrt(s2)
@@ -434,10 +437,8 @@ def run_experiment(config_path: str, out_dir: str | None, seed_override: int | N
         name = cfg.get("experiment")
         if not isinstance(name, str):
             raise ConfigError("experiment", "required string")
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except ConfigError as exc:
+    # ValueError covers ConfigError, malformed JSON and bytes that are not UTF-8; deep nesting recurses
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     if name not in EXPERIMENTS:
@@ -445,11 +446,12 @@ def run_experiment(config_path: str, out_dir: str | None, seed_override: int | N
         print(list_experiments(), file=sys.stderr)
         return 2
     seed = seed_override if seed_override is not None else cfg.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        print("config error: config field 'seed': must be a non-negative integer", file=sys.stderr)
-        return 3
     out = out_dir if out_dir is not None else cfg.get("out", "results")
     try:
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= MAX_SEED:
+            raise ConfigError("seed", f"must be an integer in [0, {MAX_SEED}]")
+        if not isinstance(out, str) or not out:
+            raise ConfigError("out", "must be a non-empty path")
         rows, sweeps = EXPERIMENTS[name].runner(cfg, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -461,7 +463,11 @@ def run_experiment(config_path: str, out_dir: str | None, seed_override: int | N
         field = "m_values" if name == "classical-limit" else "nmax"
         print(f"config error: config field '{field}': {exc}", file=sys.stderr)
         return 3
-    _write_outputs(out, name, rows, sweeps, cfg_bytes, seed)
+    try:
+        _write_outputs(out, name, rows, sweeps, cfg_bytes, seed)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        print(f"config error: config field 'out': {exc}", file=sys.stderr)
+        return 3
     for r in rows:
         status = "pass" if r.passed else "FAIL"
         print(f"[{status}] {name}:{r.name} value={r.value:.6g} tol={r.tolerance:.6g}")

@@ -166,8 +166,6 @@ def coherent_vector(space: FockSpace, alphas) -> np.ndarray:
     if np.isscalar(alphas) or isinstance(alphas, complex):
         alphas = [alphas]
     alphas = [complex(a) for a in alphas]
-    if len(alphas) != space.modes:
-        raise ValueError(f"expected {space.modes} mode labels")
     for a in alphas:
         modulus = math.hypot(a.real, a.imag)  # abs(a) overflows from |alpha| ~ 1.8e308
         if modulus >= math.sqrt(space.nmax + 1):
@@ -200,8 +198,6 @@ def coherent_vector(space: FockSpace, alphas) -> np.ndarray:
 
 def _polar_nodes(radius: float, n_radial: int, n_angular: int):
     """Midpoint radii and angles of the polar rule, with their spacings."""
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
     # >= 2 quadrature points per unit phase-space cell (disc holds R^2 cells)
     if n_radial * n_angular < 2.0 * radius**2:
         raise ValueError(
@@ -240,8 +236,6 @@ def resolution_of_unity_check(
     its weighted copy (16 n_radial (nmax + 1) bytes together) larger than
     RESOLUTION_MAX_BYTES are refused with ValueError before they are built.
     """
-    if space.modes != 1:
-        raise ValueError("resolution check is implemented for single-mode spaces")
     if n_angular is None:
         n_angular = max(8 * space.nmax, 16)
     if n_radial is None:

@@ -90,12 +90,6 @@ def projected_ratios(model: str, ket, evals, mprime: int, nmax: int, ops) -> np.
     divided by that point's overlap.  An overlap below RATIO_FLOOR leaves
     the ratio undefined and raises ValueError.
     """
-    if model not in ("single", "double"):
-        raise ValueError(f"unknown model {model!r}")
-    allowed = _SINGLE_OPS if model == "single" else _DOUBLE_OPS
-    for op in ops:
-        if op not in allowed:
-            raise ValueError(f"operator {op!r} not available for the {model} model")
     space = make_space(1 if model == "single" else 2, nmax)
     build = projector.single_constraint if model == "single" else projector.double_constraint
     projected = projector.build_projector(build(space, float(mprime))) * coherent_vector(space, ket)
@@ -144,7 +138,7 @@ def classical_limit_check(model: str, m_values=(4, 16, 64)) -> list:
                 devs.append(abs(ratio_q - amp * math.cos(off)))
                 devs.append(abs(ratio_p - amp * math.sin(off)))
             h_err = np.max(np.abs(ratios[:, 2] - energy)) / energy
-        elif model == "double":
+        else:
             r = math.sqrt(m / 2.0)
             ket = (r, r)
             amp = math.sqrt(2.0 * (r**2 + 0.5))
@@ -155,8 +149,6 @@ def classical_limit_check(model: str, m_values=(4, 16, 64)) -> list:
                 ratio_p = oracle_ratio("double", "P1", ket, ev, m)
                 devs.append(abs(ratio_q - amp * math.cos(off)))
                 devs.append(abs(ratio_p - amp * math.sin(off)))
-        else:
-            raise ValueError(f"unknown model {model!r}")
         rows.append(
             ClassicalLimitRow(
                 m=m,

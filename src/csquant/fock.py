@@ -38,8 +38,6 @@ class FockSpace:
 
     def mode_occupations(self, mode: int) -> np.ndarray:
         """Occupation of the given mode for every basis index."""
-        if not 0 <= mode < self.modes:
-            raise IndexError(f"mode {mode} outside [0, {self.modes})")
         base = self.nmax + 1
         return (np.arange(self.dim) // base**mode) % base
 
@@ -51,10 +49,6 @@ class FockSpace:
 
 
 def make_space(modes: int, nmax: int) -> FockSpace:
-    if modes < 1:
-        raise ValueError("modes must be >= 1")
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
     dim = (nmax + 1) ** modes
     if dim > MAX_DIM:
         raise DimensionGuardError(f"dim {dim} exceeds resource guard {MAX_DIM}")

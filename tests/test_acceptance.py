@@ -15,7 +15,7 @@ import pytest
 from csquant import cli, classical, correlators, spin, wiener
 from csquant.coherent import coherent_vector, resolution_of_unity_check
 from csquant.fock import make_space
-from csquant.projector import NULL_NORM, build_projector, double_constraint, single_constraint
+from csquant.projector import build_projector, double_constraint, single_constraint
 from reference import (
     commutator,
     ho_hamiltonian,
@@ -47,7 +47,7 @@ def test_criterion_1_projection_exactness():
     null_ok = True
     for target in (0.3, 0.5, 1.5):
         projected = build_projector(single_constraint(space, target), epsilon=0.1) * vec
-        null_ok &= np.linalg.norm(projected) < NULL_NORM
+        null_ok &= not np.any(projected)  # the weights are exactly 0 or 1
     elapsed = time.perf_counter() - start
     _report(
         "criterion 1: projection exactness (residual <= 1e-12, nulls, < 1 s)",
@@ -110,8 +110,8 @@ def test_criterion_4_su2_equivalence():
         g2 = (b2 / abs(b2)) ** mprime
         gaugefree = normalized * g1 * np.conj(g2)
         xi1, xi2 = a1 / b1, a2 / b2
-        good = spin.su2_overlap(mprime / 2.0, xi1, xi2)
-        bad = spin.su2_overlap(2.0 * mprime, xi1, xi2)
+        good = spin.su2_overlap(mprime, xi1, xi2)  # j = m'/2
+        bad = spin.su2_overlap(4 * mprime, xi1, xi2)  # j = 2m'
         worst_good = max(worst_good, abs(gaugefree - good))
         worst_bad = min(worst_bad, abs(gaugefree - bad))
     # the wrong mapping must flunk the 1e-10 comparison on every pair
@@ -135,7 +135,7 @@ def test_criterion_5_spin_algebra():
     casimir = s1 @ s1 + s2 @ s2 + s3 @ s3 - (s0 @ s0 + s0)
     resid = max(resid, float(np.max(np.abs(block(casimir)))))
     closure = max(
-        spin.su2_resolution_check(j) for j in (0.5, 1.0, 2.5, 4.0, 5.5, 8.0, 10.0)
+        spin.su2_resolution_check(twoj) for twoj in (1, 2, 5, 8, 11, 16, 20)
     )
     _report(
         "criterion 5: spin algebra <= 1e-10 and SU(2) closure <= 1e-8 (j <= 10)",

@@ -1,4 +1,5 @@
 import ast
+import cmath
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from csquant import _kernels, cli, correlators, wiener
+from csquant import _kernels, cli, correlators, spin, wiener
 
 
 def _write_config(tmp_path, payload, name="cfg.json"):
@@ -78,6 +79,17 @@ def test_malformed_config_exit_3(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert cli.main(["run", "--config", path.as_posix()]) == 3
+
+
+@pytest.mark.parametrize(
+    "raw", [b'{"experiment": "\xff"}', b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "deeply-nested"]
+)
+def test_undecodable_config_exit_3(tmp_path, capsys, raw):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "never")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_seed_override_recorded(tmp_path):
@@ -187,59 +199,147 @@ def test_integral_float_accepted_for_int_field(tmp_path):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
 
 
-@pytest.mark.parametrize(
-    "payload, field",
-    [
-        ({"experiment": "project-single", "alpha_re": 9}, "nmax"),
-        ({"experiment": "project-double", "alpha_re": 9}, "nmax"),
-        ({"experiment": "project-double", "nmax": 1, "mprime": 1}, "nmax"),
-        ({"experiment": "spin-overlap", "nmax": 4, "mprime": 3}, "nmax"),
-        ({"experiment": "correlations", "nmax": 14}, "nmax"),
-        ({"experiment": "wiener", "nmax": 5, "n_paths": 1000}, "nmax"),
-        ({"experiment": "resolution", "nmax": 1, "radius": 10000}, "radius"),
-        ({"experiment": "resolution", "radius": 3.57}, "radius"),
-        ({"experiment": "project-double", "beta_re": 0, "beta_im": 0}, "beta_re"),
-        ({"experiment": "project-double", "beta_re": 1e-200, "beta_im": 0}, "beta_re"),
-        ({"experiment": "project-double", "mprime": 1, "beta_re": 1e-160, "beta_im": 0}, "beta_re"),
-        ({"experiment": "project-double", "alpha_re": 0, "alpha_im": 0, "beta_re": 1e-3, "beta_im": 0}, "beta_re"),
-        ({"experiment": "project-single", "nmax": 2_000_000}, "nmax"),
-        ({"experiment": "spin-overlap", "nmax": 1001}, "nmax"),
-        ({"experiment": "classical-limit", "m_values": [4, 2_000_000]}, "m_values"),
-        ({"experiment": "spin-overlap", "nmax": 302, "mprime": 300}, "mprime"),
-        ({"experiment": "project-single", "alpha_re": 1e200}, "nmax"),
-        ({"experiment": "project-double", "alpha_re": 1e200}, "nmax"),
-        ({"experiment": "project-double", "beta_re": 1e200}, "nmax"),
-    ],
-    ids=[
-        "single-leakage",
-        "double-leakage",
-        "double-nmax-1",
-        "spin-overlap-leakage",
-        "correlations-leakage",
-        "wiener-leakage",
-        "resolution-grid",
-        "resolution-unclosed",
-        "beta-zero",
-        "beta-gauge-underflow",
-        "beta-label-overflow",
-        "double-null",
-        "single-dim-guard",
-        "spin-overlap-dim-guard",
-        "classical-limit-dim-guard",
-        "spin-overlap-underflow",
-        "single-label-overflow",
-        "double-alpha-overflow",
-        "double-beta-overflow",
-    ],
-)
-def test_unusable_config_exit_3_naming_field(tmp_path, capsys, payload, field):
+# (id, payload, field, extra CLI arguments): each config is refused with exit 3 naming field
+_UNUSABLE = [
+    ("single-leakage", {"experiment": "project-single", "alpha_re": 9}, "nmax", []),
+    ("double-leakage", {"experiment": "project-double", "alpha_re": 9}, "nmax", []),
+    ("double-nmax-1", {"experiment": "project-double", "nmax": 1, "mprime": 1}, "nmax", []),
+    ("spin-overlap-leakage", {"experiment": "spin-overlap", "nmax": 4, "mprime": 3}, "nmax", []),
+    ("correlations-leakage", {"experiment": "correlations", "nmax": 14}, "nmax", []),
+    ("wiener-leakage", {"experiment": "wiener", "nmax": 5, "n_paths": 1000}, "nmax", []),
+    ("resolution-grid", {"experiment": "resolution", "nmax": 1, "radius": 10000}, "radius", []),
+    ("resolution-unclosed", {"experiment": "resolution", "radius": 3.57}, "radius", []),
+    ("beta-zero", {"experiment": "project-double", "beta_re": 0, "beta_im": 0}, "beta_re", []),
+    ("beta-ratio-overflow", {"experiment": "project-double", "beta_re": 1e-310, "beta_im": 0}, "beta_re", []),
+    (
+        "double-zero-projection",
+        {"experiment": "project-double", "alpha_re": 0, "alpha_im": 0, "beta_re": 1e-200, "beta_im": 0},
+        "beta_re",
+        [],
+    ),
+    ("single-dim-guard", {"experiment": "project-single", "nmax": 2_000_000}, "nmax", []),
+    ("spin-overlap-dim-guard", {"experiment": "spin-overlap", "nmax": 1001}, "nmax", []),
+    ("classical-limit-dim-guard", {"experiment": "classical-limit", "m_values": [4, 2_000_000]}, "m_values", []),
+    ("spin-overlap-underflow", {"experiment": "spin-overlap", "nmax": 302, "mprime": 300}, "mprime", []),
+    # one label's largest projected entry is subnormal: dividing by it gave a NaN pair that max() dropped
+    ("spin-overlap-subnormal", {"experiment": "spin-overlap", "nmax": 272, "mprime": 270, "seed": 2}, "mprime", []),
+    ("single-label-overflow", {"experiment": "project-single", "alpha_re": 1e200}, "nmax", []),
+    ("double-alpha-overflow", {"experiment": "project-double", "alpha_re": 1e200}, "nmax", []),
+    ("double-beta-overflow", {"experiment": "project-double", "beta_re": 1e200}, "nmax", []),
+    ("root-not-object", [], "<root>", []),
+    ("no-experiment", {}, "experiment", []),
+    ("seed-negative", {"experiment": "geometry", "seed": -1}, "seed", []),
+    ("seed-bool", {"experiment": "geometry", "seed": True}, "seed", []),
+    ("seed-flag-negative", {"experiment": "geometry"}, "seed", ["--seed", "-3"]),
+    ("seed-above-uint64", {"experiment": "wiener", "n_paths": 100}, "seed", ["--seed", str(2**64)]),
+    ("out-not-string", {"experiment": "geometry", "out": 5}, "out", []),
+    ("out-empty", {"experiment": "geometry", "out": ""}, "out", []),
+    ("out-not-directory", {"experiment": "geometry", "out": "/dev/null/x"}, "out", []),
+    ("out-flag-not-directory", {"experiment": "geometry"}, "out", ["--out", "/dev/null/x"]),
+    ("out-nul-byte", {"experiment": "geometry", "out": "a\0b"}, "out", []),
+    ("geometry-n-401-digits", {"experiment": "geometry", "n": 10**400}, "n", []),
+    ("geometry-n-flat-curvature", {"experiment": "geometry", "n": 10**4}, "n", []),
+    ("classical-limit-m-overflow", {"experiment": "classical-limit", "m_values": [4, 10**400]}, "m_values", []),
+    (
+        "classical-limit-double-m-cap",
+        {"experiment": "classical-limit", "model": "double", "m_values": [4, 10**20]},
+        "m_values",
+        [],
+    ),
+    ("spin-overlap-n-pairs", {"experiment": "spin-overlap", "n_pairs": 10**27}, "n_pairs", []),
+]
+
+
+def _run_unusable(tmp_path, payload, extra):
+    """cli.main on payload; --out points into tmp_path unless the config names its own out or extra does."""
     cfg = _write_config(tmp_path, payload)
-    out = tmp_path / "never"
-    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+    own_out = "out" in payload or "--out" in extra
+    return cli.main(["run", "--config", cfg, *([] if own_out else ["--out", str(tmp_path / "never")]), *extra])
+
+
+@pytest.mark.parametrize("payload, field, extra", [case[1:] for case in _UNUSABLE], ids=[case[0] for case in _UNUSABLE])
+def test_unusable_config_exit_3_naming_field(tmp_path, capsys, payload, field, extra):
+    assert _run_unusable(tmp_path, payload, extra) == 3
     err = capsys.readouterr().err
     assert f"config field '{field}'" in err
     assert "Traceback" not in err
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+# Library raises that no unusable config reaches but that stay, each with its reason.
+_RAISE_KEEP = {
+    ("coherent", "_polar_nodes"): "grid-density guard on the n_radial/n_angular knobs convergence tests set",
+    ("spin", "su2_resolution_check"): "under-resolved guard on the n_theta/n_phi knobs convergence tests set",
+    ("correlators", "oracle_ratio"): "test reference: an unknown model or operator",
+    ("correlators", "projected_ratios"): "RATIO_FLOOR refuses a computed overlap, not an input",
+    ("fock", "LinearOperator.__post_init__"): "perfbench's tracer patches the class; nothing builds one",
+}
+
+
+def test_every_library_raise_is_reached_by_an_unusable_config(tmp_path):
+    # the modules assume in-range arguments: a raise outside cli that no refused config executes
+    # re-checks what the boundary already bounds
+    src = pathlib.Path(cli.__file__).parent
+    modules = {str(path): path.stem for path in src.glob("*.py") if path.stem != "cli"}
+    executed = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename not in modules:
+            return None
+        if event == "line":
+            executed.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # truncation-tail warnings are expected here
+            for case_id, payload, _, extra in _UNUSABLE:
+                run_dir = tmp_path / case_id
+                run_dir.mkdir()
+                assert _run_unusable(run_dir, payload, extra) == 3
+    finally:
+        sys.settrace(previous)
+    unreached = set()
+    for path, module in modules.items():
+        for node in ast.parse(pathlib.Path(path).read_text(encoding="utf-8")).body:
+            scopes = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                scopes = [(f"{node.name}.{item.name}", item) for item in node.body if isinstance(item, ast.FunctionDef)]
+            for name, scope in scopes:
+                for sub in ast.walk(scope):
+                    lines = range(sub.lineno, sub.end_lineno + 1) if isinstance(sub, ast.Raise) else ()
+                    if lines and not any((path, line) in executed for line in lines):
+                        unreached.add((module, name))
+    assert unreached == set(_RAISE_KEEP)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"experiment": "project-double", "alpha_re": 0, "alpha_im": 0, "beta_re": 1e-3, "beta_im": 0},
+        {"experiment": "project-double", "beta_re": 1e-200, "beta_im": 0},
+        {"experiment": "project-double", "mprime": 1, "beta_re": 1e-160, "beta_im": 0},
+        {"experiment": "project-double", "alpha_re": 0.01, "alpha_im": 0, "beta_re": 0.01, "beta_im": 0, "mprime": 8},
+    ],
+    ids=["double-null", "beta-gauge-underflow", "beta-label-overflow", "small-projected-norm"],
+)
+def test_project_double_tiny_amplitudes_pass(tmp_path, payload):
+    # scaled by its largest entry before the norm, a projection whose norm or |0, m> entry is far
+    # below 1e-12 is still a direction; the gauge is (beta/|beta|)^m, not read off the state
+    cfg = _write_config(tmp_path, payload)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+
+
+def test_project_double_fails_a_wrong_overall_phase(tmp_path, monkeypatch):
+    original = spin.su2_coherent
+    monkeypatch.setattr(spin, "su2_coherent", lambda twoj, xi: original(twoj, xi) * cmath.exp(0.1j))
+    cfg = _write_config(tmp_path, {"experiment": "project-double"})
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+    table = json.loads((out / "project-double.json").read_text())
+    assert [row["name"] for row in table["checks"] if not row["passed"]] == ["su2_state_match_residual"]
 
 
 def test_wiener_path_count_refused_before_sampling(tmp_path, capsys, monkeypatch):

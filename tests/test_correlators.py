@@ -90,13 +90,6 @@ def test_projected_ratios_table_matches_one_point_calls():
             assert table[i, k] == pytest.approx(oracle_ratio("single", op, ket, ev, m), rel=1e-10)
 
 
-def test_projected_ratios_rejects_operator_of_other_model():
-    with pytest.raises(ValueError, match="Q1"):
-        projected_ratios("single", 1.0, [1.0], 2, 20, ("H", "Q1"))
-    with pytest.raises(ValueError, match="model"):
-        projected_ratios("triple", 1.0, [1.0], 2, 20, ("H",))
-
-
 @pytest.mark.parametrize("nmax", [30, 44])
 @pytest.mark.parametrize("op", ["Q", "P"])
 def test_single_brackets_match_matrix_elements(op, nmax):

@@ -24,10 +24,6 @@ def test_make_space_dims():
 
 def test_make_space_rejects_bad_args():
     with pytest.raises(ValueError):
-        make_space(2, 0)
-    with pytest.raises(ValueError):
-        make_space(0, 3)
-    with pytest.raises(ValueError):
         make_space(4, 100)  # dim guard
 
 
@@ -103,12 +99,6 @@ def test_ho_hamiltonian_spectrum():
         v = basis_vector(s, (n,))
         assert np.vdot(v, h @ v) == pytest.approx(n + 0.5, abs=0)
     assert np.array_equal(h, h.conj().T)
-
-
-def test_ladder_mode_out_of_range():
-    s = make_space(2, 3)
-    with pytest.raises(IndexError):
-        ladder(s, 2)
 
 
 def test_two_mode_ladder_acts_on_its_mode_only():

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -6,11 +7,10 @@ import pytest
 from scipy import special
 from scipy.linalg import expm
 
-from csquant import fock
+from csquant import cli, fock
 from csquant.coherent import coherent_vector
 from csquant.fock import make_space
 from csquant.projector import (
-    NULL_NORM,
     _sine_integral,
     build_projector,
     default_lam_max,
@@ -52,12 +52,14 @@ def test_spectral_boundary_case_weight_half():
     assert weights[3] == 0.0
 
 
-def test_epsilon_validation():
-    s = make_space(1, 4)
-    with pytest.raises(ValueError):
-        build_projector(single_constraint(s, 1.0), epsilon=0.6)
-    with pytest.raises(ValueError):
-        build_projector(single_constraint(s, 1.0), epsilon=0.0)
+def test_epsilon_validation(tmp_path, capsys):
+    # epsilon is checked where it enters, by `csquant run`: from 1/2 on the window holds two levels;
+    # wiener's floor keeps every level at least 1e-3 from the window's edges, where default_lam_max divides
+    for experiment, epsilon in (("project-single", 0.6), ("project-single", 0.0), ("wiener", 5e-4)):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": experiment, "epsilon": epsilon}))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "never")]) == 3
+        assert "config field 'epsilon'" in capsys.readouterr().err
 
 
 def _sin_kernel_oracle(constraint, epsilon):
@@ -112,7 +114,7 @@ def test_project_double_sector_term_by_term():
 def test_project_null_outcome():
     s = make_space(1, 16)
     projected = build_projector(single_constraint(s, 0.5), epsilon=0.1) * coherent_vector(s, 1.2)
-    assert np.linalg.norm(projected) < NULL_NORM
+    assert not np.any(projected)  # the weights are exactly 0 or 1
 
 
 def test_normalize_single_gauge_phase():
@@ -142,7 +144,7 @@ def test_normalize_double_matches_su2_coherent(nmax):
     projected = build_projector(double_constraint(s, float(mprime)), epsilon=0.1) * coherent_vector(s, [alpha, beta])
     mapped = (projected / np.linalg.norm(projected))[sector_indices(s, mprime)]
     gauge_phase = mapped[0] / abs(mapped[0])  # the |0, mprime> component
-    assert np.max(np.abs(mapped - gauge_phase * su2_coherent(mprime / 2.0, xi))) < 1e-10
+    assert np.max(np.abs(mapped - gauge_phase * su2_coherent(mprime, xi))) < 1e-10
     assert gauge_phase == pytest.approx((beta / abs(beta)) ** mprime, rel=1e-12)
 
 
@@ -266,7 +268,7 @@ def test_null_criterion_matches_spectrum_scan():
         constraint = single_constraint(s, target)
         dim_phys = np.count_nonzero(np.abs(constraint.eigs) < 0.1)
         projected = build_projector(constraint, epsilon=0.1) * coherent_vector(s, 1.0)
-        assert (np.linalg.norm(projected) < NULL_NORM) == (dim_phys == 0)
+        assert (not np.any(projected)) == (dim_phys == 0)
 
 
 def _simpson_sin_kernel_weights(eigs, eps, lam_max):
