@@ -120,7 +120,7 @@ def _exp_project_single(cfg, seed):
     alpha = complex(_get(cfg, "alpha_re", 1.0, float), _get(cfg, "alpha_im", 0.0, float))
     space = make_space(1, nmax)
     vec = coherent_vector(space, alpha)
-    projected = projector.build_projector(projector.single_constraint(space, float(mprime)), eps) * vec
+    projected = projector.build_projector(projector.number_constraint(space, float(mprime)), eps) * vec
     norm = float(np.linalg.norm(projected))
     expected = np.zeros(space.dim, dtype=np.complex128)
     # exp(-|a|^2/2) a^m / sqrt(m!) from the log Poisson term: m! overflows a float from m = 171
@@ -131,7 +131,7 @@ def _exp_project_single(cfg, seed):
     null_norms = []
     # each probe target lies more than eps from every level, for any eps < 1/2
     for frac in ((0.5 + eps) / 2, 0.5, 1.5):
-        weights = projector.build_projector(projector.single_constraint(space, frac), eps)
+        weights = projector.build_projector(projector.number_constraint(space, frac), eps)
         null_norms.append(float(np.linalg.norm(weights * vec)))
     rows = [
         CheckRow("projected_component_residual", resid, 1e-12),
@@ -172,7 +172,7 @@ def _exp_project_double(cfg, seed):
     if not math.isfinite(math.hypot(xi.real, xi.imag)):
         raise ConfigError("beta_re", "|alpha/beta| is not finite: the SU(2) label overflows")
     space = make_space(2, nmax)
-    weights = projector.build_projector(projector.double_constraint(space, float(mprime)), eps)
+    weights = projector.build_projector(projector.number_constraint(space, float(mprime)), eps)
     unit = _gauge_fixed_projection(weights, space, [alpha, beta], mprime, "beta_re")
     resid = float(np.max(np.abs(unit[spin.sector_indices(space, mprime)] - spin.su2_coherent(mprime, xi))))
     rows = [CheckRow("su2_state_match_residual", resid, 1e-10)]
@@ -184,7 +184,7 @@ def _exp_spin_overlap(cfg, seed):
     mprime = _get(cfg, "mprime", 6, int, 1, nmax)
     n_pairs = _get(cfg, "n_pairs", 10, int, 1, SPIN_MAX_PAIRS)
     space = make_space(2, nmax)
-    weights = projector.build_projector(projector.double_constraint(space, float(mprime)))
+    weights = projector.build_projector(projector.number_constraint(space, float(mprime)))
     rng = wiener.rng_stream(seed, 1)
     worst = 0.0
     for _ in range(n_pairs):
@@ -208,7 +208,7 @@ def _exp_correlations(cfg, seed):
     ops = ("H", "Q", "P")
     a_ket = math.sqrt(max(mprime, 1))
     evals = [a_ket * np.exp(1j * off) for off in offsets]
-    ratios = correlators.projected_ratios("single", a_ket, evals, mprime, nmax, ops)
+    ratios = correlators.projected_ratios(a_ket, evals, mprime, nmax, ops)
     energy = mprime + 0.5
     h_err = 0.0
     bracket_err = 0.0
@@ -219,7 +219,7 @@ def _exp_correlations(cfg, seed):
                 # relative: from E >= 2^19 one ulp of E alone exceeds 1e-10
                 h_err = max(h_err, abs(ratio - energy) / energy)
             else:
-                oracle = correlators.oracle_ratio("single", op, a_ket, a_eval, mprime)
+                oracle = correlators.oracle_ratio(op, a_ket, a_eval, mprime)
                 bracket_err = max(bracket_err, abs(ratio - oracle))
             sweep.append((off, op, float(ratio.real), float(ratio.imag)))
     rows = [
@@ -246,7 +246,7 @@ def _exp_classical_limit(cfg, seed):
     m_values = sorted(set(m_values))
     if len(m_values) < 2:
         raise ConfigError("m_values", "needs at least two distinct values to fit a scaling exponent")
-    rows_data = correlators.classical_limit_check(model, tuple(m_values))
+    rows_data = correlators.classical_limit_check(1 if model == "single" else 2, m_values)
     exponent = correlators.deviation_scaling_exponent(rows_data)
     rows = [
         CheckRow("deviation_monotone_decrease", _largest_rise([r.dev_abs for r in rows_data]), 0.0),
@@ -293,7 +293,7 @@ def _exp_wiener(cfg, seed):
     var_expected = 1.0 * 0.5 * 0.5  # nu t (T - t) / T at the midpoint
     var_err = abs(float(np.var(mid)) - var_expected)
     var_band = 3.0 * var_expected * math.sqrt(2.0 / (n_paths - 1))
-    constraint = projector.single_constraint(make_space(1, nmax), float(mprime))
+    constraint = projector.number_constraint(make_space(1, nmax), float(mprime))
     alpha = 1.0
     est = wiener.lambda_average_propagator(constraint, eps, alpha, alpha, n_paths=n_paths, seed=seed, stream=4)
     est_wide = wiener.lambda_average_propagator(

@@ -1,10 +1,11 @@
 """Projection onto the near-kernel of a first-class constraint operator.
 
-Both oscillator models carry a single constraint, a number operator minus
-a real target, which is diagonal in the occupation basis.  A constraint is
-therefore stored as its eigenvalue per basis state, and its projector as a
-weight per basis state (build_projector): a projected state is that weight
-vector times the state's amplitudes.  The weights are spectral-interval
+Both oscillator models carry a single constraint, the total number
+operator of their one or two modes minus a real target
+(number_constraint), which is diagonal in the occupation basis.  A
+constraint is therefore stored as its eigenvalue per basis state, and its
+projector as a weight per basis state (build_projector): a projected
+state is that weight vector times the state's amplitudes.  The weights are spectral-interval
 weights: eigenvalues of the constraint within (-eps, eps) get weight 1,
 exactly on the boundary weight 1/2, outside 0.
 
@@ -63,13 +64,8 @@ class ConstraintOp:
         return self.eigs
 
 
-def single_constraint(space: FockSpace, target: float) -> ConstraintOp:
-    """Number operator of mode 0 minus target."""
-    return ConstraintOp(space, space.mode_occupations(0) - target, float(target))
-
-
-def double_constraint(space: FockSpace, target: float) -> ConstraintOp:
-    """Total number operator of a two-mode space minus target."""
+def number_constraint(space: FockSpace, target: float) -> ConstraintOp:
+    """Total number operator of the space's modes minus target: one mode for the single model, two for the double."""
     return ConstraintOp(space, space.total_occupations() - target, float(target))
 
 

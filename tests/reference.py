@@ -170,12 +170,10 @@ def sin_kernel_residual(constraint, epsilon) -> float:
 # correlators
 
 
-def phys_wavefunction(model: str, ket, evaluation, mprime: int) -> complex:
-    """<e| P |ket> in closed form: exp(-sum |.|^2 / 2) z^m / m!, z = sum_k conj(e_k) ket_k."""
+def phys_wavefunction(ket, evaluation, mprime: int) -> complex:
+    """<e| P |ket> in closed form, one label per mode: exp(-sum |.|^2 / 2) z^m / m!, z = sum_k conj(e_k) ket_k."""
     ket = np.atleast_1d(np.asarray(ket, dtype=np.complex128))
     evaluation = np.atleast_1d(np.asarray(evaluation, dtype=np.complex128))
-    if ket.size != (1 if model == "single" else 2):
-        raise ValueError(f"unknown model {model!r} for {ket.size} labels")
     gauss = math.exp(-0.5 * float(np.sum(np.abs(ket) ** 2 + np.abs(evaluation) ** 2)))
     z = complex(np.sum(np.conj(evaluation) * ket))
     if z == 0:

@@ -15,7 +15,7 @@ import pytest
 from csquant import cli, classical, correlators, spin, wiener
 from csquant.coherent import coherent_vector, resolution_of_unity_check
 from csquant.fock import make_space
-from csquant.projector import build_projector, double_constraint, single_constraint
+from csquant.projector import build_projector, number_constraint
 from reference import (
     commutator,
     ho_hamiltonian,
@@ -38,7 +38,7 @@ def test_criterion_1_projection_exactness():
     vec = coherent_vector(space, alpha)
     worst = 0.0
     for m in (0, 1, 2, 3):
-        projected = build_projector(single_constraint(space, float(m)), epsilon=0.1) * vec
+        projected = build_projector(number_constraint(space, float(m)), epsilon=0.1) * vec
         expected = np.zeros(space.dim, dtype=complex)
         expected[m] = (
             math.exp(-0.5 * abs(alpha) ** 2) * alpha**m / math.sqrt(math.factorial(m))
@@ -46,7 +46,7 @@ def test_criterion_1_projection_exactness():
         worst = max(worst, float(np.max(np.abs(projected - expected))))
     null_ok = True
     for target in (0.3, 0.5, 1.5):
-        projected = build_projector(single_constraint(space, target), epsilon=0.1) * vec
+        projected = build_projector(number_constraint(space, target), epsilon=0.1) * vec
         null_ok &= not np.any(projected)  # the weights are exactly 0 or 1
     elapsed = time.perf_counter() - start
     _report(
@@ -62,8 +62,8 @@ def test_criterion_2_projector_identities():
     s2 = make_space(2, 10)
     h2 = ho_hamiltonian(s2, 0) + ho_hamiltonian(s2, 1)
     for target in range(0, 11):
-        rep1 = projector_identities(single_constraint(s1, float(target)), h1)
-        rep2 = projector_identities(double_constraint(s2, float(target)), h2)
+        rep1 = projector_identities(number_constraint(s1, float(target)), h1)
+        rep2 = projector_identities(number_constraint(s2, float(target)), h2)
         worst = max(worst, *rep1.values(), *rep2.values())
     _report(
         "criterion 2: projector identities <= 1e-10 (both models, targets <= 10)",
@@ -96,7 +96,7 @@ def test_criterion_4_su2_equivalence():
     worst_bad = math.inf
     for _ in range(10):
         mprime = int(rng.integers(1, 9))
-        constraint = double_constraint(space, float(mprime))
+        constraint = number_constraint(space, float(mprime))
         weights = build_projector(constraint, epsilon=0.1)
         a1, b1, a2, b2 = (
             rng.uniform(0.4, 1.3) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -167,13 +167,13 @@ def test_criterion_6_geometry():
 
 def test_criterion_7_classical_limits():
     ok = True
-    for model in ("single", "double"):
-        rows = correlators.classical_limit_check(model, (4, 16, 64))
+    for modes in (1, 2):
+        rows = correlators.classical_limit_check(modes, (4, 16, 64))
         devs = [r.dev_abs for r in rows]
         ok &= devs[0] > devs[1] > devs[2]
         exponent = correlators.deviation_scaling_exponent(rows)
         ok &= -0.7 <= exponent <= -0.3
-    h_ratio = correlators.projected_ratios("single", 2.0, [2.0 * cmath.exp(0.5j)], 4, 40, ("H",))[0, 0]
+    h_ratio = correlators.projected_ratios(2.0, [2.0 * cmath.exp(0.5j)], 4, 40, ("H",))[0, 0]
     ok &= abs(h_ratio - 4.5) <= 1e-12
     _report(
         "criterion 7: classical-limit deviations monotone, ~1/sqrt(m), H ratio exact",
@@ -190,7 +190,7 @@ def test_criterion_8_wiener_machinery():
     mean_ok = abs(np.mean(mid)) <= 3.0 * 0.5 / math.sqrt(n)
 
     space = make_space(1, 16)
-    constraint = single_constraint(space, 1.0)
+    constraint = number_constraint(space, 1.0)
     est = wiener.lambda_average_propagator(constraint, 0.45, 1.0, 1.0, n_paths=n, seed=101)
     est_wide = wiener.lambda_average_propagator(constraint, 0.45, 1.0, 1.0, n_paths=n, window=4000.0, seed=102)
     nu_ok = True

@@ -270,7 +270,6 @@ def test_unusable_config_exit_3_naming_field(tmp_path, capsys, payload, field, e
 _RAISE_KEEP = {
     ("coherent", "_polar_nodes"): "grid-density guard on the n_radial/n_angular knobs convergence tests set",
     ("spin", "su2_resolution_check"): "under-resolved guard on the n_theta/n_phi knobs convergence tests set",
-    ("correlators", "oracle_ratio"): "test reference: an unknown model or operator",
     ("correlators", "projected_ratios"): "RATIO_FLOOR refuses a computed overlap, not an input",
     ("fock", "LinearOperator.__post_init__"): "perfbench's tracer patches the class; nothing builds one",
 }

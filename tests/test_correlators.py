@@ -12,35 +12,35 @@ from csquant.correlators import (
     projected_ratios,
 )
 from csquant.fock import make_space
-from csquant.projector import single_constraint
+from csquant.projector import number_constraint
 from reference import ho_hamiltonian, momentum_operator, phys_wavefunction, position_operator, projected_propagator
 
 
 def test_wavefunction_single_real_peak_value():
     for m in (1, 3, 6):
         r = math.sqrt(m)
-        val = phys_wavefunction("single", r, r, m)
+        val = phys_wavefunction(r, r, m)
         assert val == pytest.approx(math.exp(-m) * m**m / math.factorial(m), rel=1e-12)
 
 
 def test_wavefunction_vacuum_orthogonal_to_excited():
-    assert phys_wavefunction("single", 1.2, 0.0, 3) == 0.0
-    assert phys_wavefunction("single", 0.0, 1.2, 3) == 0.0
+    assert phys_wavefunction(1.2, 0.0, 3) == 0.0
+    assert phys_wavefunction(0.0, 1.2, 3) == 0.0
 
 
 @pytest.mark.parametrize("nmax", [30, 46])
 def test_wavefunction_matches_truncated_matrix_element(nmax):
     m = 4
     a_ket, a_eval = 1.1 * cmath.exp(0.3j), 0.9 * cmath.exp(-0.8j)
-    direct = projected_propagator(single_constraint(make_space(1, nmax), float(m)), a_eval, a_ket)
-    assert phys_wavefunction("single", a_ket, a_eval, m) == pytest.approx(direct, rel=1e-10)
+    direct = projected_propagator(number_constraint(make_space(1, nmax), float(m)), a_eval, a_ket)
+    assert phys_wavefunction(a_ket, a_eval, m) == pytest.approx(direct, rel=1e-10)
 
 
 def test_wavefunction_double_closed_form_vs_sector_sum():
     m = 5
     a_k, b_k = 0.8 + 0.1j, 0.6 - 0.4j
     a_e, b_e = 0.5 - 0.2j, 1.0 + 0.3j
-    got = phys_wavefunction("double", (a_k, b_k), (a_e, b_e), m)
+    got = phys_wavefunction((a_k, b_k), (a_e, b_e), m)
     pref = math.exp(-0.5 * (abs(a_k) ** 2 + abs(b_k) ** 2 + abs(a_e) ** 2 + abs(b_e) ** 2))
     total = 0.0
     for n in range(m + 1):
@@ -56,38 +56,38 @@ def test_peak_scaled_magnitude_near_one_at_large_m():
     # sqrt(2 pi m) |wavefunction| is ~1 at the peak (Stirling)
     m = 50
     r = math.sqrt(m)
-    assert math.sqrt(2 * math.pi * m) * abs(phys_wavefunction("single", r, r, m)) == pytest.approx(1.0, abs=0.05)
+    assert math.sqrt(2 * math.pi * m) * abs(phys_wavefunction(r, r, m)) == pytest.approx(1.0, abs=0.05)
     rd = math.sqrt(m / 2.0)
-    peak = phys_wavefunction("double", (rd, rd), (rd, rd), m)
+    peak = phys_wavefunction((rd, rd), (rd, rd), m)
     assert math.sqrt(2 * math.pi * m) * abs(peak) == pytest.approx(1.0, abs=0.05)
 
 
-def _ratio(model, op, ket, ev, m, nmax):
-    return projected_ratios(model, ket, [ev], m, nmax, (op,))[0, 0]
+def _ratio(op, ket, ev, m, nmax):
+    return projected_ratios(ket, [ev], m, nmax, (op,))[0, 0]
 
 
 def test_h_correlation_ratio_exact():
     m = 6
-    ratio = _ratio("single", "H", math.sqrt(m), math.sqrt(m) * cmath.exp(0.7j), m, 40)
+    ratio = _ratio("H", math.sqrt(m), math.sqrt(m) * cmath.exp(0.7j), m, 40)
     assert ratio == pytest.approx(m + 0.5, rel=1e-12)
 
 
 def test_q_correlation_real_labels_reduces_to_sqrt_2m():
     m = 4
-    assert _ratio("single", "Q", math.sqrt(m), math.sqrt(m), m, 40) == pytest.approx(math.sqrt(2.0 * m), rel=1e-12)
-    assert oracle_ratio("single", "Q", math.sqrt(m), math.sqrt(m), m) == pytest.approx(math.sqrt(2.0 * m), rel=1e-12)
+    assert _ratio("Q", math.sqrt(m), math.sqrt(m), m, 40) == pytest.approx(math.sqrt(2.0 * m), rel=1e-12)
+    assert oracle_ratio("Q", math.sqrt(m), math.sqrt(m), m) == pytest.approx(math.sqrt(2.0 * m), rel=1e-12)
 
 
 def test_projected_ratios_table_matches_one_point_calls():
     # one projected ket serves every evaluation point and operator
     m, ket = 5, 1.3 * cmath.exp(0.4j)
     evals = [1.0 * cmath.exp(-0.9j), 2.1, 0.7j]
-    table = projected_ratios("single", ket, evals, m, 40, ("H", "Q", "P"))
+    table = projected_ratios(ket, evals, m, 40, ("H", "Q", "P"))
     assert table.shape == (3, 3)
     for i, ev in enumerate(evals):
         for k, op in enumerate(("H", "Q", "P")):
-            assert table[i, k] == _ratio("single", op, ket, ev, m, 40)
-            assert table[i, k] == pytest.approx(oracle_ratio("single", op, ket, ev, m), rel=1e-10)
+            assert table[i, k] == _ratio(op, ket, ev, m, 40)
+            assert table[i, k] == pytest.approx(oracle_ratio(op, ket, ev, m), rel=1e-10)
 
 
 @pytest.mark.parametrize("nmax", [30, 44])
@@ -96,8 +96,8 @@ def test_single_brackets_match_matrix_elements(op, nmax):
     m = 5
     a_ket = 1.3 * cmath.exp(0.4j)
     a_eval = 1.0 * cmath.exp(-0.9j)
-    ratio = _ratio("single", op, a_ket, a_eval, m, nmax)
-    assert ratio == pytest.approx(oracle_ratio("single", op, a_ket, a_eval, m), rel=1e-10)
+    ratio = _ratio(op, a_ket, a_eval, m, nmax)
+    assert ratio == pytest.approx(oracle_ratio(op, a_ket, a_eval, m), rel=1e-10)
 
 
 @pytest.mark.parametrize("nmax", [14, 20])
@@ -106,8 +106,8 @@ def test_double_brackets_match_matrix_elements(op, nmax):
     m = 4
     ket = (0.9 * cmath.exp(0.2j), 0.7 * cmath.exp(-0.5j))
     ev = (0.8 * cmath.exp(-0.3j), 1.0 * cmath.exp(0.6j))
-    ratio = _ratio("double", op, ket, ev, m, nmax)
-    assert ratio == pytest.approx(oracle_ratio("double", op, ket, ev, m), rel=1e-10)
+    ratio = _ratio(op, ket, ev, m, nmax)
+    assert ratio == pytest.approx(oracle_ratio(op, ket, ev, m), rel=1e-10)
 
 
 def test_bracket_convention_pinned_by_matrix_elements():
@@ -117,45 +117,45 @@ def test_bracket_convention_pinned_by_matrix_elements():
     m = 3
     a_ket = 1.1
     a_eval = 1.1 * cmath.exp(0.8j)
-    ratio = _ratio("single", "Q", a_ket, a_eval, m, 40)
+    ratio = _ratio("Q", a_ket, a_eval, m, 40)
     alt = math.sqrt(2.0) * (m / a_eval + a_eval)
-    assert abs(ratio - oracle_ratio("single", "Q", a_ket, a_eval, m)) < 1e-10
+    assert abs(ratio - oracle_ratio("Q", a_ket, a_eval, m)) < 1e-10
     assert abs(ratio - alt) > 0.1
 
 
 def test_null_projection_flags_correlation_undefined():
     with pytest.raises(ValueError, match="undefined"):
-        _ratio("single", "Q", 0.0, 1.0, 2, 30)
+        _ratio("Q", 0.0, 1.0, 2, 30)
 
 
 def test_gauge_phase_factorization_invariance():
     m = 4
     a_ket = 1.2
     a_eval = 0.9 * cmath.exp(0.5j)
-    base = _ratio("single", "Q", a_ket, a_eval, m, 40)
+    base = _ratio("Q", a_ket, a_eval, m, 40)
     for theta in (0.3, 1.4, 2.9):
-        rot = _ratio("single", "Q", a_ket * cmath.exp(1j * theta), a_eval, m, 40)
+        rot = _ratio("Q", a_ket * cmath.exp(1j * theta), a_eval, m, 40)
         assert abs(rot) == pytest.approx(abs(base), rel=1e-12)
 
 
 def test_peak_location_on_constraint_manifold():
     # |wavefunction| along an evaluation ray peaks where the label's energy meets the constraint
     double_unit = np.array([0.9, 1.1]) * cmath.exp(0.2j) / math.hypot(0.9, 1.1)
-    for model, ket, unit, m in (
-        ("single", math.sqrt(6), cmath.exp(0.4j), 6),
-        ("double", (1.0, 1.0), double_unit, 4),
+    for ket, unit, m in (
+        (math.sqrt(6), cmath.exp(0.4j), 6),
+        ((1.0, 1.0), double_unit, 4),
     ):
         peak = math.sqrt(m)
         mags = [
-            abs(phys_wavefunction(model, ket, s * unit if model == "single" else tuple(s * unit), m))
+            abs(phys_wavefunction(ket, s * unit, m))
             for s in (peak * (1 - 1e-3), peak, peak * (1 + 1e-3))
         ]
         assert mags[1] > mags[0] and mags[1] > mags[2]
 
 
-@pytest.mark.parametrize("model", ["single", "double"])
-def test_classical_limit_monotone_and_sqrt_m_scaling(model):
-    rows = classical_limit_check(model)
+@pytest.mark.parametrize("modes", [1, 2], ids=["single", "double"])
+def test_classical_limit_monotone_and_sqrt_m_scaling(modes):
+    rows = classical_limit_check(modes, (4, 16, 64))
     devs = [r.dev_abs for r in rows]
     assert devs[0] > devs[1] > devs[2]
     exponent = deviation_scaling_exponent(rows)
@@ -165,7 +165,7 @@ def test_classical_limit_monotone_and_sqrt_m_scaling(model):
 
 def test_classical_limit_scaled_single_sweep():
     # band actions keep every m O(dim): nmax reaches ~18000 at m = 16384
-    rows = classical_limit_check("single", (16, 64, 256, 1024, 4096, 16384))
+    rows = classical_limit_check(1, (16, 64, 256, 1024, 4096, 16384))
     devs = [r.dev_abs for r in rows]
     assert all(a > b for a, b in zip(devs, devs[1:]))
     exponent = deviation_scaling_exponent(rows)

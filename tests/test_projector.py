@@ -14,9 +14,8 @@ from csquant.projector import (
     _sine_integral,
     build_projector,
     default_lam_max,
-    double_constraint,
+    number_constraint,
     sin_kernel_weights,
-    single_constraint,
 )
 from csquant.spin import sector_indices, su2_coherent
 from reference import (
@@ -33,7 +32,7 @@ from reference import (
 
 def test_spectral_table_selects_single_level():
     s = make_space(1, 10)
-    weights = build_projector(single_constraint(s, 3.0), epsilon=0.1)
+    weights = build_projector(number_constraint(s, 3.0), epsilon=0.1)
     expected = np.zeros(11)
     expected[3] = 1.0
     assert np.array_equal(weights, expected)
@@ -41,13 +40,13 @@ def test_spectral_table_selects_single_level():
 
 def test_spectral_table_null_for_half_integer():
     s = make_space(1, 10)
-    weights = build_projector(single_constraint(s, 0.5), epsilon=0.1)
+    weights = build_projector(number_constraint(s, 0.5), epsilon=0.1)
     assert np.max(np.abs(weights)) == 0.0
 
 
 def test_spectral_boundary_case_weight_half():
     s = make_space(1, 4)
-    weights = build_projector(single_constraint(s, 2.25), epsilon=0.25)
+    weights = build_projector(number_constraint(s, 2.25), epsilon=0.25)
     assert weights[2] == pytest.approx(0.5)
     assert weights[3] == 0.0
 
@@ -69,7 +68,7 @@ def _sin_kernel_oracle(constraint, epsilon):
 
 def test_sin_kernel_matches_spectral():
     s = make_space(1, 6)
-    constraint = single_constraint(s, 2.0)
+    constraint = number_constraint(s, 2.0)
     weights = _sin_kernel_oracle(constraint, 0.1)
     expected = np.zeros(7)
     expected[2] = 1.0
@@ -80,7 +79,7 @@ def test_sin_kernel_matches_spectral():
 @pytest.mark.parametrize("nmax", [20, 40])
 def test_project_coherent_single_closed_form(nmax):
     s = make_space(1, nmax)
-    projected = build_projector(single_constraint(s, 0.0), epsilon=0.1) * coherent_vector(s, 1.0)
+    projected = build_projector(number_constraint(s, 0.0), epsilon=0.1) * coherent_vector(s, 1.0)
     assert np.linalg.norm(projected) == pytest.approx(math.exp(-0.5), rel=1e-12)
     expected = np.zeros(nmax + 1, dtype=complex)
     expected[0] = math.exp(-0.5)
@@ -89,7 +88,7 @@ def test_project_coherent_single_closed_form(nmax):
 
 def test_project_eigenvector_unchanged():
     s = make_space(1, 8)
-    projected = build_projector(single_constraint(s, 5.0), epsilon=0.1) * basis_vector(s, (5,))
+    projected = build_projector(number_constraint(s, 5.0), epsilon=0.1) * basis_vector(s, (5,))
     assert np.array_equal(projected, basis_vector(s, (5,)))
     assert np.linalg.norm(projected) == 1.0
 
@@ -98,7 +97,7 @@ def test_project_double_sector_term_by_term():
     s = make_space(2, 12)
     mprime = 4
     alpha, beta = 0.8 + 0.2j, 0.5 - 0.7j
-    projected = build_projector(double_constraint(s, float(mprime)), epsilon=0.1) * coherent_vector(s, [alpha, beta])
+    projected = build_projector(number_constraint(s, float(mprime)), epsilon=0.1) * coherent_vector(s, [alpha, beta])
     pref = math.exp(-0.5 * (abs(alpha) ** 2 + abs(beta) ** 2))
     expected = np.zeros(s.dim, dtype=complex)
     for n in range(mprime + 1):
@@ -113,7 +112,7 @@ def test_project_double_sector_term_by_term():
 
 def test_project_null_outcome():
     s = make_space(1, 16)
-    projected = build_projector(single_constraint(s, 0.5), epsilon=0.1) * coherent_vector(s, 1.2)
+    projected = build_projector(number_constraint(s, 0.5), epsilon=0.1) * coherent_vector(s, 1.2)
     assert not np.any(projected)  # the weights are exactly 0 or 1
 
 
@@ -122,7 +121,7 @@ def test_normalize_single_gauge_phase():
     m = 3
     theta = 0.85
     alpha = 1.1 * cmath.exp(1j * theta)
-    weights = build_projector(single_constraint(s, float(m)), epsilon=0.1)
+    weights = build_projector(number_constraint(s, float(m)), epsilon=0.1)
     projected = weights * coherent_vector(s, alpha)
     unit = projected / np.linalg.norm(projected)
     assert np.linalg.norm(unit) == pytest.approx(1.0, abs=1e-10)
@@ -141,38 +140,32 @@ def test_normalize_double_matches_su2_coherent(nmax):
     beta = 0.9 * cmath.exp(0.4j)
     xi = 0.7 - 0.3j
     alpha = xi * beta
-    projected = build_projector(double_constraint(s, float(mprime)), epsilon=0.1) * coherent_vector(s, [alpha, beta])
+    projected = build_projector(number_constraint(s, float(mprime)), epsilon=0.1) * coherent_vector(s, [alpha, beta])
     mapped = (projected / np.linalg.norm(projected))[sector_indices(s, mprime)]
     gauge_phase = mapped[0] / abs(mapped[0])  # the |0, mprime> component
     assert np.max(np.abs(mapped - gauge_phase * su2_coherent(mprime, xi))) < 1e-10
     assert gauge_phase == pytest.approx((beta / abs(beta)) ** mprime, rel=1e-12)
 
 
-@pytest.mark.parametrize("model", ["single", "double"])
+@pytest.mark.parametrize("modes, nmax", [(1, 14), (2, 10)], ids=["single", "double"])
 @pytest.mark.parametrize("target", [0.0, 1.0, 4.0, 7.0, 10.0, 2.5])
-def test_projector_identities_spectral(model, target):
-    if model == "single":
-        s = make_space(1, 14)
-        constraint = single_constraint(s, target)
-        ham = ho_hamiltonian(s, 0)
-    else:
-        s = make_space(2, 10)
-        constraint = double_constraint(s, target)
-        ham = ho_hamiltonian(s, 0) + ho_hamiltonian(s, 1)
-    report = projector_identities(constraint, ham)
+def test_projector_identities_spectral(modes, nmax, target):
+    s = make_space(modes, nmax)
+    ham = sum(ho_hamiltonian(s, mode) for mode in range(modes))
+    report = projector_identities(number_constraint(s, target), ham)
     assert max(report.values()) <= 1e-10
 
 
 def test_projector_identities_gauge_zero_sigma():
     s = make_space(1, 8)
-    report = projector_identities(single_constraint(s, 2.0), ho_hamiltonian(s, 0), sigmas=(0.0,))
+    report = projector_identities(number_constraint(s, 2.0), ho_hamiltonian(s, 0), sigmas=(0.0,))
     assert report["gauge@0.0"] == 0.0
 
 
 def test_projector_identities_evolution_detects_noncommuting_hamiltonian():
     # Q = (a + a+)/sqrt(2) changes the occupation, so [P, exp(-itQ)] != 0
     s = make_space(1, 14)
-    constraint = single_constraint(s, 4.0)
+    constraint = number_constraint(s, 4.0)
     q = position_operator(s, 0)
     report = projector_identities(constraint, q)
     # the eigendecomposition route agrees with the matrix exponential
@@ -187,12 +180,12 @@ def test_projector_identities_reject_non_hermitian_hamiltonian():
     s = make_space(1, 6)
     a, _ = ladder(s, 0)
     with pytest.raises(ValueError, match="Hermitian"):
-        projector_identities(single_constraint(s, 2.0), a)
+        projector_identities(number_constraint(s, 2.0), a)
 
 
 def test_projector_identities_sin_kernel_bounded_by_quadrature():
     s = make_space(1, 6)
-    constraint = single_constraint(s, 2.0)
+    constraint = number_constraint(s, 2.0)
     quad_tol = sin_kernel_residual(constraint, 0.1)
     w = _sin_kernel_oracle(constraint, 0.1)
     # products of two near-projectors: allow the quadrature error times a few
@@ -204,7 +197,7 @@ def test_projected_propagator_single_closed_form():
     s = make_space(1, 40)
     m = 2
     a1, a2 = 1.3 * cmath.exp(0.5j), 0.8 * cmath.exp(-1.1j)
-    got = projected_propagator(single_constraint(s, float(m)), a1, a2)
+    got = projected_propagator(number_constraint(s, float(m)), a1, a2)
     expected = (
         math.exp(-0.5 * (abs(a1) ** 2 + abs(a2) ** 2))
         * (np.conj(a1) * a2) ** m
@@ -215,7 +208,7 @@ def test_projected_propagator_single_closed_form():
 
 def test_projected_propagator_normalized_self_overlap():
     s = make_space(1, 30)
-    constraint = single_constraint(s, 2.0)
+    constraint = number_constraint(s, 2.0)
     norm = np.linalg.norm(build_projector(constraint) * coherent_vector(s, 1.2))
     val = projected_propagator(constraint, 1.2, 1.2)
     assert val / norm**2 == pytest.approx(1.0, rel=1e-12)
@@ -225,7 +218,7 @@ def test_projected_propagator_double_su2_magnitude():
     s = make_space(2, 16)
     mprime = 4
     j = mprime / 2.0
-    constraint = double_constraint(s, float(mprime))
+    constraint = number_constraint(s, float(mprime))
     weights = build_projector(constraint)
     rng = np.random.default_rng(9)
     for _ in range(5):
@@ -246,7 +239,7 @@ def test_projected_propagator_double_su2_magnitude():
 def test_epsilon_independence_for_integer_target():
     s = make_space(1, 12)
     weights = [
-        build_projector(single_constraint(s, 4.0), epsilon=eps)
+        build_projector(number_constraint(s, 4.0), epsilon=eps)
         for eps in (0.05, 0.2, 0.45)
     ]
     assert np.array_equal(weights[0], weights[1])
@@ -255,7 +248,7 @@ def test_epsilon_independence_for_integer_target():
 
 def test_projection_is_contraction():
     s = make_space(1, 20)
-    weights = build_projector(single_constraint(s, 3.0), epsilon=0.1)
+    weights = build_projector(number_constraint(s, 3.0), epsilon=0.1)
     rng = np.random.default_rng(13)
     for _ in range(10):
         amps = rng.standard_normal(21) + 1j * rng.standard_normal(21)
@@ -265,7 +258,7 @@ def test_projection_is_contraction():
 def test_null_criterion_matches_spectrum_scan():
     s = make_space(1, 14)
     for target in (0.5, 1.5, 3.0, 0.3):
-        constraint = single_constraint(s, target)
+        constraint = number_constraint(s, target)
         dim_phys = np.count_nonzero(np.abs(constraint.eigs) < 0.1)
         projected = build_projector(constraint, epsilon=0.1) * coherent_vector(s, 1.0)
         assert (not np.any(projected)) == (dim_phys == 0)

@@ -8,7 +8,7 @@ from scipy.stats import ks_2samp
 from csquant import _kernels, wiener
 from csquant.coherent import coherent_vector
 from csquant.fock import make_space
-from csquant.projector import double_constraint, single_constraint
+from csquant.projector import number_constraint
 from csquant.wiener import (
     heat_kernel,
     lambda_average_propagator,
@@ -217,7 +217,7 @@ def propagator_setup():
 
 def test_lambda_propagator_selected_level(propagator_setup):
     space, alpha = propagator_setup
-    est = lambda_average_propagator(single_constraint(space, 1.0), 0.45, alpha, alpha, seed=101)
+    est = lambda_average_propagator(number_constraint(space, 1.0), 0.45, alpha, alpha, seed=101)
     assert est.spectral == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert est.quadrature_error < 1e-4
     assert est.mc_error <= 3.0 * est.mc_se
@@ -225,7 +225,7 @@ def test_lambda_propagator_selected_level(propagator_setup):
 
 def test_lambda_propagator_null_window(propagator_setup):
     space, alpha = propagator_setup
-    est = lambda_average_propagator(single_constraint(space, 0.5), 0.1, alpha, alpha, seed=103)
+    est = lambda_average_propagator(number_constraint(space, 0.5), 0.1, alpha, alpha, seed=103)
     assert est.spectral == 0.0
     assert abs(est.quadrature) < 1e-4
     assert abs(est.mc_value) <= 3.0 * est.mc_se
@@ -233,14 +233,14 @@ def test_lambda_propagator_null_window(propagator_setup):
 
 def test_lambda_propagator_degenerate_tau_is_plain_overlap(propagator_setup):
     space, alpha = propagator_setup
-    est = lambda_average_propagator(single_constraint(space, 1.0), 0.45, alpha, alpha, nu=0.0, window=0.0, seed=104)
+    est = lambda_average_propagator(number_constraint(space, 1.0), 0.45, alpha, alpha, nu=0.0, window=0.0, seed=104)
     assert est.mc_value == pytest.approx(1.0, abs=1e-7)  # <a|a> = 1 up to truncation
     assert est.mc_se < 1e-12
 
 
 def test_lambda_propagator_window_and_nu_stability(propagator_setup):
     space, alpha = propagator_setup
-    constraint = single_constraint(space, 1.0)
+    constraint = number_constraint(space, 1.0)
     for kwargs in ({"window": 4000.0}, {"nu": 0.5}, {"nu": 2.0}):
         est = lambda_average_propagator(constraint, 0.45, alpha, alpha, seed=105, **kwargs)
         assert est.mc_error <= 3.0 * est.mc_se
@@ -249,7 +249,7 @@ def test_lambda_propagator_window_and_nu_stability(propagator_setup):
 def test_lambda_propagator_distinct_labels(propagator_setup):
     space, _ = propagator_setup
     a1, a2 = 1.1, 0.7 + 0.6j
-    est = lambda_average_propagator(single_constraint(space, 2.0), 0.3, a1, a2, seed=106)
+    est = lambda_average_propagator(number_constraint(space, 2.0), 0.3, a1, a2, seed=106)
     assert est.quadrature_error < 1e-4
     assert est.mc_error <= 3.0 * est.mc_se
     expected = (
@@ -260,7 +260,7 @@ def test_lambda_propagator_distinct_labels(propagator_setup):
 
 def test_finite_window_matches_characteristic_function_quadrature(propagator_setup):
     space, _ = propagator_setup
-    constraint = single_constraint(space, 2.0)
+    constraint = number_constraint(space, 2.0)
     a1, a2 = 1.1, 0.7 + 0.6j
     nu, window = 0.8, 0.7
     est = lambda_average_propagator(constraint, 0.3, a1, a2, n_paths=100, nu=nu, window=window)
@@ -294,7 +294,7 @@ def test_rng_stream_is_counter_based_and_stable():
 @pytest.mark.parametrize("target", [0.0, 1.0, 3.0, 0.3])
 def test_phase_samples_matches_direct_sum(modes, nmax, target):
     space = make_space(modes, nmax)
-    constraint = single_constraint(space, target) if modes == 1 else double_constraint(space, target)
+    constraint = number_constraint(space, target)
     rng = np.random.default_rng(91)
     weights = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     # more than one chunk of paths, so the chunk boundary and a partial chunk are covered
