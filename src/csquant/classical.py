@@ -12,12 +12,10 @@ area of the patch is the disc area pi S^2; single-valuedness of
 exp(i oint p dq) quantizes it to 2 pi n, hence S^2 = 2n and E = n with
 n >= 1.
 
-The operator quantization of the same model gives E = m' + 1, m' >= 0.
-The n >= 1 floor on the geometric side traces back to excluding the point
-where the gauge slice degenerates (r1 = S); patching around that point
-instead would shift the geometric spectrum onto the operator one.  This
-note documents the discrepancy; the two-patch construction itself is out
-of scope here.
+The operator quantization of the same model gives E = m' + 1 with
+m' >= 0, the zero-point energy 1/2 per mode included.  Under n = m' + 1
+both spectra are {1, 2, ...}: the geometric and the operator energies
+agree level by level, so there is no discrepancy to patch.
 """
 
 from __future__ import annotations

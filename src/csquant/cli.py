@@ -5,15 +5,16 @@ experiment deterministically and writes a JSON table of checks (value,
 tolerance, pass) plus CSV sweeps; `csquant list` dumps the registry.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 unknown experiment,
-3 config validation error (printed with the offending field).  This is the
-one layer that validates input: the library modules assume in-range
-arguments, so every config field, `--out` and `--seed` is bounded here
-before it reaches them.  A coherent state that leaks through the
-occupation cutoff, or a space over the fock.MAX_DIM basis-state guard, is
-a config error naming `nmax` (`m_values` for classical-limit, whose m sets
-the cutoff).  Reruns with the same config and seed reproduce the output
-files byte for byte: every check is seeded, outputs carry no timestamps,
-and files are written via temp-file + rename.
+3 config validation error (printed with the offending field), a field the
+experiment does not read included.  This is the one layer that validates
+input: the library modules assume in-range arguments, so every config
+field, `--out` and `--seed` is bounded here before it reaches them.  A
+coherent state that leaks through the occupation cutoff, or a space over
+the fock.MAX_DIM basis-state guard, is a config error naming `nmax`
+(`m_values` for classical-limit, whose m sets the cutoff).  Reruns with
+the same config and seed reproduce the output files byte for byte: every
+check is seeded, outputs carry no timestamps, and files are written via
+temp-file + rename.
 """
 
 from __future__ import annotations
@@ -44,13 +45,27 @@ WIENER_MAX_PATHS = 2**21
 SPIN_MAX_PAIRS = 1000  # spin-overlap's label pairs: the cap bounds run time
 # geometry's curvature 2/S^2 = 1/n stays 10x above its row's 1e-4 tolerance, so a zero curvature fails
 GEOMETRY_MAX_N = 1000
-CLASSICAL_MAX_M = 2**53  # the largest m that is exact as a float
+# the double model's Q/P ratios (~sqrt(m)) carry ~eps sqrt(m) of roundoff against a dev_abs of ~0.5/sqrt(m),
+# and the step 1/(2m) between adjacent m meets it near m ~ 3e7, so a correct program could fail the monotone row
+CLASSICAL_MAX_M = 10**6
 
 
 class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"config field '{field}': {message}")
         self.field = field
+
+
+class _Config(dict):
+    """A config object that records each field an experiment asks for, so that the others can be refused."""
+
+    def __init__(self, fields: dict):
+        super().__init__(fields)
+        self.read = {"experiment", "seed", "out"}
+
+    def get(self, field, default=None):
+        self.read.add(field)
+        return super().get(field, default)
 
 
 def _get(cfg: dict, field: str, default, kind, low=None, high=None):
@@ -434,6 +449,7 @@ def run_experiment(config_path: str, out_dir: str | None, seed_override: int | N
         cfg = json.loads(cfg_bytes)
         if not isinstance(cfg, dict):
             raise ConfigError("<root>", "config must be a JSON object")
+        cfg = _Config(cfg)
         name = cfg.get("experiment")
         if not isinstance(name, str):
             raise ConfigError("experiment", "required string")
@@ -453,6 +469,9 @@ def run_experiment(config_path: str, out_dir: str | None, seed_override: int | N
         if not isinstance(out, str) or not out:
             raise ConfigError("out", "must be a non-empty path")
         rows, sweeps = EXPERIMENTS[name].runner(cfg, seed)
+        unread = sorted(set(cfg) - cfg.read)
+        if unread:
+            raise ConfigError(unread[0], f"experiment {name!r} has no such field")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

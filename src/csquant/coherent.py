@@ -107,20 +107,6 @@ def _poisson_tail_above(p_n: float, x: float, n: int) -> float:
         k += 1
 
 
-def _poisson_pmf(x: float, nmax: int) -> np.ndarray:
-    """e^-x x^n / n! for n = 0..nmax, x > 0, built outward from n0 = min(floor(x), nmax).
-
-    Like single_mode_amplitudes, only the pivot n0 is taken in log space
-    (log_poisson_term) and the rest are running products of factors <= 1.
-    """
-    n0 = min(math.floor(x), nmax)
-    pmf = np.empty(nmax + 1)
-    pmf[n0] = math.exp(log_poisson_term(x, n0))
-    pmf[n0 + 1 :] = pmf[n0] * np.cumprod(x / np.arange(n0 + 1, nmax + 1))
-    pmf[:n0][::-1] = pmf[n0] * np.cumprod(np.arange(n0, 0, -1) / x)
-    return pmf
-
-
 def _poisson_tails(x: float, nmax: int):
     """(Pr[N > n], Pr[N <= n]) for N ~ Poisson(x), x > 0, at n = 0..nmax.
 
@@ -130,7 +116,7 @@ def _poisson_tails(x: float, nmax: int):
     a running sum downward from nmax.  Each other side is 1 minus the
     small one, which is at least ~0.3 where the sides meet.
     """
-    pmf = _poisson_pmf(x, nmax)
+    pmf = single_mode_amplitudes(math.sqrt(x), nmax).real ** 2  # |<n|sqrt(x)>|^2 is the Poisson(x) pmf
     split = min(math.ceil(x), nmax + 1)  # levels n < x
     lower = np.empty(nmax + 1)
     upper = np.empty(nmax + 1)

@@ -42,10 +42,11 @@ class FockSpace:
         return (np.arange(self.dim) // base**mode) % base
 
     def total_occupations(self) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.int64)
-        for m in range(self.modes):
-            out += self.mode_occupations(m)
-        return out
+        """Sum of the modes' occupations for every basis index (mode 0's own array for a one-mode space)."""
+        total = self.mode_occupations(0)
+        for mode in range(1, self.modes):
+            total = total + self.mode_occupations(mode)
+        return total
 
 
 def make_space(modes: int, nmax: int) -> FockSpace:

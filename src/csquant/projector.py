@@ -5,9 +5,9 @@ operator of their one or two modes minus a real target
 (number_constraint), which is diagonal in the occupation basis.  A
 constraint is therefore stored as its eigenvalue per basis state, and its
 projector as a weight per basis state (build_projector): a projected
-state is that weight vector times the state's amplitudes.  The weights are spectral-interval
-weights: eigenvalues of the constraint within (-eps, eps) get weight 1,
-exactly on the boundary weight 1/2, outside 0.
+state is that weight vector times the state's amplitudes.  The weights
+are spectral-interval weights: eigenvalues of the constraint within
+(-eps, eps) get weight 1, exactly on the boundary weight 1/2, outside 0.
 
 The sin-kernel measure (sin_kernel_weights) is the quadrature estimate
 that the Wiener experiment scores against the spectral weights: the

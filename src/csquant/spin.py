@@ -69,26 +69,16 @@ def su2_overlap(twoj: int, xi_bra: complex, xi_ket: complex) -> complex:
     return ratio**twoj
 
 
-def su2_resolution_check(twoj: int, n_theta: int | None = None, n_phi: int | None = None) -> float:
+def su2_resolution_check(twoj: int) -> float:
     """Max deviation from the identity of the coherent-state closure quadrature.
 
     Gauss-Legendre nodes in cos(theta) (the diagonal integrands are degree
     <= 2j polynomials there) and uniform phi nodes (kill the off-diagonal
-    phases exactly below the aliasing order).
+    phases exactly below the aliasing order), 2 twoj + 4 of each: above the
+    twoj // 2 + 1 and twoj + 1 that integrate the closure exactly.
     """
-    need_theta = twoj // 2 + 1
-    need_phi = twoj + 2
-    if n_theta is None:
-        n_theta = 2 * twoj + 4
-    if n_phi is None:
-        n_phi = 2 * twoj + 4
-    if n_theta < need_theta or n_phi < need_phi:
-        raise ValueError(
-            f"grid {n_theta}x{n_phi} under-resolved for 2j={twoj}; "
-            f"use at least {2 * twoj + 4} nodes each way"
-        )
-    mat = _closure_matrix(twoj, n_theta, n_phi)
-    return float(np.max(np.abs(mat - np.eye(twoj + 1))))
+    n_nodes = 2 * twoj + 4
+    return float(np.max(np.abs(_closure_matrix(twoj, n_nodes, n_nodes) - np.eye(twoj + 1))))
 
 
 def _closure_matrix(twoj: int, n_theta: int, n_phi: int) -> np.ndarray:

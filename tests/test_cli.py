@@ -219,7 +219,7 @@ _UNUSABLE = [
     ),
     ("single-dim-guard", {"experiment": "project-single", "nmax": 2_000_000}, "nmax", []),
     ("spin-overlap-dim-guard", {"experiment": "spin-overlap", "nmax": 1001}, "nmax", []),
-    ("classical-limit-dim-guard", {"experiment": "classical-limit", "m_values": [4, 2_000_000]}, "m_values", []),
+    ("classical-limit-dim-guard", {"experiment": "classical-limit", "m_values": [4, 10**6]}, "m_values", []),
     ("spin-overlap-underflow", {"experiment": "spin-overlap", "nmax": 302, "mprime": 300}, "mprime", []),
     # one label's largest projected entry is subnormal: dividing by it gave a NaN pair that max() dropped
     ("spin-overlap-subnormal", {"experiment": "spin-overlap", "nmax": 272, "mprime": 270, "seed": 2}, "mprime", []),
@@ -247,6 +247,22 @@ _UNUSABLE = [
         [],
     ),
     ("spin-overlap-n-pairs", {"experiment": "spin-overlap", "n_pairs": 10**27}, "n_pairs", []),
+    # above m = 10^6 the double model's roundoff could fail its monotone row: at 2^51, 2^52 and at 2^30, 2^30 + 1 it did
+    (
+        "classical-limit-double-m-2^52",
+        {"experiment": "classical-limit", "model": "double", "m_values": [2**51, 2**52]},
+        "m_values",
+        [],
+    ),
+    (
+        "classical-limit-double-m-adjacent-2^30",
+        {"experiment": "classical-limit", "model": "double", "m_values": [2**30, 2**30 + 1]},
+        "m_values",
+        [],
+    ),
+    # a field the experiment does not read, e.g. a typo that would leave the default in force
+    ("wiener-unknown-field", {"experiment": "wiener", "n_path": 10}, "n_path", []),
+    ("geometry-unknown-field", {"experiment": "geometry", "nn": 5}, "nn", []),
 ]
 
 
@@ -269,7 +285,6 @@ def test_unusable_config_exit_3_naming_field(tmp_path, capsys, payload, field, e
 # Library raises that no unusable config reaches but that stay, each with its reason.
 _RAISE_KEEP = {
     ("coherent", "_polar_nodes"): "grid-density guard on the n_radial/n_angular knobs convergence tests set",
-    ("spin", "su2_resolution_check"): "under-resolved guard on the n_theta/n_phi knobs convergence tests set",
     ("correlators", "projected_ratios"): "RATIO_FLOOR refuses a computed overlap, not an input",
     ("fock", "LinearOperator.__post_init__"): "perfbench's tracer patches the class; nothing builds one",
 }
@@ -354,6 +369,13 @@ def test_wiener_path_count_refused_before_sampling(tmp_path, capsys, monkeypatch
     assert not out.exists()
     # the 1e6-path benchmark workload stays under the CLI cap
     assert 1_000_000 <= cli.WIENER_MAX_PATHS
+
+
+def test_classical_limit_double_passes_at_the_m_cap(tmp_path):
+    # adjacent m at the cap still decrease: the step 1/(2m) stays above the ratios' roundoff
+    m_values = [cli.CLASSICAL_MAX_M - 1, cli.CLASSICAL_MAX_M]
+    cfg = _write_config(tmp_path, {"experiment": "classical-limit", "model": "double", "m_values": m_values})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
 
 
 @pytest.mark.parametrize(
@@ -501,15 +523,30 @@ def test_every_public_definition_is_reached_from_cli():
     assert unreached == set(_UNREACHED_KEEP)
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency; numpy.random loads at import, so the first
-    # seeded run does not pay for the Generator import inside its own run time
+def test_cli_import_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: with a `scipy` that cannot be imported first on the path,
+    # importing csquant.cli loads no scipy module and the eight default experiments pass; numpy.random
+    # loads at import, so the first seeded run does not pay for the Generator import inside its own run time
+    blocked = tmp_path / "blocked" / "scipy"
+    blocked.mkdir(parents=True)
+    (blocked / "__init__.py").write_text("raise ImportError('scipy is blocked')\n")
+    for name in cli.EXPERIMENTS:
+        _write_config(tmp_path, {"experiment": name}, name=f"{name}.json")
     code = (
-        "import sys, csquant.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy.random' in sys.modules)"
+        "import json, sys, warnings, csquant.cli as cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy.random' in sys.modules); "
+        "warnings.simplefilter('ignore'); "
+        "print(json.dumps([cli.main(['run', '--config', f'{sys.argv[1]}/{n}.json', '--out', f'{sys.argv[1]}/out'])"
+        " for n in cli.EXPERIMENTS]))"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True)
-    assert result.stdout.strip() == "[] True"
+    env = _src_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(blocked.parent), env["PYTHONPATH"]])
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, check=True
+    )
+    lines = result.stdout.strip().splitlines()
+    assert lines[0] == "[] True"
+    assert json.loads(lines[-1]) == [0] * 8
 
 
 def test_default_experiments_warn_of_the_same_tails(tmp_path):
