@@ -1,8 +1,8 @@
 """Coherent-state quantization toolkit for constrained oscillator models.
 
-Truncated Fock spaces with ladder band actions, canonical and SU(2)
-coherent states, spectral constraint projectors, reduced-phase-space
-geometry, correlation ratios with their classical limit, and discrete
+Truncated Fock spaces, canonical and SU(2) coherent states, spectral
+constraint projectors, reduced-phase-space geometry, correlation ratios as
+sums over the constraint sector with their classical limit, and discrete
 Wiener-measure estimators, run as the eight experiments of the batch CLI.
 """
 

@@ -6,15 +6,15 @@ tolerance, pass) plus CSV sweeps; `csquant list` dumps the registry.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 unknown experiment,
 3 config validation error (printed with the offending field), a field the
-experiment does not read included.  This is the one layer that validates
+experiment does not read included: each runner refuses those right after
+its last read, before any work.  This is the one layer that validates
 input: the library modules assume in-range arguments, so every config
 field, `--out` and `--seed` is bounded here before it reaches them.  A
 coherent state that leaks through the occupation cutoff, or a space over
-the fock.MAX_DIM basis-state guard, is a config error naming `nmax`
-(`m_values` for classical-limit, whose m sets the cutoff).  Reruns with
-the same config and seed reproduce the output files byte for byte: every
-check is seeded, outputs carry no timestamps, and files are written via
-temp-file + rename.
+the fock.MAX_DIM basis-state guard, is a config error naming `nmax`.
+Reruns with the same config and seed reproduce the output files byte for
+byte: every check is seeded, outputs carry no timestamps, and files are
+written via temp-file + rename.
 """
 
 from __future__ import annotations
@@ -67,6 +67,12 @@ class _Config(dict):
         self.read.add(field)
         return super().get(field, default)
 
+    def refuse_unread(self):
+        """Exit 3 on a field that no get asked for; every runner calls it after its last read, before any work."""
+        unread = sorted(set(self) - self.read)
+        if unread:
+            raise ConfigError(unread[0], f"experiment {self['experiment']!r} has no such field")
+
 
 def _get(cfg: dict, field: str, default, kind, low=None, high=None):
     """Config number `field` as `kind`; bools, strings, non-finite and, for int, fractional values exit 3."""
@@ -107,6 +113,7 @@ class CheckRow:
 def _exp_resolution(cfg, seed):
     nmax = _get(cfg, "nmax", 40, int, 1)
     radius = _get(cfg, "radius", 8.0, float, 0.5)
+    cfg.refuse_unread()
     space = make_space(1, nmax)
     try:
         report = coherent.resolution_of_unity_check(space, radius)
@@ -133,6 +140,7 @@ def _exp_project_single(cfg, seed):
     mprime = _get(cfg, "mprime", 3, int, 0, nmax)
     eps = _get(cfg, "epsilon", 0.1, float, 1e-6, 0.499)
     alpha = complex(_get(cfg, "alpha_re", 1.0, float), _get(cfg, "alpha_im", 0.0, float))
+    cfg.refuse_unread()
     space = make_space(1, nmax)
     vec = coherent_vector(space, alpha)
     projected = projector.build_projector(projector.number_constraint(space, float(mprime)), eps) * vec
@@ -181,6 +189,7 @@ def _exp_project_double(cfg, seed):
     eps = _get(cfg, "epsilon", 0.1, float, 1e-6, 0.499)
     alpha = complex(_get(cfg, "alpha_re", 0.6, float), _get(cfg, "alpha_im", 0.3, float))
     beta = complex(_get(cfg, "beta_re", 0.9, float), _get(cfg, "beta_im", -0.2, float))
+    cfg.refuse_unread()
     if beta == 0:
         raise ConfigError("beta_re", "beta must be nonzero: the SU(2) label is alpha/beta")
     xi = alpha / beta
@@ -198,6 +207,7 @@ def _exp_spin_overlap(cfg, seed):
     nmax = _get(cfg, "nmax", 12, int, 2)
     mprime = _get(cfg, "mprime", 6, int, 1, nmax)
     n_pairs = _get(cfg, "n_pairs", 10, int, 1, SPIN_MAX_PAIRS)
+    cfg.refuse_unread()
     space = make_space(2, nmax)
     weights = projector.build_projector(projector.number_constraint(space, float(mprime)))
     rng = wiener.rng_stream(seed, 1)
@@ -217,13 +227,13 @@ def _exp_spin_overlap(cfg, seed):
 
 
 def _exp_correlations(cfg, seed):
-    nmax = _get(cfg, "nmax", 40, int, 4)
-    mprime = _get(cfg, "mprime", 6, int, 0, nmax - 8)
+    mprime = _get(cfg, "mprime", 6, int, 0, CLASSICAL_MAX_M)  # the same O(m) sector sums as classical-limit
+    cfg.refuse_unread()
     offsets = (0.0, 0.35, 0.8)
-    ops = ("H", "Q", "P")
+    ops = ("H", "Q", "P")  # the columns of sector_ratios
     a_ket = math.sqrt(max(mprime, 1))
     evals = [a_ket * np.exp(1j * off) for off in offsets]
-    ratios = correlators.projected_ratios(a_ket, evals, mprime, nmax, ops)
+    ratios = correlators.sector_ratios(a_ket, evals, mprime)
     energy = mprime + 0.5
     h_err = 0.0
     bracket_err = 0.0
@@ -261,6 +271,7 @@ def _exp_classical_limit(cfg, seed):
     m_values = sorted(set(m_values))
     if len(m_values) < 2:
         raise ConfigError("m_values", "needs at least two distinct values to fit a scaling exponent")
+    cfg.refuse_unread()
     rows_data = correlators.classical_limit_check(1 if model == "single" else 2, m_values)
     exponent = correlators.deviation_scaling_exponent(rows_data)
     rows = [
@@ -274,6 +285,7 @@ def _exp_classical_limit(cfg, seed):
 
 def _exp_geometry(cfg, seed):
     n = _get(cfg, "n", 1, int, 1, GEOMETRY_MAX_N)
+    cfg.refuse_unread()
     quant = classical.area_quantization(n)
     s2 = quant.s_squared
     r1 = 0.5 * math.sqrt(s2)
@@ -289,11 +301,14 @@ def _exp_geometry(cfg, seed):
             abs(g_num[1, 1] - g_thth),
             abs(g_num[0, 1]),
         )
+    # the operator side, E = m' + 1 in sector m' = n - 1; aligned labels, since a relative phase cancels the sum
+    label = math.sqrt(max(n - 1, 1) / 2)
+    h_ratio = correlators.sector_ratios((label, label), [(label, label)], n - 1)[0, 0]
     rows = [
         CheckRow("curvature_residual", curv_err, 1e-4),
         CheckRow("pullback_metric_residual", pull_err, 1e-8),
         CheckRow("symplectic_area_vs_pi_s2", abs(quant.symplectic_area - math.pi * s2), 1e-4),
-        CheckRow("energy_quantization_residual", abs(quant.energy - n), 1e-12),
+        CheckRow("energy_quantization_residual", abs(quant.energy - h_ratio) / quant.energy, 1e-12),
     ]
     return rows, {}
 
@@ -303,6 +318,7 @@ def _exp_wiener(cfg, seed):
     mprime = _get(cfg, "mprime", 1, int, 0, nmax)
     eps = _get(cfg, "epsilon", 0.45, float, 1e-3, 0.499)
     n_paths = _get(cfg, "n_paths", 100_000, int, 100, WIENER_MAX_PATHS)
+    cfg.refuse_unread()
     semi = wiener.semigroup_residual(0.7, 0.0, 0.4, 1.0, [0.1, -0.2], [0.5, 0.3])
     mid = wiener.sample_bridge_column(1.0, [0.0], [0.0], 1.0, 16, 8, n_paths, seed, stream=3)[:, 0]
     var_expected = 1.0 * 0.5 * 0.5  # nu t (T - t) / T at the midpoint
@@ -469,9 +485,6 @@ def run_experiment(config_path: str, out_dir: str | None, seed_override: int | N
         if not isinstance(out, str) or not out:
             raise ConfigError("out", "must be a non-empty path")
         rows, sweeps = EXPERIMENTS[name].runner(cfg, seed)
-        unread = sorted(set(cfg) - cfg.read)
-        if unread:
-            raise ConfigError(unread[0], f"experiment {name!r} has no such field")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -479,8 +492,7 @@ def run_experiment(config_path: str, out_dir: str | None, seed_override: int | N
         print(f"config error: config field 'nmax': {exc}", file=sys.stderr)
         return 3
     except fock.DimensionGuardError as exc:
-        field = "m_values" if name == "classical-limit" else "nmax"
-        print(f"config error: config field '{field}': {exc}", file=sys.stderr)
+        print(f"config error: config field 'nmax': {exc}", file=sys.stderr)
         return 3
     try:
         _write_outputs(out, name, rows, sweeps, cfg_bytes, seed)

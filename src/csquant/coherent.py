@@ -206,12 +206,7 @@ class ResolutionReport:
     max_offdiag: float
 
 
-def resolution_of_unity_check(
-    space: FockSpace,
-    radius: float,
-    n_radial: int | None = None,
-    n_angular: int | None = None,
-) -> ResolutionReport:
+def resolution_of_unity_check(space: FockSpace, radius: float) -> ResolutionReport:
     """Quadrature of (1/pi) int |a><a| d^2alpha over the disc |a| <= radius.
 
     Reports the deviation of the integrated operator from the identity on
@@ -222,17 +217,20 @@ def resolution_of_unity_check(
     its weighted copy (16 n_radial (nmax + 1) bytes together) larger than
     RESOLUTION_MAX_BYTES are refused with ValueError before they are built.
     """
-    if n_angular is None:
-        n_angular = max(8 * space.nmax, 16)
-    if n_radial is None:
-        # midpoint error ~ h^2/12 from the n = 0 integrand; keep it near 1e-7
-        n_radial = max(256, int(512 * radius))
+    n_angular = max(8 * space.nmax, 16)
+    # midpoint error ~ h^2/12 from the n = 0 integrand; keep it near 1e-7
+    n_radial = max(256, int(512 * radius))
     block_bytes = 16 * n_radial * (space.nmax + 1)
     if block_bytes > RESOLUTION_MAX_BYTES:
         raise ValueError(
             f"radial amplitude block of {n_radial} nodes x {space.nmax + 1} levels needs "
             f"{block_bytes / 2**20:.0f} MiB (> {RESOLUTION_MAX_BYTES / 2**20:.0f} MiB); lower radius or nmax"
         )
+    return _resolution_on_grid(space, radius, n_radial, n_angular)
+
+
+def _resolution_on_grid(space: FockSpace, radius: float, n_radial: int, n_angular: int) -> ResolutionReport:
+    """resolution_of_unity_check on an n_radial x n_angular polar grid."""
     r, dr, th, dth = _polar_nodes(radius, n_radial, n_angular)
     # the closure sum over the polar nodes, factored: node (r, theta) contributes
     # (r dr dtheta / pi) amp_n(r) amp_m(r) e^{i(n-m)theta} to entry (n, m)

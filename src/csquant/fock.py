@@ -1,15 +1,13 @@
-"""Truncated bosonic Fock spaces and the ladder operator as a band action.
+"""Truncated bosonic Fock spaces.
 
 Basis convention: an M-mode space with per-mode cutoff nmax enumerates the
 occupation tuples (n_0, ..., n_{M-1}), 0 <= n_k <= nmax, with mode 0 varying
 fastest, i.e. index = sum_k n_k * (nmax+1)**k.  All serialization and all
-operator matrices use this ordering.
-
-A mode's lowering operator is one band, applied in O(dim) by `lower`
-(<u| a^dagger |v> = <a u| v>), so no operator is stored as a matrix.  The
-cutoff is the one deliberate departure from the infinite-dimensional
-algebra: a^dagger drops amplitude out of the top level, so canonical
-identities hold exactly only away from the truncation boundary.
+amplitude arrays use this ordering.  Both constraints are diagonal in this
+basis, so the package stores no operator as a matrix: a constraint is its
+eigenvalue per basis state.  The cutoff is the one deliberate departure
+from the infinite-dimensional algebra, so the projection experiments
+refuse a coherent state that leaks through it.
 """
 
 from __future__ import annotations
@@ -75,14 +73,3 @@ class LinearOperator:
             raise ValueError(f"matrix must be {d} x {d}")
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
-
-
-def lower(space: FockSpace, mode: int, amps) -> np.ndarray:
-    """a |n> = sqrt(n) |n-1> on one mode, along the leading axis of a vector or matrix: O(size)."""
-    occ = space.mode_occupations(mode)
-    amps = np.asarray(amps, dtype=np.complex128)
-    out = np.zeros_like(amps)
-    src = np.nonzero(occ > 0)[0]
-    # transposes broadcast the per-row factor over any trailing axes
-    out[src - (space.nmax + 1) ** mode] = (np.sqrt(occ[src]) * amps[src].T).T
-    return out

@@ -1,19 +1,21 @@
 """Dense and brute-force constructions that the tests compare the package against.
 
-Plain numpy on arrays, in units hbar = omega = 1: dense operator matrices
-built from `fock.lower`, the closed-form reproducing kernel and
-physical-state wavefunction, node-by-node disc quadrature, the projector
-identities and the heat-kernel moments.  None of it runs in an experiment;
-each function is the slow or closed-form side of a comparison.
+Plain numpy on arrays, in units hbar = omega = 1: dense operator matrices,
+correlation ratios from them on the whole truncated space, the closed-form
+reproducing kernel and physical-state wavefunction, node-by-node disc
+quadrature, the projector identities and the heat-kernel moments.  None of
+it runs in an experiment; each function is the slow or closed-form side of
+a comparison.
 """
 
 import math
 
 import numpy as np
 
-from csquant import _kernels, fock, wiener
+from csquant import _kernels, wiener
 from csquant.coherent import coherent_vector
-from csquant.projector import build_projector, default_lam_max, sin_kernel_weights
+from csquant.fock import make_space
+from csquant.projector import build_projector, default_lam_max, number_constraint, sin_kernel_weights
 
 # ---------------------------------------------------------------------------
 # Fock space and dense operators
@@ -45,8 +47,10 @@ def basis_vector(space, occ) -> np.ndarray:
 
 
 def ladder(space, mode: int):
-    """Dense (a, a^dagger) of one mode: lower() of the identity; a^dagger drops the top level."""
-    a = fock.lower(space, mode, np.eye(space.dim, dtype=np.complex128))
+    """Dense (a, a^dagger) of one mode: sqrt(n) above the diagonal, kron'd with identities; a^dagger drops the top."""
+    a = np.ones((1, 1), dtype=np.complex128)
+    for k in reversed(range(space.modes)):  # mode 0 varies fastest, so it is the rightmost factor
+        a = np.kron(a, np.diag(np.sqrt(np.arange(1.0, space.nmax + 1)), 1) if k == mode else np.eye(space.nmax + 1))
     return a, a.conj().T
 
 
@@ -179,6 +183,19 @@ def phys_wavefunction(ket, evaluation, mprime: int) -> complex:
     if z == 0:
         return complex(gauss * (mprime == 0))
     return complex(gauss * np.exp(mprime * np.log(z) - math.lgamma(mprime + 1)))
+
+
+def dense_ratios(ket, evals, mprime: int, nmax: int) -> np.ndarray:
+    """<e| op P |ket> / <e| P |ket> for op = H, Q, P of mode 0, from dense matrices on the whole truncated space."""
+    space = make_space(np.size(ket), nmax)
+    projected = build_projector(number_constraint(space, float(mprime))) * coherent_vector(space, ket)
+    hamiltonian = sum(ho_hamiltonian(space, k) for k in range(space.modes))
+    ops = [hamiltonian, position_operator(space, 0), momentum_operator(space, 0)]
+    rows = []
+    for label in evals:
+        bra = coherent_vector(space, label)
+        rows.append([np.vdot(bra, op @ projected) / np.vdot(bra, projected) for op in ops])
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------

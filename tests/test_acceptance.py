@@ -173,7 +173,7 @@ def test_criterion_7_classical_limits():
         ok &= devs[0] > devs[1] > devs[2]
         exponent = correlators.deviation_scaling_exponent(rows)
         ok &= -0.7 <= exponent <= -0.3
-    h_ratio = correlators.projected_ratios(2.0, [2.0 * cmath.exp(0.5j)], 4, 40, ("H",))[0, 0]
+    h_ratio = correlators.sector_ratios(2.0, [2.0 * cmath.exp(0.5j)], 4)[0, 0]
     ok &= abs(h_ratio - 4.5) <= 1e-12
     _report(
         "criterion 7: classical-limit deviations monotone, ~1/sqrt(m), H ratio exact",

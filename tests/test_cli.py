@@ -205,9 +205,12 @@ _UNUSABLE = [
     ("double-leakage", {"experiment": "project-double", "alpha_re": 9}, "nmax", []),
     ("double-nmax-1", {"experiment": "project-double", "nmax": 1, "mprime": 1}, "nmax", []),
     ("spin-overlap-leakage", {"experiment": "spin-overlap", "nmax": 4, "mprime": 3}, "nmax", []),
-    ("correlations-leakage", {"experiment": "correlations", "nmax": 14}, "nmax", []),
+    # correlations sums over its sector and has no cutoff to set
+    ("correlations-nmax", {"experiment": "correlations", "nmax": 40}, "nmax", []),
     ("wiener-leakage", {"experiment": "wiener", "nmax": 5, "n_paths": 1000}, "nmax", []),
     ("resolution-grid", {"experiment": "resolution", "nmax": 1, "radius": 10000}, "radius", []),
+    # the radial block is exactly at its 64 MiB bound, and 16 angular nodes leave < 2 nodes per phase-space cell
+    ("resolution-grid-density", {"experiment": "resolution", "nmax": 1, "radius": 4096.001}, "radius", []),
     ("resolution-unclosed", {"experiment": "resolution", "radius": 3.57}, "radius", []),
     ("beta-zero", {"experiment": "project-double", "beta_re": 0, "beta_im": 0}, "beta_re", []),
     ("beta-ratio-overflow", {"experiment": "project-double", "beta_re": 1e-310, "beta_im": 0}, "beta_re", []),
@@ -219,7 +222,6 @@ _UNUSABLE = [
     ),
     ("single-dim-guard", {"experiment": "project-single", "nmax": 2_000_000}, "nmax", []),
     ("spin-overlap-dim-guard", {"experiment": "spin-overlap", "nmax": 1001}, "nmax", []),
-    ("classical-limit-dim-guard", {"experiment": "classical-limit", "m_values": [4, 10**6]}, "m_values", []),
     ("spin-overlap-underflow", {"experiment": "spin-overlap", "nmax": 302, "mprime": 300}, "mprime", []),
     # one label's largest projected entry is subnormal: dividing by it gave a NaN pair that max() dropped
     ("spin-overlap-subnormal", {"experiment": "spin-overlap", "nmax": 272, "mprime": 270, "seed": 2}, "mprime", []),
@@ -263,6 +265,8 @@ _UNUSABLE = [
     # a field the experiment does not read, e.g. a typo that would leave the default in force
     ("wiener-unknown-field", {"experiment": "wiener", "n_path": 10}, "n_path", []),
     ("geometry-unknown-field", {"experiment": "geometry", "nn": 5}, "nn", []),
+    # every runner refuses an unread field
+    *((f"{name}-unread-field", {"experiment": name, "unread": 1}, "unread", []) for name in cli.EXPERIMENTS),
 ]
 
 
@@ -284,8 +288,7 @@ def test_unusable_config_exit_3_naming_field(tmp_path, capsys, payload, field, e
 
 # Library raises that no unusable config reaches but that stay, each with its reason.
 _RAISE_KEEP = {
-    ("coherent", "_polar_nodes"): "grid-density guard on the n_radial/n_angular knobs convergence tests set",
-    ("correlators", "projected_ratios"): "RATIO_FLOOR refuses a computed overlap, not an input",
+    ("correlators", "sector_ratios"): "RATIO_FLOOR refuses a computed overlap, not an input",
     ("fock", "LinearOperator.__post_init__"): "perfbench's tracer patches the class; nothing builds one",
 }
 
@@ -378,18 +381,33 @@ def test_classical_limit_double_passes_at_the_m_cap(tmp_path):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
 
 
+def test_classical_limit_single_passes_at_the_m_cap(tmp_path):
+    # the sector sums build no truncated space, so no basis-state guard stops m below the cap
+    cfg = _write_config(tmp_path, {"experiment": "classical-limit", "m_values": [4, cli.CLASSICAL_MAX_M]})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+
+
+def test_unknown_field_refused_before_the_experiment_runs(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the estimator ran for a refused config")
+
+    monkeypatch.setattr(wiener, "lambda_average_propagator", never)
+    assert _run_unusable(tmp_path, {"experiment": "wiener", "n_path": 10}, []) == 3
+    assert "config field 'n_path'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "payload",
     [
-        {"experiment": "correlations", "nmax": 1600, "mprime": 1200},
+        {"experiment": "correlations", "mprime": 1200},
         {"experiment": "classical-limit", "model": "single", "m_values": [4, 1200]},
         {"experiment": "classical-limit", "model": "double", "m_values": [4, 1200]},
     ],
     ids=["correlations", "classical-limit-single", "classical-limit-double"],
 )
 def test_correlators_build_no_dense_operator(tmp_path, payload):
-    # dim is ~1600 (nmax 1635 at m = 1200): a dense dim x dim float64 operator takes ~20 MB,
-    # while each O(dim) vector takes ~26 kB and a whole band-action run peaks near 0.25 MB
+    # a dense operator on a truncated space holding m = 1200 (~1600 states) takes ~20 MB,
+    # while each sector array takes ~19 kB
     cfg = _write_config(tmp_path, payload)
     tracemalloc.start()
     try:
@@ -415,21 +433,29 @@ def test_project_single_builds_one_coherent_state(tmp_path, monkeypatch):
     assert len(calls) == 1  # the level and the three null probes project the same state
 
 
-@pytest.mark.parametrize("experiment", ["correlations", "classical-limit"])
-def test_h_ratio_error_fails_without_zero_point(tmp_path, monkeypatch, experiment):
-    # drop the 1/2 per mode from H's matrix elements: the relative H row must see it
-    original = correlators._matrix_element
+@pytest.mark.parametrize(
+    "payload, row",
+    [
+        ({"experiment": "correlations"}, "h_ratio_error"),
+        ({"experiment": "classical-limit"}, "h_ratio_error"),
+        ({"experiment": "classical-limit", "model": "double"}, "h_ratio_error"),
+        ({"experiment": "geometry"}, "energy_quantization_residual"),
+    ],
+    ids=["correlations", "classical-limit", "classical-limit-double", "geometry"],
+)
+def test_h_ratio_error_fails_without_zero_point(tmp_path, monkeypatch, payload, row):
+    # drop the 1/2 per mode from the H ratio of the sector sums: the relative H row must see it
+    original = correlators.sector_ratios
 
-    def no_zero_point(space, operator, bra, ket):
-        value = original(space, operator, bra, ket)
-        return value - 0.5 * space.modes * complex(np.vdot(bra, ket)) if operator == "H" else value
+    def no_zero_point(ket, evals, mprime):
+        return original(ket, evals, mprime) - [0.5 * np.size(ket), 0.0, 0.0]
 
-    monkeypatch.setattr(correlators, "_matrix_element", no_zero_point)
-    cfg = _write_config(tmp_path, {"experiment": experiment})
+    monkeypatch.setattr(correlators, "sector_ratios", no_zero_point)
+    cfg = _write_config(tmp_path, payload)
     out = tmp_path / "r"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
-    table = json.loads((out / f"{experiment}.json").read_text())
-    assert [row["name"] for row in table["checks"] if not row["passed"]] == ["h_ratio_error"]
+    table = json.loads((out / f"{payload['experiment']}.json").read_text())
+    assert [r["name"] for r in table["checks"] if not r["passed"]] == [row]
 
 
 def test_project_single_null_state_is_the_zero_vector(tmp_path):
@@ -444,25 +470,23 @@ def test_project_single_null_state_is_the_zero_vector(tmp_path):
 
 
 def test_correlations_large_mprime_exits_0(tmp_path, capsys):
-    # no search along the evaluation ray overflows the closed-form wavefunction at large m
-    cfg = _write_config(tmp_path, {"experiment": "correlations", "nmax": 900, "mprime": 700})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # truncation-tail warnings are expected here
-        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    # at the cap, the sector sums' roundoff stays inside the bracket row's 1e-10
+    cfg = _write_config(tmp_path, {"experiment": "correlations", "mprime": cli.CLASSICAL_MAX_M})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
     assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "payload",
     [
-        {"experiment": "correlations", "nmax": 5600, "mprime": 5000},
-        {"experiment": "correlations", "nmax": 55000, "mprime": 50000},
+        {"experiment": "correlations", "mprime": 5000},
+        {"experiment": "correlations", "mprime": 50000},
         {"experiment": "project-single", "nmax": 300, "mprime": 200, "alpha_re": 14.14},
         {"experiment": "project-single", "nmax": 103814, "mprime": 100000, "alpha_re": math.sqrt(1e5) - 0.1},
         {"experiment": "project-single", "nmax": 911404, "mprime": 900000, "alpha_re": math.sqrt(9e5) - 0.1},
         {"experiment": "spin-overlap", "nmax": 162, "mprime": 160},
         {"experiment": "classical-limit", "m_values": [4, 900000]},
-        {"experiment": "correlations", "nmax": 542000, "mprime": 530000},
+        {"experiment": "correlations", "mprime": 530000},
     ],
     ids=[
         "correlations-5000",
@@ -600,7 +624,7 @@ _CHEAP_CONFIGS = st.one_of(
     ),
     st.fixed_dictionaries(
         {"experiment": st.just("correlations")},
-        optional={"nmax": st.integers(3, 30), "mprime": st.integers(-1, 22)},
+        optional={"mprime": st.integers(-1, 40)},
     ),
     st.fixed_dictionaries(
         {"experiment": st.just("classical-limit")},
@@ -632,7 +656,7 @@ _CHEAP_CONFIGS = st.one_of(
 @example(cfg={"experiment": "spin-overlap", "nmax": 1001})
 @example(cfg={"experiment": "classical-limit", "m_values": [4, 2_000_000]})
 @example(cfg={"experiment": "wiener", "n_paths": 2_000_000_000})
-@example(cfg={"experiment": "correlations", "nmax": 900, "mprime": 700})
+@example(cfg={"experiment": "correlations", "mprime": 10**6 + 1})
 @example(cfg={"experiment": "project-single", "nmax": 300, "mprime": 200, "alpha_re": 14.14})
 @example(cfg={"experiment": "spin-overlap", "nmax": 162, "mprime": 160})
 def test_cli_contract_holds_for_generated_configs(cfg):

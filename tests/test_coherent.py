@@ -13,6 +13,8 @@ from csquant.coherent import (
     TAIL_WARN,
     TruncationLeakageError,
     _poisson_tails,
+    _polar_nodes,
+    _resolution_on_grid,
     coherent_vector,
     resolution_of_unity_check,
     single_mode_amplitudes,
@@ -188,7 +190,7 @@ def test_overlap_bound_symmetry_and_gaussian_factorization():
 
 def test_grid_density_guard():
     with pytest.raises(ValueError, match="phase-space cell"):
-        resolution_of_unity_check(make_space(1, 12), 8.0, n_radial=8, n_angular=8)
+        _polar_nodes(8.0, 8, 8)
 
 
 def test_resolution_large_radius_block():
@@ -212,7 +214,7 @@ def test_resolution_refuses_radial_block_over_budget(monkeypatch):
 
 def test_resolution_finite_radius_diagonal_is_incomplete_gamma():
     s = make_space(1, 12)
-    report = resolution_of_unity_check(s, 2.0, n_radial=2048, n_angular=128)
+    report = _resolution_on_grid(s, 2.0, 2048, 128)
     diag = np.real(np.diag(report.matrix))
     expected = special.gammainc(np.arange(13) + 1, 4.0)
     assert np.max(np.abs(diag - expected)) < 1e-6
@@ -240,8 +242,8 @@ def test_amp_matrix_keeps_the_kind_of_its_labels():
 
 def test_resolution_quadrature_second_order_convergence():
     s = make_space(1, 12)
-    coarse = resolution_of_unity_check(s, 5.0, n_radial=100, n_angular=128)
-    fine = resolution_of_unity_check(s, 5.0, n_radial=200, n_angular=128)
+    coarse = _resolution_on_grid(s, 5.0, 100, 128)
+    fine = _resolution_on_grid(s, 5.0, 200, 128)
     assert coarse.max_residual_block / fine.max_residual_block >= 4.0
 
 

@@ -4,16 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from csquant.correlators import (
-    _matrix_element,
-    classical_limit_check,
-    deviation_scaling_exponent,
-    oracle_ratio,
-    projected_ratios,
-)
+from csquant.correlators import classical_limit_check, deviation_scaling_exponent, oracle_ratio, sector_ratios
 from csquant.fock import make_space
 from csquant.projector import number_constraint
-from reference import ho_hamiltonian, momentum_operator, phys_wavefunction, position_operator, projected_propagator
+from reference import dense_ratios, phys_wavefunction, projected_propagator
 
 
 def test_wavefunction_single_real_peak_value():
@@ -62,42 +56,44 @@ def test_peak_scaled_magnitude_near_one_at_large_m():
     assert math.sqrt(2 * math.pi * m) * abs(peak) == pytest.approx(1.0, abs=0.05)
 
 
-def _ratio(op, ket, ev, m, nmax):
-    return projected_ratios(ket, [ev], m, nmax, (op,))[0, 0]
+def _ratio(op, ket, ev, m):
+    return sector_ratios(ket, [ev], m)[0, "HQP".index(op)]
 
 
 def test_h_correlation_ratio_exact():
     m = 6
-    ratio = _ratio("H", math.sqrt(m), math.sqrt(m) * cmath.exp(0.7j), m, 40)
+    ratio = _ratio("H", math.sqrt(m), math.sqrt(m) * cmath.exp(0.7j), m)
     assert ratio == pytest.approx(m + 0.5, rel=1e-12)
 
 
 def test_q_correlation_real_labels_reduces_to_sqrt_2m():
     m = 4
-    assert _ratio("Q", math.sqrt(m), math.sqrt(m), m, 40) == pytest.approx(math.sqrt(2.0 * m), rel=1e-12)
+    assert _ratio("Q", math.sqrt(m), math.sqrt(m), m) == pytest.approx(math.sqrt(2.0 * m), rel=1e-12)
     assert oracle_ratio("Q", math.sqrt(m), math.sqrt(m), m) == pytest.approx(math.sqrt(2.0 * m), rel=1e-12)
 
 
-def test_projected_ratios_table_matches_one_point_calls():
-    # one projected ket serves every evaluation point and operator
-    m, ket = 5, 1.3 * cmath.exp(0.4j)
-    evals = [1.0 * cmath.exp(-0.9j), 2.1, 0.7j]
-    table = projected_ratios(ket, evals, m, 40, ("H", "Q", "P"))
-    assert table.shape == (3, 3)
-    for i, ev in enumerate(evals):
-        for k, op in enumerate(("H", "Q", "P")):
-            assert table[i, k] == _ratio(op, ket, ev, m, 40)
-            assert table[i, k] == pytest.approx(oracle_ratio(op, ket, ev, m), rel=1e-10)
+@pytest.mark.parametrize("modes", [1, 2])
+def test_sector_ratios_match_dense_full_space(modes):
+    # the sector sums against dense H, Q, P on the whole truncated space, projected by the projector weights
+    rng = np.random.default_rng(3)
+    labels = rng.uniform(0.5, 1.2, (4, modes)) * np.exp(2j * math.pi * rng.uniform(size=(4, modes)))
+    for m in (0, 1, 4, 7):
+        got = sector_ratios(labels[0], labels[1:], m)
+        want = dense_ratios(labels[0], labels[1:], m, 24 if modes == 1 else 14)
+        assert got.shape == (3, 3)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("nmax", [30, 44])
 @pytest.mark.parametrize("op", ["Q", "P"])
 def test_single_brackets_match_matrix_elements(op, nmax):
+    # the closed form against dense matrix elements at two cutoffs, and against the sector sum
     m = 5
     a_ket = 1.3 * cmath.exp(0.4j)
     a_eval = 1.0 * cmath.exp(-0.9j)
-    ratio = _ratio(op, a_ket, a_eval, m, nmax)
-    assert ratio == pytest.approx(oracle_ratio(op, a_ket, a_eval, m), rel=1e-10)
+    oracle = oracle_ratio(op, a_ket, a_eval, m)
+    assert dense_ratios(a_ket, [a_eval], m, nmax)[0, "HQP".index(op)] == pytest.approx(oracle, rel=1e-10)
+    assert _ratio(op, a_ket, a_eval, m) == pytest.approx(oracle, rel=1e-10)
 
 
 @pytest.mark.parametrize("nmax", [14, 20])
@@ -106,8 +102,12 @@ def test_double_brackets_match_matrix_elements(op, nmax):
     m = 4
     ket = (0.9 * cmath.exp(0.2j), 0.7 * cmath.exp(-0.5j))
     ev = (0.8 * cmath.exp(-0.3j), 1.0 * cmath.exp(0.6j))
-    ratio = _ratio(op, ket, ev, m, nmax)
-    assert ratio == pytest.approx(oracle_ratio(op, ket, ev, m), rel=1e-10)
+    oracle = oracle_ratio(op, ket, ev, m)
+    if op[1:] == "2":  # mode 1's Q and P are mode 0's with the two modes' labels swapped
+        ket, ev = ket[::-1], ev[::-1]
+    column = "HQP".index(op[0])
+    assert dense_ratios(ket, [ev], m, nmax)[0, column] == pytest.approx(oracle, rel=1e-10)
+    assert sector_ratios(ket, [ev], m)[0, column] == pytest.approx(oracle, rel=1e-10)
 
 
 def test_bracket_convention_pinned_by_matrix_elements():
@@ -117,7 +117,7 @@ def test_bracket_convention_pinned_by_matrix_elements():
     m = 3
     a_ket = 1.1
     a_eval = 1.1 * cmath.exp(0.8j)
-    ratio = _ratio("Q", a_ket, a_eval, m, 40)
+    ratio = _ratio("Q", a_ket, a_eval, m)
     alt = math.sqrt(2.0) * (m / a_eval + a_eval)
     assert abs(ratio - oracle_ratio("Q", a_ket, a_eval, m)) < 1e-10
     assert abs(ratio - alt) > 0.1
@@ -125,16 +125,16 @@ def test_bracket_convention_pinned_by_matrix_elements():
 
 def test_null_projection_flags_correlation_undefined():
     with pytest.raises(ValueError, match="undefined"):
-        _ratio("Q", 0.0, 1.0, 2, 30)
+        _ratio("Q", 0.0, 1.0, 2)
 
 
 def test_gauge_phase_factorization_invariance():
     m = 4
     a_ket = 1.2
     a_eval = 0.9 * cmath.exp(0.5j)
-    base = _ratio("Q", a_ket, a_eval, m, 40)
+    base = _ratio("Q", a_ket, a_eval, m)
     for theta in (0.3, 1.4, 2.9):
-        rot = _ratio("Q", a_ket * cmath.exp(1j * theta), a_eval, m, 40)
+        rot = _ratio("Q", a_ket * cmath.exp(1j * theta), a_eval, m)
         assert abs(rot) == pytest.approx(abs(base), rel=1e-12)
 
 
@@ -164,28 +164,13 @@ def test_classical_limit_monotone_and_sqrt_m_scaling(modes):
 
 
 def test_classical_limit_scaled_single_sweep():
-    # band actions keep every m O(dim): nmax reaches ~18000 at m = 16384
+    # the sector sums are O(m) per m, with no truncated space
     rows = classical_limit_check(1, (16, 64, 256, 1024, 4096, 16384))
     devs = [r.dev_abs for r in rows]
     assert all(a > b for a, b in zip(devs, devs[1:]))
     exponent = deviation_scaling_exponent(rows)
     assert -0.7 <= exponent <= -0.3
     assert max(r.h_ratio_error for r in rows) < 1e-10
-
-
-@pytest.mark.parametrize("modes, ops", [(1, ("H", "Q", "P")), (2, ("H", "Q1", "P1", "Q2", "P2"))])
-def test_band_matrix_elements_match_dense_operators(modes, ops):
-    space = make_space(modes, 5)
-    rng = np.random.default_rng(3)
-    bra, ket = rng.standard_normal((2, space.dim)) + 1j * rng.standard_normal((2, space.dim))
-    dense = {"H": sum(ho_hamiltonian(space, k) for k in range(modes))}
-    for k in range(modes):
-        suffix = str(k + 1) if modes == 2 else ""
-        dense["Q" + suffix] = position_operator(space, k)
-        dense["P" + suffix] = momentum_operator(space, k)
-    for op in ops:
-        expected = np.vdot(bra, dense[op] @ ket)
-        assert abs(_matrix_element(space, op, bra, ket) - expected) < 1e-12 * abs(expected)
 
 
 # The gauge-phase one-form and the clock-correlation width are closed-form

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from csquant.fock import lower, make_space
+from csquant.fock import make_space
 from reference import (
     basis_vector,
     commutator,
@@ -119,19 +119,6 @@ def _lower_oracle(space, mode, amps):
             occ[mode] = n - 1
             out[index(space, occ)] += math.sqrt(n) * amps[i]
     return out
-
-
-@pytest.mark.parametrize("modes, nmax", [(1, 6), (2, 3)])
-@pytest.mark.parametrize("columns", [None, 3])
-def test_lower_matches_index_loop_oracle(modes, nmax, columns):
-    s = make_space(modes, nmax)
-    rng = np.random.default_rng(11)
-    shape = (s.dim,) if columns is None else (s.dim, columns)
-    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for mode in range(modes):
-        got = lower(s, mode, amps)
-        assert got.shape == shape
-        assert np.array_equal(got, _lower_oracle(s, mode, amps))
 
 
 @pytest.mark.parametrize("modes, nmax", [(1, 6), (2, 3)])
