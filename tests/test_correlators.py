@@ -84,6 +84,18 @@ def test_sector_ratios_match_dense_full_space(modes):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_projected_ratios_table_matches_one_point_calls():
+    # one projected ket serves every evaluation point and operator
+    m, ket = 5, 1.3 * cmath.exp(0.4j)
+    evals = [1.0 * cmath.exp(-0.9j), 2.1, 0.7j]
+    table = sector_ratios(ket, evals, m)
+    assert table.shape == (3, 3)
+    for i, ev in enumerate(evals):
+        for k, op in enumerate(("H", "Q", "P")):
+            assert table[i, k] == _ratio(op, ket, ev, m)
+            assert table[i, k] == pytest.approx(oracle_ratio(op, ket, ev, m), rel=1e-10)
+
+
 @pytest.mark.parametrize("nmax", [30, 44])
 @pytest.mark.parametrize("op", ["Q", "P"])
 def test_single_brackets_match_matrix_elements(op, nmax):
