@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+AREA_NODES = 16  # midpoint nodes per axis of patch_symplectic_area
+
 
 def reduced_metric_eval(s_squared: float, r1: float):
     """(g_rr, g_thth) of the patch metric at radius r1, S^2 = 2E.
@@ -59,33 +61,43 @@ def scalar_curvature_fd(s_squared: float, r1: float) -> float:
     return 2.0 * gauss_curvature_fd(s_squared, r1)
 
 
-def embedding_pullback_metric(s_squared: float, r1: float, theta1: float, theta2: float = 0.0) -> np.ndarray:
-    """Induced metric from the flat 4-space embedding, by complex-step derivatives.
+def _embedding(s_squared, r1, theta1, theta2=0.0) -> np.ndarray:
+    """The gauge slice theta2 = const of the constraint sphere: (r1, theta1) -> (q1, p1, q2, p2).
 
-    The gauge slice theta2 = const restricted to the constraint sphere is
-    the map (r1, theta1) -> (q1, p1, q2, p2) with r2 = sqrt(S^2 - r1^2);
-    numerical pullback of the Cartesian metric should reproduce
-    reduced_metric_eval.
+    r2 = sqrt(S^2 - r1^2); array arguments give an array per coordinate.
     """
+    r2 = np.sqrt(s_squared - r1 * r1)
+    return np.array([r1 * np.cos(theta1), r1 * np.sin(theta1), r2 * np.cos(theta2), r2 * np.sin(theta2)])
 
-    def embed(r, th):
-        r2 = np.sqrt(s_squared - r * r)
-        return np.array(
-            [r * np.cos(th), r * np.sin(th), r2 * np.cos(theta2), r2 * np.sin(theta2)]
-        )
 
+def _tangents(s_squared, r1, theta1, theta2=0.0):
+    """d/dr1 and d/dtheta1 of _embedding by complex-step derivatives, which take no difference."""
     h = 1e-20
-    d_r = np.imag(embed(r1 + 1j * h, theta1)) / h
-    d_th = np.imag(embed(r1, theta1 + 1j * h)) / h
+    d_r = np.imag(_embedding(s_squared, r1 + 1j * h, theta1, theta2)) / h
+    d_th = np.imag(_embedding(s_squared, r1, theta1 + 1j * h, theta2)) / h
+    return d_r, d_th
+
+
+def embedding_pullback_metric(s_squared: float, r1: float, theta1: float, theta2: float = 0.0) -> np.ndarray:
+    """Induced metric from the flat 4-space embedding; should reproduce reduced_metric_eval."""
+    d_r, d_th = _tangents(s_squared, r1, theta1, theta2)
     return np.array([[d_r @ d_r, d_r @ d_th], [d_th @ d_r, d_th @ d_th]])
 
 
-def patch_symplectic_area(s_squared: float, n_radial: int = 4096) -> float:
-    """int dp1 ^ dq1 over the patch = int r dr dtheta; equals pi S^2."""
-    s = math.sqrt(s_squared)
-    dr = s / n_radial
-    r = (np.arange(n_radial) + 0.5) * dr
-    return float(2.0 * math.pi * np.sum(r) * dr)
+def patch_symplectic_area(s_squared: float) -> float:
+    """int of the pullback of dq1 ^ dp1 + dq2 ^ dp2 through _embedding over the patch; equals pi S^2.
+
+    The two-form evaluated on the two tangents is the density in
+    dr1 dtheta1 (r1 on this slice, whose mode-2 point does not move with
+    theta1), integrated by the midpoint rule on AREA_NODES x AREA_NODES
+    nodes of (0, S) x (0, 2 pi): exact for a density linear in r1 and a
+    trigonometric polynomial of degree < AREA_NODES in theta1.
+    """
+    dr, dth = math.sqrt(s_squared) / AREA_NODES, 2.0 * math.pi / AREA_NODES
+    nodes = np.arange(AREA_NODES) + 0.5
+    d_r, d_th = _tangents(s_squared, *np.meshgrid(nodes * dr, nodes * dth, indexing="ij"))
+    density = d_r[0] * d_th[1] - d_th[0] * d_r[1] + d_r[2] * d_th[3] - d_th[2] * d_r[3]
+    return float(np.sum(density) * dr * dth)
 
 
 @dataclass(frozen=True)

@@ -138,12 +138,11 @@ def _exp_resolution(cfg, seed):
 def _exp_project_single(cfg, seed):
     nmax = _get(cfg, "nmax", 40, int, 1)
     mprime = _get(cfg, "mprime", 3, int, 0, nmax)
-    eps = _get(cfg, "epsilon", 0.1, float, 1e-6, 0.499)
     alpha = complex(_get(cfg, "alpha_re", 1.0, float), _get(cfg, "alpha_im", 0.0, float))
     cfg.refuse_unread()
     space = make_space(1, nmax)
     vec = coherent_vector(space, alpha)
-    projected = projector.build_projector(projector.number_constraint(space, float(mprime)), eps) * vec
+    projected = projector.build_projector(projector.number_constraint(space, float(mprime))) * vec
     norm = float(np.linalg.norm(projected))
     expected = np.zeros(space.dim, dtype=np.complex128)
     # exp(-|a|^2/2) a^m / sqrt(m!) from the log Poisson term: m! overflows a float from m = 171
@@ -152,9 +151,9 @@ def _exp_project_single(cfg, seed):
     resid = float(np.max(np.abs(projected - expected)))
     norm_err = abs(norm - abs(expected[mprime]))
     null_norms = []
-    # each probe target lies more than eps from every level, for any eps < 1/2
-    for frac in ((0.5 + eps) / 2, 0.5, 1.5):
-        weights = projector.build_projector(projector.number_constraint(space, frac), eps)
+    # each probe target lies more than build_projector's window half-width 0.1 from every level
+    for frac in (0.3, 0.5, 1.5):
+        weights = projector.build_projector(projector.number_constraint(space, frac))
         null_norms.append(float(np.linalg.norm(weights * vec)))
     rows = [
         CheckRow("projected_component_residual", resid, 1e-12),
@@ -186,7 +185,6 @@ def _gauge_fixed_projection(weights, space, labels, mprime, field):
 def _exp_project_double(cfg, seed):
     nmax = _get(cfg, "nmax", 16, int, 1)
     mprime = _get(cfg, "mprime", 4, int, 1, nmax)
-    eps = _get(cfg, "epsilon", 0.1, float, 1e-6, 0.499)
     alpha = complex(_get(cfg, "alpha_re", 0.6, float), _get(cfg, "alpha_im", 0.3, float))
     beta = complex(_get(cfg, "beta_re", 0.9, float), _get(cfg, "beta_im", -0.2, float))
     cfg.refuse_unread()
@@ -196,7 +194,7 @@ def _exp_project_double(cfg, seed):
     if not math.isfinite(math.hypot(xi.real, xi.imag)):
         raise ConfigError("beta_re", "|alpha/beta| is not finite: the SU(2) label overflows")
     space = make_space(2, nmax)
-    weights = projector.build_projector(projector.number_constraint(space, float(mprime)), eps)
+    weights = projector.build_projector(projector.number_constraint(space, float(mprime)))
     unit = _gauge_fixed_projection(weights, space, [alpha, beta], mprime, "beta_re")
     resid = float(np.max(np.abs(unit[spin.sector_indices(space, mprime)] - spin.su2_coherent(mprime, xi))))
     rows = [CheckRow("su2_state_match_residual", resid, 1e-10)]
@@ -325,28 +323,28 @@ def _exp_wiener(cfg, seed):
     var_err = abs(float(np.var(mid)) - var_expected)
     var_band = 3.0 * var_expected * math.sqrt(2.0 / (n_paths - 1))
     constraint = projector.number_constraint(make_space(1, nmax), float(mprime))
-    alpha = 1.0
-    est = wiener.lambda_average_propagator(constraint, eps, alpha, alpha, n_paths=n_paths, seed=seed, stream=4)
-    est_wide = wiener.lambda_average_propagator(
-        constraint, eps, alpha, alpha, n_paths=n_paths, window=4000.0, seed=seed, stream=5
-    )
-    est_nu = [
-        wiener.lambda_average_propagator(
-            constraint, eps, alpha, alpha, n_paths=n_paths, nu=nu, seed=seed, stream=6 + k
-        )
-        for k, nu in enumerate((0.5, 2.0))
-    ]
-    nu_errors = [e.mc_error - 3.0 * e.mc_se for e in est_nu]
-    window_errors = [abs(e.mc_value - e.finite_window) - 3.0 * e.mc_se for e in (est, est_wide, *est_nu)]
+    eigs = constraint.eigs
+    state = coherent_vector(constraint.space, 1.0)
+    weights = np.conj(state) * state  # bra and ket are the one coherent state alpha = 1
+    # the references no lapse law enters, built once for the four laws
+    spectral = complex(np.sum(weights * projector.build_projector(constraint, eps)))
+    quadrature = complex(np.sum(weights * projector.sin_kernel_weights(eigs, eps, projector.default_lam_max(eps, eigs))))
+    off = eigs != 0
+    dirichlet = float(np.sum(np.abs(weights[off] / eigs[off])))  # / window bounds |finite_window - spectral|
+    # (stream, nu, window): the reference law, its window doubled, and nu halved and doubled
+    laws = ((4, 1.0, 2000.0), (5, 1.0, 4000.0), (6, 0.5, 2000.0), (7, 2.0, 2000.0))
+    est = [wiener.lapse_average(constraint, weights, nu, window, n_paths, seed, stream) for stream, nu, window in laws]
+    spectral_errors = [abs(mc - spectral) - 3.0 * se for _, mc, se in est]
+    window_errors = [abs(mc - finite) - 3.0 * se for finite, mc, se in est]
     rows = [
         CheckRow("semigroup_residual", semi, 1e-8),
         CheckRow("bridge_midpoint_variance_error", var_err, var_band),
-        CheckRow("quadrature_vs_spectral", est.quadrature_error, 1e-4),
-        CheckRow("mc_vs_spectral_minus_3se", est.mc_error - 3.0 * est.mc_se, 0.0),
-        CheckRow("mc_window_doubled_minus_3se", est_wide.mc_error - 3.0 * est_wide.mc_se, 0.0),
-        CheckRow("mc_nu_sweep_minus_3se", max(nu_errors), 0.0),
+        CheckRow("quadrature_vs_spectral", abs(quadrature - spectral), 1e-4),
+        CheckRow("mc_vs_spectral_minus_3se", spectral_errors[0], 0.0),
+        CheckRow("mc_window_doubled_minus_3se", spectral_errors[1], 0.0),
+        CheckRow("mc_nu_sweep_minus_3se", max(spectral_errors[2:]), 0.0),
         CheckRow("mc_vs_finite_window_minus_3se", max(window_errors), 0.0),
-        CheckRow("finite_window_bias", abs(est.finite_window - est.spectral), est.window_bias_bound),
+        CheckRow("finite_window_bias", abs(est[0][0] - spectral), dirichlet / laws[0][2]),
     ]
     return rows, {}
 
@@ -488,10 +486,7 @@ def run_experiment(config_path: str, out_dir: str | None, seed_override: int | N
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except coherent.TruncationLeakageError as exc:
-        print(f"config error: config field 'nmax': {exc}", file=sys.stderr)
-        return 3
-    except fock.DimensionGuardError as exc:
+    except (coherent.TruncationLeakageError, fock.DimensionGuardError) as exc:
         print(f"config error: config field 'nmax': {exc}", file=sys.stderr)
         return 3
     try:

@@ -3,10 +3,9 @@
 Flat-metric heat kernel (a function of the variance nu (t2 - t1)) and its
 semigroup rule, exact Brownian-bridge sampling of one time column of
 pinned phase-space paths, the exact law of an unpinned lapse walk's proper
-time, and estimators of the projected propagator:
+time, and the lapse average of the propagator for one lapse law
+(lapse_average):
 
-* the sin-kernel measure integrated over the accumulated proper time,
-  in closed form (projector.sin_kernel_weights over default_lam_max),
 * Monte Carlo over tau = int lambda dt of lapse walks lambda(t) of
   LAPSE_STEPS steps on t in [0, 1]: a uniform prior on [-window, window]
   plus Brownian increments of diffusion nu.  The trapezoid tau is linear
@@ -20,12 +19,13 @@ time, and estimators of the projected propagator:
   is a polynomial in exp(-i tau) with one coefficient per level
   (_kernels.phase_samples), not one exponential per basis state.
 
-lambda_average_propagator takes the constraint and the half-width epsilon
-of its spectral window, returns the estimates beside the spectral
-reference and enforces nothing; its callers score them (quadrature within
-1e-4, Monte Carlo within three standard errors).  The bridge and the phase
-average run over chunks of paths, so n_paths costs O(n_paths) for the
-lapse times, the phase values and the bridge column, plus one chunk.
+lapse_average takes the constraint and the weights conj(bra) * ket per
+basis state, so only the lapse law and the random stream enter it; the
+references that do not depend on the law (the spectral projection, the
+sin-kernel quadrature, the Dirichlet bound) are the caller's, built once
+for all the laws it scores.  It enforces nothing.  The bridge and the
+phase average run over chunks of paths, so n_paths costs O(n_paths) for
+the lapse times, the phase values and the bridge column, plus one chunk.
 
 The heat kernel takes whole batches of points, so the Simpson check of
 its semigroup rule is one array evaluation over a tensor-product grid.
@@ -38,16 +38,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from . import _kernels, projector
-from .coherent import coherent_vector
 
 
-LAPSE_STEPS = 32  # lapse-walk steps of lambda_average_propagator, over unit time
+LAPSE_STEPS = 32  # lapse-walk steps of lapse_average, over unit time
 
 
 def rng_stream(seed: int, stream: int = 0) -> Generator:
@@ -163,69 +161,22 @@ def sample_lapse_proper_times(
     return tau
 
 
-@dataclass(frozen=True)
-class PropagatorEstimates:
-    spectral: complex
-    quadrature: complex
-    finite_window: complex
-    window_bias_bound: float
-    mc_value: complex
-    mc_se: float
+def lapse_average(
+    constraint: projector.ConstraintOp, weights, nu: float, window: float, n_paths: int, seed: int, stream: int
+) -> tuple[complex, complex, float]:
+    """sum_n weights[n] E[exp(-i tau x_n)] over one lapse law, x_n the constraint's eigenvalues.
 
-    @property
-    def quadrature_error(self) -> float:
-        return abs(self.quadrature - self.spectral)
-
-    @property
-    def mc_error(self) -> float:
-        return abs(self.mc_value - self.spectral)
-
-
-def lambda_average_propagator(
-    constraint: projector.ConstraintOp,
-    epsilon: float,
-    alphas_bra,
-    alphas_ket,
-    n_paths: int = 100_000,
-    nu: float = 1.0,
-    window: float = 2000.0,
-    seed: int = 20260810,
-    stream: int = 0,
-) -> PropagatorEstimates:
-    """Average of <bra| exp(-i tau Phi) |ket> over the proper-time measure.
-
-    bra and ket are the coherent states of the per-mode labels alphas_bra
-    and alphas_ket on the constraint's space; Phi is the constraint, and
-    the spectral reference projects with window half-width epsilon.
-    Returns the spectral reference, the sin-kernel quadrature (range
-    default_lam_max), the Monte Carlo estimate and its finite-window mean;
-    callers score the errors.  For an integer target window_bias_bound,
-    sum_{x != 0} |w_x| / (window |x|), bounds |finite_window - spectral|.
+    With weights conj(bra) * ket this is <bra| E[exp(-i tau Phi)] |ket>
+    for tau from sample_lapse_proper_times(nu, window).  Returns its
+    closed-form finite-window mean, the Monte Carlo estimate over n_paths
+    draws of (seed, stream) and that estimate's standard error; callers
+    score them.
     """
-    eigs = constraint.eigensystem()
-    target = constraint.target
-    weights = np.conj(coherent_vector(constraint.space, alphas_bra)) * coherent_vector(constraint.space, alphas_ket)
-
-    spectral = complex(np.sum(weights * projector.build_projector(constraint, epsilon)))
-
-    lam_max = projector.default_lam_max(epsilon, eigs)
-    quadrature = complex(np.sum(weights * projector.sin_kernel_weights(eigs, epsilon, lam_max)))
-
+    eigs = constraint.eigs
     gauss = np.exp(-0.5 * lapse_walk_variance(nu) * eigs**2)
     finite_window = complex(np.sum(weights * np.sinc(window * eigs / math.pi) * gauss))
-    off = eigs != 0
-    dirichlet = float(np.sum(np.abs(weights[off] / eigs[off])))
-    window_bias_bound = dirichlet / window if window > 0 else math.inf
-
     taus = sample_lapse_proper_times(nu, window, n_paths, seed, stream)
+    target = constraint.target
     vals = _kernels.phase_samples(taus, np.rint(eigs + target).astype(np.int64), target, weights)
-    mc_value = complex(np.mean(vals))
-    se = math.sqrt((np.var(vals.real) + np.var(vals.imag)) / n_paths)
-    return PropagatorEstimates(
-        spectral=spectral,
-        quadrature=quadrature,
-        finite_window=finite_window,
-        window_bias_bound=window_bias_bound,
-        mc_value=mc_value,
-        mc_se=se,
-    )
+    mc_se = math.sqrt((np.var(vals.real) + np.var(vals.imag)) / n_paths)
+    return finite_window, complex(np.mean(vals)), mc_se

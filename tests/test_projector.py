@@ -54,9 +54,9 @@ def test_spectral_boundary_case_weight_half():
 def test_epsilon_validation(tmp_path, capsys):
     # epsilon is checked where it enters, by `csquant run`: from 1/2 on the window holds two levels;
     # wiener's floor keeps every level at least 1e-3 from the window's edges, where default_lam_max divides
-    for experiment, epsilon in (("project-single", 0.6), ("project-single", 0.0), ("wiener", 5e-4)):
+    for epsilon in (0.6, 0.0, 5e-4):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"experiment": experiment, "epsilon": epsilon}))
+        path.write_text(json.dumps({"experiment": "wiener", "epsilon": epsilon}))
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "never")]) == 3
         assert "config field 'epsilon'" in capsys.readouterr().err
 

@@ -8,10 +8,10 @@ from scipy.stats import ks_2samp
 from csquant import _kernels, wiener
 from csquant.coherent import coherent_vector
 from csquant.fock import make_space
-from csquant.projector import number_constraint
+from csquant.projector import build_projector, default_lam_max, number_constraint, sin_kernel_weights
 from csquant.wiener import (
     heat_kernel,
-    lambda_average_propagator,
+    lapse_average,
     rng_stream,
     sample_bridge_column,
     sample_lapse_proper_times,
@@ -215,47 +215,69 @@ def propagator_setup():
     return make_space(1, 16), 1.0
 
 
+def _references(constraint, epsilon, a_bra, a_ket):
+    """Weights conj(bra) * ket, spectral value and sin-kernel quadrature, as the wiener experiment builds them."""
+    weights = np.conj(coherent_vector(constraint.space, a_bra)) * coherent_vector(constraint.space, a_ket)
+    spectral = complex(np.sum(weights * build_projector(constraint, epsilon)))
+    eigs = constraint.eigs
+    quadrature = complex(np.sum(weights * sin_kernel_weights(eigs, epsilon, default_lam_max(epsilon, eigs))))
+    return weights, spectral, quadrature
+
+
+def _lapse_average(constraint, weights, seed, nu=1.0, window=2000.0, n_paths=100_000):
+    return lapse_average(constraint, weights, nu, window, n_paths, seed, 0)
+
+
 def test_lambda_propagator_selected_level(propagator_setup):
     space, alpha = propagator_setup
-    est = lambda_average_propagator(number_constraint(space, 1.0), 0.45, alpha, alpha, seed=101)
-    assert est.spectral == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert est.quadrature_error < 1e-4
-    assert est.mc_error <= 3.0 * est.mc_se
+    constraint = number_constraint(space, 1.0)
+    weights, spectral, quadrature = _references(constraint, 0.45, alpha, alpha)
+    _, mc, se = _lapse_average(constraint, weights, seed=101)
+    assert spectral == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert abs(quadrature - spectral) < 1e-4
+    assert abs(mc - spectral) <= 3.0 * se
 
 
 def test_lambda_propagator_null_window(propagator_setup):
     space, alpha = propagator_setup
-    est = lambda_average_propagator(number_constraint(space, 0.5), 0.1, alpha, alpha, seed=103)
-    assert est.spectral == 0.0
-    assert abs(est.quadrature) < 1e-4
-    assert abs(est.mc_value) <= 3.0 * est.mc_se
+    constraint = number_constraint(space, 0.5)
+    weights, spectral, quadrature = _references(constraint, 0.1, alpha, alpha)
+    _, mc, se = _lapse_average(constraint, weights, seed=103)
+    assert spectral == 0.0
+    assert abs(quadrature) < 1e-4
+    assert abs(mc) <= 3.0 * se
 
 
 def test_lambda_propagator_degenerate_tau_is_plain_overlap(propagator_setup):
     space, alpha = propagator_setup
-    est = lambda_average_propagator(number_constraint(space, 1.0), 0.45, alpha, alpha, nu=0.0, window=0.0, seed=104)
-    assert est.mc_value == pytest.approx(1.0, abs=1e-7)  # <a|a> = 1 up to truncation
-    assert est.mc_se < 1e-12
+    constraint = number_constraint(space, 1.0)
+    weights, _, _ = _references(constraint, 0.45, alpha, alpha)
+    _, mc, se = _lapse_average(constraint, weights, seed=104, nu=0.0, window=0.0)
+    assert mc == pytest.approx(1.0, abs=1e-7)  # <a|a> = 1 up to truncation
+    assert se < 1e-12
 
 
 def test_lambda_propagator_window_and_nu_stability(propagator_setup):
     space, alpha = propagator_setup
     constraint = number_constraint(space, 1.0)
+    weights, spectral, _ = _references(constraint, 0.45, alpha, alpha)
     for kwargs in ({"window": 4000.0}, {"nu": 0.5}, {"nu": 2.0}):
-        est = lambda_average_propagator(constraint, 0.45, alpha, alpha, seed=105, **kwargs)
-        assert est.mc_error <= 3.0 * est.mc_se
+        _, mc, se = _lapse_average(constraint, weights, seed=105, **kwargs)
+        assert abs(mc - spectral) <= 3.0 * se
 
 
 def test_lambda_propagator_distinct_labels(propagator_setup):
     space, _ = propagator_setup
     a1, a2 = 1.1, 0.7 + 0.6j
-    est = lambda_average_propagator(number_constraint(space, 2.0), 0.3, a1, a2, seed=106)
-    assert est.quadrature_error < 1e-4
-    assert est.mc_error <= 3.0 * est.mc_se
+    constraint = number_constraint(space, 2.0)
+    weights, spectral, quadrature = _references(constraint, 0.3, a1, a2)
+    _, mc, se = _lapse_average(constraint, weights, seed=106)
+    assert abs(quadrature - spectral) < 1e-4
+    assert abs(mc - spectral) <= 3.0 * se
     expected = (
         math.exp(-0.5 * (abs(a1) ** 2 + abs(a2) ** 2)) * (np.conj(a1) * a2) ** 2 / 2.0
     )
-    assert est.spectral == pytest.approx(expected, rel=1e-12)
+    assert spectral == pytest.approx(expected, rel=1e-12)
 
 
 def test_finite_window_matches_characteristic_function_quadrature(propagator_setup):
@@ -263,8 +285,8 @@ def test_finite_window_matches_characteristic_function_quadrature(propagator_set
     constraint = number_constraint(space, 2.0)
     a1, a2 = 1.1, 0.7 + 0.6j
     nu, window = 0.8, 0.7
-    est = lambda_average_propagator(constraint, 0.3, a1, a2, n_paths=100, nu=nu, window=window)
-    weights = np.conj(coherent_vector(space, [a1])) * coherent_vector(space, [a2])
+    weights, spectral, _ = _references(constraint, 0.3, [a1], [a2])
+    finite_window, _, _ = _lapse_average(constraint, weights, seed=20260810, nu=nu, window=window, n_paths=100)
     s = math.sqrt(wiener.lapse_walk_variance(nu))
     # oracle: E[exp(-i tau x)] with tau = Uniform(-window, window) + N(0, s^2), by direct quadrature
     expected = 0.0
@@ -278,8 +300,10 @@ def test_finite_window_matches_characteristic_function_quadrature(propagator_set
             complex_func=True,
         )[0]
         expected += w * uniform * gauss
-    assert abs(est.finite_window - expected) <= 1e-10
-    assert abs(est.finite_window - est.spectral) <= est.window_bias_bound
+    assert abs(finite_window - expected) <= 1e-10
+    # the Dirichlet bound: the sinc cuts every x != 0 term to at most |w_x| / (window |x|)
+    off = constraint.eigs != 0
+    assert abs(finite_window - spectral) <= np.sum(np.abs(weights[off] / constraint.eigs[off])) / window
 
 
 def test_rng_stream_is_counter_based_and_stable():
