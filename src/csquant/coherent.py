@@ -69,25 +69,27 @@ def log_poisson_term(x: float, n: int) -> float:
     return n * (log_ratio - d) - 0.5 * math.log(2 * math.pi * n) - stirling
 
 
-def single_mode_amplitudes(alpha: complex, nmax: int) -> np.ndarray:
-    """exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..nmax, built outward from the largest term.
+def single_mode_amplitudes(alpha: complex, low: int, nmax: int) -> np.ndarray:
+    """exp(-|a|^2/2) a^n / sqrt(n!) for n = low..nmax, built outward from the window's largest term.
 
-    The modulus peaks at n0 = min(floor(|a|^2), nmax).  Only that term is
-    taken in log space (log_poisson_term, so it is good to a few ulps); the
-    others are running products of a/sqrt(n) upward and sqrt(n)/a
-    downward, factors of modulus <= 1, so nothing overflows and the error
-    of a term grows with its distance from n0, not with n log|a|.
+    The pivot n0, the peak level floor(|a|^2) clamped into low..nmax, is taken
+    in log space (log_poisson_term, so it is good to a few ulps); the others
+    are running products of a/sqrt(n) upward and sqrt(n)/a downward, factors
+    of modulus <= 1, so nothing overflows and the error of a term grows with
+    its distance from n0, not with n log|a|.  Level -1 is sqrt(0)/a times level 0: 0.
     """
     alpha = complex(alpha)
-    amps = np.zeros(nmax + 1, dtype=np.complex128)
+    amps = np.zeros(nmax + 1 - low, dtype=np.complex128)
     if alpha == 0:
-        amps[0] = 1.0
+        if low <= 0:
+            amps[-low] = 1.0
         return amps
     r2 = abs(alpha) ** 2
-    n0 = min(math.floor(r2), nmax)
-    amps[n0] = cmath.rect(math.exp(0.5 * log_poisson_term(r2, n0)), n0 * cmath.phase(alpha))
-    amps[n0 + 1 :] = amps[n0] * np.cumprod(alpha / np.sqrt(np.arange(n0 + 1, nmax + 1)))
-    amps[:n0][::-1] = amps[n0] * np.cumprod(np.sqrt(np.arange(n0, 0, -1)) / alpha)
+    n0 = min(max(math.floor(r2), low), nmax)
+    k = n0 - low  # the pivot's index
+    amps[k] = cmath.rect(math.exp(0.5 * log_poisson_term(r2, n0)), n0 * cmath.phase(alpha))
+    amps[k + 1 :] = amps[k] * np.cumprod(alpha / np.sqrt(np.arange(n0 + 1, nmax + 1)))
+    amps[:k][::-1] = amps[k] * np.cumprod(np.sqrt(np.arange(n0, low, -1)) / alpha)
     return amps
 
 
@@ -116,7 +118,7 @@ def _poisson_tails(x: float, nmax: int):
     a running sum downward from nmax.  Each other side is 1 minus the
     small one, which is at least ~0.3 where the sides meet.
     """
-    pmf = single_mode_amplitudes(math.sqrt(x), nmax).real ** 2  # |<n|sqrt(x)>|^2 is the Poisson(x) pmf
+    pmf = single_mode_amplitudes(math.sqrt(x), 0, nmax).real ** 2  # |<n|sqrt(x)>|^2 is the Poisson(x) pmf
     split = min(math.ceil(x), nmax + 1)  # levels n < x
     lower = np.empty(nmax + 1)
     upper = np.empty(nmax + 1)
@@ -162,7 +164,7 @@ def coherent_vector(space: FockSpace, alphas) -> np.ndarray:
     survive = 1.0
     mode_amps = []
     for a in alphas:
-        mode_amps.append(single_mode_amplitudes(a, space.nmax))
+        mode_amps.append(single_mode_amplitudes(a, 0, space.nmax))
         tail = truncation_tail(mode_amps[-1], a)
         if tail > TAIL_WARN:
             warnings.warn(

@@ -6,8 +6,9 @@ reads the count from the labels (or the `modes`) it is given.  The
 projected coherent state keeps a single total-occupation sector m, so a
 correlation ratio <e| op P |ket> / <e| P |ket> (units hbar = omega = 1)
 involves only sector m and its two neighbours.  sector_ratios computes the
-H, Q and P ratios as O(m) sums over that sector, built from each mode's
-coherent amplitudes, with no truncated space and no cutoff.  The
+H, Q and P ratios as sums over that sector, reading each mode's coherent
+amplitudes only at the levels the sums touch, with no truncated space and
+no cutoff: O(m) for two modes, O(1) for one, whose sector is one state.  The
 closed-form brackets (oracle_ratio) come from the Bargmann derivative rule
 <a| A |psi> = d/d(conj a) of the analytic part of the projected
 wavefunction, prop z^m / m! with z = sum_j conj(e_j) ket_j over the
@@ -52,34 +53,35 @@ def sector_ratios(ket, evals, mprime: int) -> np.ndarray:
     """Ratios <e| op P |ket> / <e| P |ket> of op = H, Q, P, one row per evaluation point e.
 
     Modes count from 0 here, and Q and P are mode 0's ("Q" and "P" of
-    oracle_ratio).  P keeps the sector states |n, m - n> of total occupation
-    m = mprime; a single mode is that sector with mode 1 in its vacuum
-    (label 0), where only n = m has amplitude.  P |ket> there is
-    c_n = ket_0(n) ket_1(m - n) from each mode's single_mode_amplitudes, so
-    every matrix element is an O(m) sum: a_0 |n, m - n> = sqrt(n) |n - 1, m - n>
-    reads sector m - 1 of <e|, a_0^dagger reads sector m + 1, and H is each
-    state's occupation m plus 1/2 per mode of ket.  An overlap below
-    RATIO_FLOOR leaves the ratio undefined and raises ValueError.
+    oracle_ratio).  P keeps the states of total occupation m = mprime:
+    |n, m - n>, n = 0..m, for two modes and the one state |m> for one.
+    P |ket> there is c_n = ket_0(n) ket_1(m - n) (ket_1 = 1 for one mode),
+    so every matrix element is a sum over the sector: a_0 |n, m - n> =
+    sqrt(n) |n - 1, m - n> reads level n - 1 of <e|'s mode 0, a_0^dagger
+    level n + 1, and H is each state's occupation m plus 1/2 per mode of ket.
+    Mode 0's single_mode_amplitudes span levels n - 1..m + 1 alone, so one
+    mode costs O(1).  An overlap below RATIO_FLOOR raises ValueError.
     """
-    energy = mprime + 0.5 * np.size(ket)
-    levels = np.arange(mprime + 1)  # mode 0's occupation n
+    modes = np.size(ket)
+    energy = mprime + 0.5 * modes
+    levels = np.arange(0 if modes == 2 else mprime, mprime + 1)  # mode 0's occupation n in the sector
 
-    def factors(labels):  # mode 0's amplitudes at 0..m + 1, and mode 1's (a vacuum label pads one mode) at m - n
-        first, second = (single_mode_amplitudes(z, mprime + 1) for z in [*np.atleast_1d(labels), 0.0][:2])
-        return first, second[mprime - levels]
+    def factors(labels):  # mode 0's amplitudes at n - 1..m + 1 (0 at level -1), and mode 1's at m - n
+        labels = np.atleast_1d(labels)
+        second = single_mode_amplitudes(labels[1], 0, mprime)[::-1] if modes == 2 else 1.0
+        return single_mode_amplitudes(labels[0], levels[0] - 1, mprime + 1), second
 
     ket_0, ket_1 = factors(ket)
-    projected = ket_0[levels] * ket_1
+    projected = ket_0[1:-1] * ket_1
     ratios = np.empty((len(evals), 3), dtype=np.complex128)
     for i, label in enumerate(evals):
         bra_0, bra_1 = factors(label)
-        bra = bra_0[levels] * bra_1
+        bra = bra_0[1:-1] * bra_1
         overlap = complex(np.vdot(bra, projected))
         if abs(overlap) < RATIO_FLOOR:
             raise ValueError(f"overlap {abs(overlap):.3e} below {RATIO_FLOOR:g}: the ratio is undefined")
-        # at n = 0, levels - 1 wraps to the top level, but sqrt(0) clears that term
-        lowered = np.vdot(bra_0[levels - 1] * bra_1, np.sqrt(levels) * projected)
-        raised = np.vdot(np.sqrt(levels + 1) * bra_0[levels + 1] * bra_1, projected)
+        lowered = np.vdot(bra_0[:-2] * bra_1, np.sqrt(levels) * projected)
+        raised = np.vdot(np.sqrt(levels + 1) * bra_0[2:] * bra_1, projected)
         q, p = math.sqrt(0.5) * (lowered + raised), 1j * math.sqrt(0.5) * (raised - lowered)
         ratios[i] = [complex(element) / overlap for element in (np.vdot(bra, energy * projected), q, p)]
     return ratios

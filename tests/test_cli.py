@@ -406,12 +406,21 @@ def test_unknown_field_refused_before_the_experiment_runs(tmp_path, capsys, monk
         {"experiment": "correlations", "mprime": 1200},
         {"experiment": "classical-limit", "model": "single", "m_values": [4, 1200]},
         {"experiment": "classical-limit", "model": "double", "m_values": [4, 1200]},
+        {"experiment": "correlations", "mprime": 1000000},
+        {"experiment": "classical-limit", "model": "single", "m_values": [4, 1000000]},
     ],
-    ids=["correlations", "classical-limit-single", "classical-limit-double"],
+    ids=[
+        "correlations",
+        "classical-limit-single",
+        "classical-limit-double",
+        "correlations-at-the-cap",
+        "classical-limit-single-at-the-cap",
+    ],
 )
 def test_correlators_build_no_dense_operator(tmp_path, payload):
     # a dense operator on a truncated space holding m = 1200 (~1600 states) takes ~20 MB,
-    # while each sector array takes ~19 kB
+    # while each sector array takes ~19 kB; one mode's sector is one state, so even
+    # m = 10^6 needs three amplitudes per label, where an array over its m + 1 levels takes 16 MB
     cfg = _write_config(tmp_path, payload)
     tracemalloc.start()
     try:

@@ -16,6 +16,7 @@ from csquant.coherent import (
     _polar_nodes,
     _resolution_on_grid,
     coherent_vector,
+    log_poisson_term,
     resolution_of_unity_check,
     single_mode_amplitudes,
     truncation_tail,
@@ -75,7 +76,7 @@ def test_amplitudes_match_decimal_oracle_around_the_pivot(r2):
     n0 = math.floor(r * r)
     width = int(10 * math.sqrt(r2))
     lo, hi = max(0, n0 - width), n0 + width
-    amps = single_mode_amplitudes(1j * r, hi)
+    amps = single_mode_amplitudes(1j * r, 0, hi)
     eps = np.finfo(np.float64).eps
     # the pivot's modulus is good to a few eps at any r, and each step away adds a few eps; its
     # phase n0 arg(alpha) carries the rounding of arg(alpha) = pi/2 times n0
@@ -90,6 +91,38 @@ def test_amplitudes_match_decimal_oracle_around_the_pivot(r2):
         assert abs(amps[n] / amps[n0] - shape * 1j ** ((n - n0) % 4)) <= step_tol * shape
         assert abs(abs(amps[n]) - want) <= (4 * eps + step_tol) * want
         assert abs(amps[n] / abs(amps[n]) - 1j ** (n % 4)) <= phase_tol + step_tol
+
+
+@pytest.mark.parametrize("alpha", [0.3 + 0.4j, -3.0, 20 * cmath.exp(0.7j)])
+def test_window_holding_the_peak_is_the_full_builds_slice(alpha):
+    # the window's pivot is the full build's, and the running products start from it in the same order;
+    # numpy's cumprod rounds a run of exactly two complex factors differently (by an ulp) from a longer
+    # run, so no window here has a run of two on either side of the pivot
+    n0 = math.floor(abs(alpha) ** 2)
+    full = single_mode_amplitudes(alpha, 0, n0 + 30)
+    for low, nmax in [(0, n0 + 30), (n0, n0), (max(n0 - 5, 0), n0 + 7), (n0 // 2, n0 + 1)]:
+        assert np.array_equal(single_mode_amplitudes(alpha, low, nmax), full[low : nmax + 1])
+    # level -1 is the downward factor sqrt(0)/a times level 0
+    assert np.array_equal(single_mode_amplitudes(alpha, -1, n0 + 7), np.concatenate(([0.0], full[: n0 + 8])))
+
+
+@pytest.mark.parametrize("alpha", [20.0, 20 * cmath.exp(0.7j)])
+@pytest.mark.parametrize("low", [300, 500])
+def test_window_off_the_peak_matches_the_log_poisson_term(alpha, low):
+    # |alpha|^2 = 400: the window [300, 305] lies wholly below the peak and [500, 505] wholly above it,
+    # so the pivot is the window's edge nearest the peak
+    amps = single_mode_amplitudes(alpha, low, low + 5)
+    for n, amp in zip(range(low, low + 6), amps):
+        want = cmath.rect(math.exp(0.5 * log_poisson_term(400.0, n)), n * cmath.phase(alpha))
+        assert abs(amp - want) <= 1e-13 * abs(want)
+
+
+def test_window_of_the_vacuum():
+    for low, nmax in [(-1, 3), (0, 0), (0, 5)]:
+        amps = single_mode_amplitudes(0.0, low, nmax)
+        assert amps[-low] == 1.0 and np.count_nonzero(amps) == 1
+    for low, nmax in [(1, 1), (1, 4), (7, 9)]:
+        assert not np.any(single_mode_amplitudes(0.0, low, nmax))
 
 
 def test_leakage_hard_error_and_warning():
@@ -128,7 +161,7 @@ def test_truncation_tail_matches_incomplete_gamma(x):
             with pytest.raises(TruncationLeakageError, match="sqrt"):
                 coherent_vector(FockSpace(1, nmax), alpha)
             continue
-        amps = single_mode_amplitudes(alpha, nmax)
+        amps = single_mode_amplitudes(alpha, 0, nmax)
         want = special.gammainc(nmax + 1, x)
         # the tail starts from |amps[nmax]|^2, nmax - n0 steps from the pivot (see the decimal oracle test)
         n0 = min(math.floor(x), nmax)

@@ -176,13 +176,23 @@ def test_classical_limit_monotone_and_sqrt_m_scaling(modes):
 
 
 def test_classical_limit_scaled_single_sweep():
-    # the sector sums are O(m) per m, with no truncated space
+    # one mode's sector is one state, so each m costs O(1), with no truncated space
     rows = classical_limit_check(1, (16, 64, 256, 1024, 4096, 16384))
     devs = [r.dev_abs for r in rows]
     assert all(a > b for a, b in zip(devs, devs[1:]))
     exponent = deviation_scaling_exponent(rows)
     assert -0.7 <= exponent <= -0.3
     assert max(r.h_ratio_error for r in rows) < 1e-10
+
+
+@pytest.mark.parametrize("modes", [1, 2], ids=["single", "double"])
+def test_classical_limit_deviation_is_the_zero_point_shift(modes):
+    # dev_abs is sqrt(2E/k) - sqrt(2m/k), E = m + k/2: the orbit amplitude's zero-point shift,
+    # written without cancellation as 1 / (sqrt(2E/k) + sqrt(2m/k)), since (2E - 2m)/k = 1
+    m_values = list(range(1, 65)) + [10**2, 10**3, 10**4, 10**5, 10**6 - 1, 10**6]
+    for row in classical_limit_check(modes, m_values):
+        want = 1.0 / (math.sqrt(2 * (row.m + 0.5 * modes) / modes) + math.sqrt(2 * row.m / modes))
+        assert abs(row.dev_abs - want) <= 1e-8 * want
 
 
 # The gauge-phase one-form and the clock-correlation width are closed-form
