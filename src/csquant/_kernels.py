@@ -1,9 +1,8 @@
 """Hot numeric kernels, in numpy.
 
 numpy is the only backend.  Each kernel is vectorized over its batch axis
-(coherent labels, lapse samples), and the Monte-Carlo phase average sums
-its weights per integer level first, so its cost grows with the number of
-levels rather than with the dimension of the space.
+(coherent labels, lapse samples); the Monte-Carlo phase average takes one
+coefficient per integer level, so it costs O(paths x levels).
 
 Reductions run in a fixed order: the CLI promises byte-identical reruns.
 """
@@ -34,18 +33,17 @@ def coherent_amp_matrix(alphas, nmax):
     return out
 
 
-def phase_samples(taus, levels, target, weights):
-    """vals[i] = sum_n weights[n] * exp(-1j * taus[i] * (levels[n] - target)).
+def phase_samples(taus, coeffs, target):
+    """vals[i] = sum_k coeffs[k] * exp(-1j * taus[i] * (k - target)), one coefficient per level k.
 
-    levels are non-negative integers, so the sum is exp(i tau target) times
-    a polynomial in z = exp(-i tau) whose coefficient of z^k is the total
-    weight on level k.  Horner's rule evaluates it in O(paths x levels)
-    time, PATH_CHUNK paths at a time.  For an integer target the target
-    phase is conj(z)**target, so each path costs one exponential.
+    The sum is exp(i tau target) times a polynomial in z = exp(-i tau)
+    whose coefficient of z^k is coeffs[k].  Horner's rule evaluates it in
+    O(paths x levels) time, PATH_CHUNK paths at a time.  For an integer
+    target the target phase is conj(z)**target, so each path costs one
+    exponential.
     """
     taus = np.asarray(taus, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.complex128)
-    coeffs = np.bincount(levels, weights.real) + 1j * np.bincount(levels, weights.imag)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
     vals = np.empty(taus.size, dtype=np.complex128)
     for lo in range(0, taus.size, PATH_CHUNK):
         tau = taus[lo : lo + PATH_CHUNK]

@@ -11,10 +11,10 @@ its last read, before any work.  This is the one layer that validates
 input: the library modules assume in-range arguments, so every config
 field, `--out` and `--seed` is bounded here before it reaches them.  A
 coherent state that leaks through the occupation cutoff, or a space over
-the fock.MAX_DIM basis-state guard, is a config error naming `nmax`.
-Reruns with the same config and seed reproduce the output files byte for
-byte: every check is seeded, outputs carry no timestamps, and files are
-written via temp-file + rename.
+the fock.MAX_DIM basis-state guard, is a config error naming `nmax`;
+`wiener`'s cutoff is the constant WIENER_NMAX.  Reruns with the same config
+and seed reproduce the output files byte for byte: every check is seeded,
+outputs carry no timestamps, and files are written via temp-file + rename.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ DEFAULT_SEED = 20260810
 MAX_SEED = 2**64 - 1  # the seed is one uint64 word of the Philox key
 # wiener holds ~40 bytes per path (80 MiB at the cap) plus one chunk: the cap bounds run time
 WIENER_MAX_PATHS = 2**21
+# wiener's one-mode cutoff: its state is fixed at alpha = 1, whose Poisson(1) tail is 8.3e-10 above level 11
+# and 6.4e-11 above 12, so 12 is the smallest cutoff under coherent.TAIL_WARN (a higher one moves rows ~1e-13)
+WIENER_NMAX = 12
 SPIN_MAX_PAIRS = 1000  # spin-overlap's label pairs: the cap bounds run time
 # geometry's curvature 2/S^2 = 1/n stays 10x above its row's 1e-4 tolerance, so a zero curvature fails
 GEOMETRY_MAX_N = 1000
@@ -312,8 +315,7 @@ def _exp_geometry(cfg, seed):
 
 
 def _exp_wiener(cfg, seed):
-    nmax = _get(cfg, "nmax", 12, int, 2)
-    mprime = _get(cfg, "mprime", 1, int, 0, nmax)
+    mprime = _get(cfg, "mprime", 1, int, 0, WIENER_NMAX)
     eps = _get(cfg, "epsilon", 0.45, float, 1e-3, 0.499)
     n_paths = _get(cfg, "n_paths", 100_000, int, 100, WIENER_MAX_PATHS)
     cfg.refuse_unread()
@@ -322,7 +324,7 @@ def _exp_wiener(cfg, seed):
     var_expected = 1.0 * 0.5 * 0.5  # nu t (T - t) / T at the midpoint
     var_err = abs(float(np.var(mid)) - var_expected)
     var_band = 3.0 * var_expected * math.sqrt(2.0 / (n_paths - 1))
-    constraint = projector.number_constraint(make_space(1, nmax), float(mprime))
+    constraint = projector.number_constraint(make_space(1, WIENER_NMAX), float(mprime))
     eigs = constraint.eigs
     state = coherent_vector(constraint.space, 1.0)
     weights = np.conj(state) * state  # bra and ket are the one coherent state alpha = 1

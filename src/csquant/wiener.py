@@ -14,13 +14,13 @@ time, and the lapse average of the propagator for one lapse law
   exp(-i tau x) converges to the finite-window mean
   sum_n w_n sinc(window x_n) exp(-s^2 x_n^2 / 2), itself in closed form;
   the sinc suppresses every x != 0 by ~ 1/(window x), so for integer
-  targets both approach the spectral projection.  Every constraint
-  eigenvalue is an integer level minus the target, so the phase average
-  is a polynomial in exp(-i tau) with one coefficient per level
+  targets both approach the spectral projection.  On one mode basis
+  state n is level n, with eigenvalue n - target, so the phase average
+  is a polynomial in exp(-i tau) whose coefficients are the weights
   (_kernels.phase_samples), not one exponential per basis state.
 
-lapse_average takes the constraint and the weights conj(bra) * ket per
-basis state, so only the lapse law and the random stream enter it; the
+lapse_average takes a one-mode constraint and the weights conj(bra) * ket
+per basis state, so only the lapse law and the random stream enter it; the
 references that do not depend on the law (the spectral projection, the
 sin-kernel quadrature, the Dirichlet bound) are the caller's, built once
 for all the laws it scores.  It enforces nothing.  The bridge and the
@@ -167,16 +167,16 @@ def lapse_average(
     """sum_n weights[n] E[exp(-i tau x_n)] over one lapse law, x_n the constraint's eigenvalues.
 
     With weights conj(bra) * ket this is <bra| E[exp(-i tau Phi)] |ket>
-    for tau from sample_lapse_proper_times(nu, window).  Returns its
-    closed-form finite-window mean, the Monte Carlo estimate over n_paths
-    draws of (seed, stream) and that estimate's standard error; callers
-    score them.
+    for tau from sample_lapse_proper_times(nu, window).  The constraint
+    must be one-mode, so weights[n] sits on level n: the weights are the
+    phase average's per-level coefficients.  Returns its closed-form
+    finite-window mean, the Monte Carlo estimate over n_paths draws of
+    (seed, stream) and that estimate's standard error; callers score them.
     """
     eigs = constraint.eigs
     gauss = np.exp(-0.5 * lapse_walk_variance(nu) * eigs**2)
     finite_window = complex(np.sum(weights * np.sinc(window * eigs / math.pi) * gauss))
     taus = sample_lapse_proper_times(nu, window, n_paths, seed, stream)
-    target = constraint.target
-    vals = _kernels.phase_samples(taus, np.rint(eigs + target).astype(np.int64), target, weights)
+    vals = _kernels.phase_samples(taus, weights, constraint.target)
     mc_se = math.sqrt((np.var(vals.real) + np.var(vals.imag)) / n_paths)
     return finite_window, complex(np.mean(vals)), mc_se

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from csquant import _kernels, classical, cli, correlators, projector, spin, wiener
+from csquant import _kernels, classical, cli, coherent, correlators, projector, spin, wiener
 
 
 def _write_config(tmp_path, payload, name="cfg.json"):
@@ -211,7 +211,9 @@ _UNUSABLE = [
     # an integer target lies 1/2 or more from every other level, so the projector's window half-width moves nothing
     ("project-single-epsilon", {"experiment": "project-single", "epsilon": 0.3}, "epsilon", []),
     ("project-double-epsilon", {"experiment": "project-double", "epsilon": 0.3}, "epsilon", []),
-    ("wiener-leakage", {"experiment": "wiener", "nmax": 5, "n_paths": 1000}, "nmax", []),
+    # wiener's cutoff is the constant WIENER_NMAX, so an nmax is an unread field and mprime stops at the cutoff
+    ("wiener-nmax", {"experiment": "wiener", "nmax": 5, "n_paths": 1000}, "nmax", []),
+    ("wiener-mprime-above-cutoff", {"experiment": "wiener", "mprime": 13}, "mprime", []),
     ("resolution-grid", {"experiment": "resolution", "nmax": 1, "radius": 10000}, "radius", []),
     # the radial block is exactly at its 64 MiB bound, and 16 angular nodes leave < 2 nodes per phase-space cell
     ("resolution-grid-density", {"experiment": "resolution", "nmax": 1, "radius": 4096.001}, "radius", []),
@@ -353,16 +355,6 @@ def test_project_double_tiny_amplitudes_pass(tmp_path, payload):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
 
 
-def test_project_double_fails_a_wrong_overall_phase(tmp_path, monkeypatch):
-    original = spin.su2_coherent
-    monkeypatch.setattr(spin, "su2_coherent", lambda twoj, xi: original(twoj, xi) * cmath.exp(0.1j))
-    cfg = _write_config(tmp_path, {"experiment": "project-double"})
-    out = tmp_path / "r"
-    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
-    table = json.loads((out / "project-double.json").read_text())
-    assert [row["name"] for row in table["checks"] if not row["passed"]] == ["su2_state_match_residual"]
-
-
 def test_wiener_path_count_refused_before_sampling(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("sampler called for a refused config")
@@ -396,8 +388,18 @@ def test_unknown_field_refused_before_the_experiment_runs(tmp_path, capsys, monk
         raise AssertionError("the estimator ran for a refused config")
 
     monkeypatch.setattr(wiener, "lapse_average", never)
-    assert _run_unusable(tmp_path, {"experiment": "wiener", "n_path": 10}, []) == 3
-    assert "config field 'n_path'" in capsys.readouterr().err
+    # a misspelt field, and an nmax whose 10^6 levels would take ~7 min of phase sums if it were read
+    for field, value in (("n_path", 10), ("nmax", 999999)):
+        assert _run_unusable(tmp_path, {"experiment": "wiener", field: value}, []) == 3
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_wiener_cutoff_is_the_smallest_under_the_tail_warning():
+    # wiener's state is fixed at alpha = 1: above WIENER_NMAX its Poisson(1) tail is below TAIL_WARN,
+    # above every smaller cutoff it is not
+    cutoffs = range(1, cli.WIENER_NMAX + 1)
+    tails = [coherent.truncation_tail(coherent.single_mode_amplitudes(1.0, 0, n), 1.0) for n in cutoffs]
+    assert [tail < coherent.TAIL_WARN for tail in tails] == [n == cli.WIENER_NMAX for n in cutoffs]
 
 
 @pytest.mark.parametrize(
@@ -468,47 +470,89 @@ def test_wiener_builds_one_coherent_state_and_one_quadrature(tmp_path, monkeypat
     assert calls == {"coherent_vector": 1, "sin_kernel_weights": 1}
 
 
-@pytest.mark.parametrize(
-    "payload, row",
-    [
-        ({"experiment": "correlations"}, "h_ratio_error"),
-        ({"experiment": "classical-limit"}, "h_ratio_error"),
-        ({"experiment": "classical-limit", "model": "double"}, "h_ratio_error"),
-        ({"experiment": "geometry"}, "energy_quantization_residual"),
-    ],
-    ids=["correlations", "classical-limit", "classical-limit-double", "geometry"],
-)
-def test_h_ratio_error_fails_without_zero_point(tmp_path, monkeypatch, payload, row):
-    # drop the 1/2 per mode from the H ratio of the sector sums: the relative H row must see it
-    original = correlators.sector_ratios
-
-    def no_zero_point(ket, evals, mprime):
-        return original(ket, evals, mprime) - [0.5 * np.size(ket), 0.0, 0.0]
-
-    monkeypatch.setattr(correlators, "sector_ratios", no_zero_point)
-    cfg = _write_config(tmp_path, payload)
-    out = tmp_path / "r"
-    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
-    table = json.loads((out / f"{payload['experiment']}.json").read_text())
-    assert [r["name"] for r in table["checks"] if not r["passed"]] == [row]
+def _no_zero_point(original):
+    # drop the 1/2 per mode from the H ratio of the sector sums
+    return lambda ket, evals, mprime: original(ket, evals, mprime) - [0.5 * np.size(ket), 0.0, 0.0]
 
 
-def test_symplectic_area_fails_a_squeezed_embedding(tmp_path, monkeypatch):
+def _squeezed(original):
     # q1 scaled by 1/sqrt(2) scales dq1 ^ dp1, and so the patch area, by the same factor
-    original = classical._embedding
-
     def squeezed(*args):
         q1, p1, q2, p2 = original(*args)
         return np.array([q1 / math.sqrt(2.0), p1, q2, p2])
 
-    monkeypatch.setattr(classical, "_embedding", squeezed)
-    cfg = _write_config(tmp_path, {"experiment": "geometry"})
+    return squeezed
+
+
+# defect(original) is patched over module.name: the run of config must exit 1 and fail its row, plus also_fails
+_Defect = collections.namedtuple("_Defect", "config module name defect also_fails value", defaults=((), None))
+
+# one named defect per check row, keyed experiment:row; value, if given, is what the row must read
+_DEFECTS = {
+    "resolution:identity_block_residual": _Defect(
+        {"experiment": "resolution"},
+        _kernels,
+        "coherent_amp_matrix",
+        lambda original: lambda alphas, nmax: 1.001 * original(alphas, nmax),  # scaled radial amplitudes
+    ),
+    "project-single:null_norm_fractional_targets": _Defect(
+        {"experiment": "project-single"},
+        projector,
+        "build_projector",
+        lambda original: lambda constraint: original(constraint, 0.6),  # every probe is within 0.6 of a level
+    ),
+    "project-double:su2_state_match_residual": _Defect(
+        {"experiment": "project-double"},
+        spin,
+        "su2_coherent",
+        lambda original: lambda twoj, xi: original(twoj, xi) * cmath.exp(0.1j),  # a wrong overall phase
+    ),
+    "spin-overlap:su2_resolution_residual": _Defect(
+        {"experiment": "spin-overlap"},
+        spin,
+        "_closure_matrix",
+        # one theta node fewer than the twoj // 2 + 1 that integrate the closure exactly
+        lambda original: lambda twoj, n_theta, n_phi: original(twoj, twoj // 2, n_phi),
+    ),
+    "correlations:h_ratio_error": _Defect({"experiment": "correlations"}, correlators, "sector_ratios", _no_zero_point),
+    "classical-limit:h_ratio_error": _Defect(
+        {"experiment": "classical-limit"}, correlators, "sector_ratios", _no_zero_point
+    ),
+    "classical-limit-double:h_ratio_error": _Defect(
+        {"experiment": "classical-limit", "model": "double"}, correlators, "sector_ratios", _no_zero_point
+    ),
+    "geometry:energy_quantization_residual": _Defect(
+        {"experiment": "geometry"}, correlators, "sector_ratios", _no_zero_point
+    ),
+    "geometry:symplectic_area_vs_pi_s2": _Defect(
+        {"experiment": "geometry"},
+        classical,
+        "_embedding",
+        _squeezed,
+        also_fails=("pullback_metric_residual",),  # the squeezed embedding has another metric
+        value=2.0 * math.pi * (1.0 - 1.0 / math.sqrt(2.0)),
+    ),
+    "wiener:quadrature_vs_spectral": _Defect(
+        {"experiment": "wiener"},
+        projector,
+        "sin_kernel_weights",
+        lambda original: lambda *args: math.pi * original(*args),  # the closed form without its 1/pi
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(_DEFECTS))
+def test_defect_fails_its_row(tmp_path, monkeypatch, key):
+    defect = _DEFECTS[key]
+    row = key.split(":")[1]
+    monkeypatch.setattr(defect.module, defect.name, defect.defect(getattr(defect.module, defect.name)))
+    cfg = _write_config(tmp_path, defect.config)
     out = tmp_path / "r"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
-    table = json.loads((out / "geometry.json").read_text())
-    row = {r["name"]: r for r in table["checks"]}["symplectic_area_vs_pi_s2"]
-    assert not row["passed"]
-    assert row["value"] == pytest.approx(2.0 * math.pi * (1.0 - 1.0 / math.sqrt(2.0)), rel=1e-12)
+    checks = {r["name"]: r for r in json.loads((out / f"{defect.config['experiment']}.json").read_text())["checks"]}
+    assert {name for name, r in checks.items() if not r["passed"]} == {row, *defect.also_fails}
+    if defect.value is not None:
+        assert checks[row]["value"] == pytest.approx(defect.value, rel=1e-12)
 
 
 def test_project_single_null_state_is_the_zero_vector(tmp_path):
@@ -687,8 +731,7 @@ _CHEAP_CONFIGS = st.one_of(
     st.fixed_dictionaries(
         {"experiment": st.just("wiener")},
         optional={
-            "nmax": st.integers(1, 12),
-            "mprime": st.integers(0, 12),
+            "mprime": st.integers(-1, 13),
             "epsilon": _floats(1e-3, 0.499),
             "n_paths": st.integers(99, 2000),
         },
