@@ -9,7 +9,7 @@ Reductions run in a fixed order: the CLI promises byte-identical reruns.
 
 import numpy as np
 
-PATH_CHUNK = 16384  # paths per chunk of the per-path loops (here and wiener's bridge)
+PATH_CHUNK = 16384  # paths per chunk of the phase average, and normals per chunk of wiener's bridge (128 KB)
 
 
 def backend_name() -> str:

@@ -31,7 +31,13 @@ The heat kernel takes whole batches of points, so the Simpson check of
 its semigroup rule is one array evaluation over a tensor-product grid.
 
 Randomness is counter-based (Philox keyed by seed and stream id), so
-parallel streams and reruns are reproducible bit for bit.
+parallel streams and reruns are reproducible bit for bit.  The CLI's
+wiener run uses stream 3 for the bridge column and streams 4-7 for its
+four lapse laws.  It samples the bridge on a second thread while the
+calling thread runs the semigroup check, the references and the lapse
+laws.  Each stream belongs to one thread and every reduction runs in a
+fixed order on its own thread's arrays, so the output does not depend on
+the core count or on how the two threads are scheduled.
 """
 
 from __future__ import annotations
@@ -108,19 +114,21 @@ def sample_bridge_column(
     nu dt (N-k)/(N-k+1), so with nu -> 0 the paths collapse onto the
     linear interpolant; the marginal at time t has variance nu t (T-t)/T.
     Each path draws its N - 1 normals in path order from one stream, and
-    only the current column of PATH_CHUNK paths is kept, so the column
-    does not depend on the chunk size and the ends are the pins exactly.
+    only the current column is kept.  Paths are drawn in chunks of at most
+    PATH_CHUNK normals, so the buffer does not grow with N; the column does
+    not depend on the chunk size, and the ends are the pins exactly.
     """
     x_start = np.atleast_1d(np.asarray(x_start, dtype=np.float64))
     x_end = np.atleast_1d(np.asarray(x_end, dtype=np.float64))
     out = np.empty((n_paths, x_start.size))
     out[:] = x_start if column < n_steps else x_end
-    if column == n_steps:
+    if column in (0, n_steps):
         return out
     rng = rng_stream(seed, stream)
     dt = t_total / n_steps
-    for lo in range(0, n_paths, _kernels.PATH_CHUNK):
-        x = out[lo : lo + _kernels.PATH_CHUNK]
+    chunk = max(1, _kernels.PATH_CHUNK // ((n_steps - 1) * x_start.size))
+    for lo in range(0, n_paths, chunk):
+        x = out[lo : lo + chunk]
         normals = rng.standard_normal((len(x), n_steps - 1, x_start.size))
         for k in range(1, column + 1):
             remaining = n_steps - k + 1
@@ -157,7 +165,9 @@ def sample_lapse_proper_times(
     rng = rng_stream(seed, stream)
     tau = rng.uniform(-window, window, size=n_paths) if window > 0 else np.zeros(n_paths)
     if nu > 0:
-        tau += math.sqrt(lapse_walk_variance(nu)) * rng.standard_normal(n_paths)
+        normals = rng.standard_normal(n_paths)
+        normals *= math.sqrt(lapse_walk_variance(nu))  # in place: no second n_paths buffer for the product
+        tau += normals
     return tau
 
 
@@ -176,7 +186,9 @@ def lapse_average(
     eigs = constraint.eigs
     gauss = np.exp(-0.5 * lapse_walk_variance(nu) * eigs**2)
     finite_window = complex(np.sum(weights * np.sinc(window * eigs / math.pi) * gauss))
-    taus = sample_lapse_proper_times(nu, window, n_paths, seed, stream)
-    vals = _kernels.phase_samples(taus, weights, constraint.target)
+    # no name holds the lapse times, so they are freed before the statistics' temporaries
+    vals = _kernels.phase_samples(
+        sample_lapse_proper_times(nu, window, n_paths, seed, stream), weights, constraint.target
+    )
     mc_se = math.sqrt((np.var(vals.real) + np.var(vals.imag)) / n_paths)
     return finite_window, complex(np.mean(vals)), mc_se

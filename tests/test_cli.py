@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -144,8 +146,67 @@ def test_wiener_memory_per_path_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    # O(n_paths) arrays, ~40 bytes per path, plus one chunk; a whole 17-column bridge ensemble needs ~270
-    assert peak <= 64 * n_paths
+    # O(n_paths) arrays, 32 bytes per path, plus one chunk and the fixed semigroup grid: 38.7 bytes per path
+    # at this count; a whole 17-column bridge ensemble needs ~270
+    assert peak <= 48 * n_paths
+
+
+class _Sentinel(Exception):
+    pass
+
+
+def test_wiener_bridge_error_is_raised_by_the_caller(tmp_path, monkeypatch):
+    # the bridge runs on a second thread: its exception reaches the caller as it is, and no thread outlives the run
+    def failing(*args, **kwargs):
+        raise _Sentinel("bridge")
+
+    monkeypatch.setattr(wiener, "sample_bridge_column", failing)
+    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 1000})
+    threads = threading.active_count()
+    with pytest.raises(_Sentinel, match="bridge"):
+        cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert threading.active_count() == threads
+    assert not (tmp_path / "r").exists()
+
+
+def test_wiener_joins_the_bridge_when_a_lapse_law_fails(tmp_path, monkeypatch):
+    # the bridge finishes only after the first lapse law has raised, so the run returns before it unless it joins
+    lapse_failed = threading.Event()
+    finished = []
+    original = wiener.sample_bridge_column
+
+    def late_bridge(*args, **kwargs):
+        assert lapse_failed.wait(timeout=30)
+        time.sleep(0.05)
+        column = original(*args, **kwargs)
+        finished.append(column.shape)
+        return column
+
+    def failing(*args, **kwargs):
+        lapse_failed.set()
+        raise _Sentinel("lapse")
+
+    monkeypatch.setattr(wiener, "sample_bridge_column", late_bridge)
+    monkeypatch.setattr(wiener, "lapse_average", failing)
+    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 1000})
+    threads = threading.active_count()
+    with pytest.raises(_Sentinel, match="lapse"):
+        cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert finished == [(1000, 1)]
+    assert threading.active_count() == threads
+
+
+def test_wiener_output_does_not_depend_on_thread_switching(tmp_path):
+    # the bridge thread and the lapse laws share no array: switching threads every microsecond moves no byte
+    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 3 * _kernels.PATH_CHUNK + 11, "seed": 5})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "a" / "wiener.json").read_bytes() == (tmp_path / "b" / "wiener.json").read_bytes()
 
 
 def test_largest_rise_catches_non_monotone_sequence():
