@@ -9,7 +9,7 @@ Reductions run in a fixed order: the CLI promises byte-identical reruns.
 
 import numpy as np
 
-PATH_CHUNK = 16384  # paths per chunk of the phase average, and normals per chunk of wiener's bridge (128 KB)
+PATH_CHUNK = 16384  # paths per chunk of the phase average
 
 
 def backend_name() -> str:

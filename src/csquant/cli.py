@@ -30,7 +30,6 @@ import math
 import os
 import sys
 import tempfile
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,7 @@ from .coherent import coherent_vector
 
 DEFAULT_SEED = 20260810
 MAX_SEED = 2**64 - 1  # the seed is one uint64 word of the Philox key
-# wiener holds 32 bytes per path (64 MiB at the cap; tracemalloc) plus one chunk: the cap bounds run time
+# wiener holds 24 bytes per path (48 MiB at the cap; tracemalloc) plus one chunk: the cap bounds run time
 WIENER_MAX_PATHS = 2**21
 # wiener's one-mode cutoff: its state is fixed at alpha = 1, whose Poisson(1) tail is 8.3e-10 above level 11
 # and 6.4e-11 above 12, so 12 is the smallest cutoff under coherent.TAIL_WARN (a higher one moves rows ~1e-13)
@@ -320,46 +319,27 @@ def _exp_wiener(cfg, seed):
     eps = _get(cfg, "epsilon", 0.45, float, 1e-3, 0.499)
     n_paths = _get(cfg, "n_paths", 100_000, int, 100, WIENER_MAX_PATHS)
     cfg.refuse_unread()
-    bridge = {}
-
-    def sample_midpoints():  # the bridge column (stream 3), on a second thread beside the lapse laws
-        try:
-            bridge["mid"] = wiener.sample_bridge_column(1.0, [0.0], [0.0], 1.0, 16, 8, n_paths, seed, stream=3)[:, 0]
-        except BaseException as exc:  # re-raised on the calling thread after the join
-            bridge["error"] = exc
-
-    worker = threading.Thread(target=sample_midpoints)
-    worker.start()
-    try:
-        semi = wiener.semigroup_residual(0.7, 0.0, 0.4, 1.0, [0.1, -0.2], [0.5, 0.3])
-        constraint = projector.number_constraint(make_space(1, WIENER_NMAX), float(mprime))
-        eigs = constraint.eigs
-        state = coherent_vector(constraint.space, 1.0)
-        weights = np.conj(state) * state  # bra and ket are the one coherent state alpha = 1
-        # the references no lapse law enters, built once for the four laws
-        spectral = complex(np.sum(weights * projector.build_projector(constraint, eps)))
-        lam_max = projector.default_lam_max(eps, eigs)
-        quadrature = complex(np.sum(weights * projector.sin_kernel_weights(eigs, eps, lam_max)))
-        off = eigs != 0
-        dirichlet = float(np.sum(np.abs(weights[off] / eigs[off])))  # / window bounds |finite_window - spectral|
-        # (stream, nu, window): the reference law, its window doubled, and nu halved and doubled
-        laws = ((4, 1.0, 2000.0), (5, 1.0, 4000.0), (6, 0.5, 2000.0), (7, 2.0, 2000.0))
-        est = [
-            wiener.lapse_average(constraint, weights, nu, window, n_paths, seed, stream) for stream, nu, window in laws
-        ]
-    finally:
-        worker.join()
-    if "error" in bridge:
-        raise bridge["error"]
-    var_expected = 1.0 * 0.5 * 0.5  # nu t (T - t) / T at the midpoint
-    # after the lapse laws, so that np.var's temporary does not overlap theirs
-    var_err = abs(float(np.var(bridge["mid"])) - var_expected)
-    var_band = 3.0 * var_expected * math.sqrt(2.0 / (n_paths - 1))
+    semi = wiener.semigroup_residual(0.7, 0.0, 0.4, 1.0, [0.1, -0.2], [0.5, 0.3])
+    # nu t (T - t) / T at the midpoint of a 16-step bridge with nu = T = 1
+    var_err = abs(wiener.bridge_column_variance(1.0, 16, 8) - 0.25)
+    constraint = projector.number_constraint(make_space(1, WIENER_NMAX), float(mprime))
+    eigs = constraint.eigs
+    state = coherent_vector(constraint.space, 1.0)
+    weights = np.conj(state) * state  # bra and ket are the one coherent state alpha = 1
+    # the references no lapse law enters, built once for the four laws
+    spectral = complex(np.sum(weights * projector.build_projector(constraint, eps)))
+    lam_max = projector.default_lam_max(eps, eigs)
+    quadrature = complex(np.sum(weights * projector.sin_kernel_weights(eigs, eps, lam_max)))
+    off = eigs != 0
+    dirichlet = float(np.sum(np.abs(weights[off] / eigs[off])))  # / window bounds |finite_window - spectral|
+    # (stream, nu, window): the reference law, its window doubled, and nu halved and doubled
+    laws = ((4, 1.0, 2000.0), (5, 1.0, 4000.0), (6, 0.5, 2000.0), (7, 2.0, 2000.0))
+    est = [wiener.lapse_average(constraint, weights, nu, window, n_paths, seed, stream) for stream, nu, window in laws]
     spectral_errors = [abs(mc - spectral) - 3.0 * se for _, mc, se in est]
     window_errors = [abs(mc - finite) - 3.0 * se for finite, mc, se in est]
     rows = [
         CheckRow("semigroup_residual", semi, 1e-8),
-        CheckRow("bridge_midpoint_variance_error", var_err, var_band),
+        CheckRow("bridge_midpoint_variance_error", var_err, 1e-12),
         CheckRow("quadrature_vs_spectral", abs(quadrature - spectral), 1e-4),
         CheckRow("mc_vs_spectral_minus_3se", spectral_errors[0], 0.0),
         CheckRow("mc_window_doubled_minus_3se", spectral_errors[1], 0.0),
@@ -416,7 +396,7 @@ EXPERIMENTS = {
     "wiener": Experiment(
         _exp_wiener,
         "Wiener-measure machinery",
-        "heat-kernel semigroup, bridge sampling, and lapse-averaged propagator estimators",
+        "heat-kernel semigroup, exact bridge variance, and lapse-averaged propagator estimators",
     ),
 }
 

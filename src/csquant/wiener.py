@@ -1,10 +1,10 @@
 """Discrete-time Wiener-measure machinery.
 
 Flat-metric heat kernel (a function of the variance nu (t2 - t1)) and its
-semigroup rule, exact Brownian-bridge sampling of one time column of
-pinned phase-space paths, the exact law of an unpinned lapse walk's proper
-time, and the lapse average of the propagator for one lapse law
-(lapse_average):
+semigroup rule, the exact variance of one time column of a pinned
+Brownian bridge (bridge_column_variance), the exact law of an unpinned
+lapse walk's proper time, and the lapse average of the propagator for one
+lapse law (lapse_average):
 
 * Monte Carlo over tau = int lambda dt of lapse walks lambda(t) of
   LAPSE_STEPS steps on t in [0, 1]: a uniform prior on [-window, window]
@@ -23,21 +23,16 @@ lapse_average takes a one-mode constraint and the weights conj(bra) * ket
 per basis state, so only the lapse law and the random stream enter it; the
 references that do not depend on the law (the spectral projection, the
 sin-kernel quadrature, the Dirichlet bound) are the caller's, built once
-for all the laws it scores.  It enforces nothing.  The bridge and the
-phase average run over chunks of paths, so n_paths costs O(n_paths) for
-the lapse times, the phase values and the bridge column, plus one chunk.
+for all the laws it scores.  It enforces nothing.  The phase average runs
+over chunks of paths, so n_paths costs O(n_paths) for the lapse times and
+the phase values, plus one chunk.
 
 The heat kernel takes whole batches of points, so the Simpson check of
 its semigroup rule is one array evaluation over a tensor-product grid.
 
 Randomness is counter-based (Philox keyed by seed and stream id), so
-parallel streams and reruns are reproducible bit for bit.  The CLI's
-wiener run uses stream 3 for the bridge column and streams 4-7 for its
-four lapse laws.  It samples the bridge on a second thread while the
-calling thread runs the semigroup check, the references and the lapse
-laws.  Each stream belongs to one thread and every reduction runs in a
-fixed order on its own thread's arrays, so the output does not depend on
-the core count or on how the two threads are scheduled.
+reruns are reproducible bit for bit.  The CLI's wiener run uses streams
+4-7 for its four lapse laws, and every reduction runs in a fixed order.
 """
 
 from __future__ import annotations
@@ -104,37 +99,22 @@ def semigroup_residual(nu: float, t1: float, t2: float, t3: float, x1, x3, n_nod
     return abs(float(np.sum(weights * integrand)) - direct)
 
 
-def sample_bridge_column(
-    nu: float, x_start, x_end, t_total: float, n_steps: int, column: int, n_paths: int, seed: int, stream: int = 0
-) -> np.ndarray:
-    """Time column `column` of a Brownian-bridge ensemble, shape (n_paths, d).
+def bridge_column_variance(nu: float, n_steps: int, column: int) -> float:
+    """Variance of time column `column` of an n_steps-step Brownian bridge on unit time.
 
-    Sequential conditional Gaussians: at step k the remaining gap to the
-    pinned end is closed in expectation and the conditional variance is
-    nu dt (N-k)/(N-k+1), so with nu -> 0 the paths collapse onto the
-    linear interpolant; the marginal at time t has variance nu t (T-t)/T.
-    Each path draws its N - 1 normals in path order from one stream, and
-    only the current column is kept.  Paths are drawn in chunks of at most
-    PATH_CHUNK normals, so the buffer does not grow with N; the column does
-    not depend on the chunk size, and the ends are the pins exactly.
+    The bridge is the sequential conditional-Gaussian recursion: at step k,
+    with r = n_steps - k + 1 steps left, the gap to the pinned end shrinks
+    by 1/r and a normal of variance nu dt (r - 1)/r is added, dt = 1/n_steps.
+    The recursion is linear in its Gaussian draws, so the column's law is
+    exact: the pins fix its mean, and its variance propagates as
+    var (1 - 1/r)^2 + nu dt (r - 1)/r, which is nu t (1 - t) at t = column dt.
     """
-    x_start = np.atleast_1d(np.asarray(x_start, dtype=np.float64))
-    x_end = np.atleast_1d(np.asarray(x_end, dtype=np.float64))
-    out = np.empty((n_paths, x_start.size))
-    out[:] = x_start if column < n_steps else x_end
-    if column in (0, n_steps):
-        return out
-    rng = rng_stream(seed, stream)
-    dt = t_total / n_steps
-    chunk = max(1, _kernels.PATH_CHUNK // ((n_steps - 1) * x_start.size))
-    for lo in range(0, n_paths, chunk):
-        x = out[lo : lo + chunk]
-        normals = rng.standard_normal((len(x), n_steps - 1, x_start.size))
-        for k in range(1, column + 1):
-            remaining = n_steps - k + 1
-            x += (x_end - x) / remaining
-            x += np.sqrt(nu * dt * (remaining - 1) / remaining) * normals[:, k - 1, :]
-    return out
+    dt = 1.0 / n_steps
+    var = 0.0
+    for k in range(1, column + 1):
+        remaining = n_steps - k + 1
+        var = var * (1.0 - 1.0 / remaining) ** 2 + nu * dt * (remaining - 1) / remaining
+    return var
 
 
 def lapse_walk_variance(nu: float) -> float:

@@ -8,8 +8,6 @@ import pathlib
 import subprocess
 import sys
 import tempfile
-import threading
-import time
 import tracemalloc
 import warnings
 
@@ -146,67 +144,9 @@ def test_wiener_memory_per_path_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    # O(n_paths) arrays, 32 bytes per path, plus one chunk and the fixed semigroup grid: 38.7 bytes per path
-    # at this count; a whole 17-column bridge ensemble needs ~270
-    assert peak <= 48 * n_paths
-
-
-class _Sentinel(Exception):
-    pass
-
-
-def test_wiener_bridge_error_is_raised_by_the_caller(tmp_path, monkeypatch):
-    # the bridge runs on a second thread: its exception reaches the caller as it is, and no thread outlives the run
-    def failing(*args, **kwargs):
-        raise _Sentinel("bridge")
-
-    monkeypatch.setattr(wiener, "sample_bridge_column", failing)
-    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 1000})
-    threads = threading.active_count()
-    with pytest.raises(_Sentinel, match="bridge"):
-        cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
-    assert threading.active_count() == threads
-    assert not (tmp_path / "r").exists()
-
-
-def test_wiener_joins_the_bridge_when_a_lapse_law_fails(tmp_path, monkeypatch):
-    # the bridge finishes only after the first lapse law has raised, so the run returns before it unless it joins
-    lapse_failed = threading.Event()
-    finished = []
-    original = wiener.sample_bridge_column
-
-    def late_bridge(*args, **kwargs):
-        assert lapse_failed.wait(timeout=30)
-        time.sleep(0.05)
-        column = original(*args, **kwargs)
-        finished.append(column.shape)
-        return column
-
-    def failing(*args, **kwargs):
-        lapse_failed.set()
-        raise _Sentinel("lapse")
-
-    monkeypatch.setattr(wiener, "sample_bridge_column", late_bridge)
-    monkeypatch.setattr(wiener, "lapse_average", failing)
-    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 1000})
-    threads = threading.active_count()
-    with pytest.raises(_Sentinel, match="lapse"):
-        cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
-    assert finished == [(1000, 1)]
-    assert threading.active_count() == threads
-
-
-def test_wiener_output_does_not_depend_on_thread_switching(tmp_path):
-    # the bridge thread and the lapse laws share no array: switching threads every microsecond moves no byte
-    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 3 * _kernels.PATH_CHUNK + 11, "seed": 5})
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
-    finally:
-        sys.setswitchinterval(interval)
-    assert (tmp_path / "a" / "wiener.json").read_bytes() == (tmp_path / "b" / "wiener.json").read_bytes()
+    # O(n_paths) arrays of 24 bytes per path, plus one chunk and the fixed semigroup grid:
+    # 29.4 bytes per path at this count
+    assert peak <= 36 * n_paths
 
 
 def test_largest_rise_catches_non_monotone_sequence():
@@ -420,7 +360,6 @@ def test_wiener_path_count_refused_before_sampling(tmp_path, capsys, monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("sampler called for a refused config")
 
-    monkeypatch.setattr(wiener, "sample_bridge_column", never)
     monkeypatch.setattr(wiener, "sample_lapse_proper_times", never)
     cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 2_000_000_000})
     out = tmp_path / "never"
@@ -598,6 +537,13 @@ _DEFECTS = {
         projector,
         "sin_kernel_weights",
         lambda original: lambda *args: math.pi * original(*args),  # the closed form without its 1/pi
+    ),
+    "wiener:bridge_midpoint_variance_error": _Defect(
+        {"experiment": "wiener"},
+        wiener,
+        "bridge_column_variance",
+        lambda original: lambda nu, n_steps, column: original(1.01 * nu, n_steps, column),  # diffusion 1% high
+        value=0.01 * 0.25,
     ),
 }
 

@@ -10,10 +10,10 @@ from csquant.coherent import coherent_vector
 from csquant.fock import make_space
 from csquant.projector import build_projector, default_lam_max, number_constraint, sin_kernel_weights
 from csquant.wiener import (
+    bridge_column_variance,
     heat_kernel,
     lapse_average,
     rng_stream,
-    sample_bridge_column,
     sample_lapse_proper_times,
     semigroup_residual,
 )
@@ -102,62 +102,29 @@ def _bridge_ensemble_oracle(nu, x_start, x_end, t_total, n_steps, n_paths, seed,
     return out
 
 
-def _bridge_paths(nu, x_start, x_end, t_total, n_steps, n_paths, seed, stream=0):
-    """Every column of sample_bridge_column, stacked to (n_paths, n_steps+1, d)."""
-    return np.stack(
-        [
-            sample_bridge_column(nu, x_start, x_end, t_total, n_steps, k, n_paths, seed, stream)
-            for k in range(n_steps + 1)
-        ],
-        axis=1,
-    )
-
-
-@pytest.mark.parametrize("n_paths", [_kernels.PATH_CHUNK + 3, 1000])
-@pytest.mark.parametrize("x_start, x_end", [([0.3], [-0.7]), ([0.3, -0.2], [-0.7, 1.1])])
-def test_bridge_column_equals_ensemble_oracle(n_paths, x_start, x_end):
-    args = (0.8, x_start, x_end, 1.3, 16)
-    paths = _bridge_paths(*args, n_paths, seed=8, stream=3)
-    # the chunked draws and the column recursion reproduce the one-block ensemble bit for bit
-    assert np.array_equal(paths, _bridge_ensemble_oracle(*args, n_paths, seed=8, stream=3))
-
-
-def test_bridge_column_validation():
-    # one step: no inner column, and no draws
-    assert np.array_equal(sample_bridge_column(1.0, [0.3], [0.5], 1.0, 1, 1, 3, seed=1), np.full((3, 1), 0.5))
-
-
-def test_bridge_deterministic_limit():
-    path = _bridge_paths(1e-8, [0.0, 1.0], [2.0, -1.0], 1.0, 32, 1, seed=5)[0]
-    interp = np.linspace([0.0, 1.0], [2.0, -1.0], 33)
-    assert np.max(np.abs(path - interp)) < 1e-3
-    assert np.array_equal(path[[0, -1]], interp[[0, -1]])
+def test_bridge_column_variance_is_the_bridge_marginal():
+    # nu t (T - t) / T with T = 1, at every column
+    for nu, n_steps in ((1.0, 16), (0.7, 33), (2.3, 7)):
+        for k in range(n_steps + 1):
+            t = k / n_steps
+            assert abs(bridge_column_variance(nu, n_steps, k) - nu * t * (1.0 - t)) <= 1e-15
 
 
 def test_bridge_ends_pinned_exactly():
-    assert np.all(sample_bridge_column(1.0, [0.3], [-0.7], 1.0, 16, 0, 100, seed=6) == 0.3)
-    assert np.all(sample_bridge_column(1.0, [0.3], [-0.7], 1.0, 16, 16, 100, seed=6) == -0.7)
+    for nu, n_steps in ((1.0, 16), (0.7, 33), (2.3, 1)):
+        assert bridge_column_variance(nu, n_steps, 0) == 0.0
+        assert bridge_column_variance(nu, n_steps, n_steps) == 0.0
 
 
 def test_bridge_moments_within_three_se():
+    # the test-side sampler's columns against the law
     n = 100_000
-    times = np.linspace(0.0, 1.0, 17)
+    ensemble = _bridge_ensemble_oracle(1.0, [0.0], [0.0], 1.0, 16, n, seed=42, stream=3)
     for k in (4, 8, 12):
-        t = times[k]
-        expected_var = t * (1.0 - t)
-        sample = sample_bridge_column(1.0, [0.0], [0.0], 1.0, 16, k, n, seed=42, stream=3)[:, 0]
-        se_mean = math.sqrt(expected_var / n)
-        assert abs(np.mean(sample)) <= 3.0 * se_mean
-        se_var = expected_var * math.sqrt(2.0 / (n - 1))
-        assert abs(np.var(sample) - expected_var) <= 3.0 * se_var
-
-
-def test_bridge_seed_reproducibility():
-    a = _bridge_paths(1.0, [0.0], [0.0], 1.0, 8, 50, seed=77, stream=2)
-    b = _bridge_paths(1.0, [0.0], [0.0], 1.0, 8, 50, seed=77, stream=2)
-    c = _bridge_paths(1.0, [0.0], [0.0], 1.0, 8, 50, seed=77, stream=9)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+        var = bridge_column_variance(1.0, 16, k)
+        sample = ensemble[:, k, 0]
+        assert abs(np.mean(sample)) <= 3.0 * math.sqrt(var / n)
+        assert abs(np.var(sample) - var) <= 3.0 * var * math.sqrt(2.0 / (n - 1))
 
 
 def _trapezoid_walk_taus(lam0, increments):
