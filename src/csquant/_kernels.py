@@ -1,15 +1,12 @@
 """Hot numeric kernels, in numpy.
 
-numpy is the only backend.  Each kernel is vectorized over its batch axis
-(coherent labels, lapse samples); the Monte-Carlo phase average takes one
-coefficient per integer level, so it costs O(paths x levels).
+numpy is the only backend.  coherent_amp_matrix is vectorized over its
+batch of coherent labels.
 
 Reductions run in a fixed order: the CLI promises byte-identical reruns.
 """
 
 import numpy as np
-
-PATH_CHUNK = 16384  # paths per chunk of the phase average
 
 
 def backend_name() -> str:
@@ -32,29 +29,3 @@ def coherent_amp_matrix(alphas, nmax):
         out[:, n] = out[:, n - 1] * alphas / np.sqrt(n)
     return out
 
-
-def phase_samples(taus, coeffs, target):
-    """vals[i] = sum_k coeffs[k] * exp(-1j * taus[i] * (k - target)), one coefficient per level k.
-
-    The sum is exp(i tau target) times a polynomial in z = exp(-i tau)
-    whose coefficient of z^k is coeffs[k].  Horner's rule evaluates it in
-    O(paths x levels) time, PATH_CHUNK paths at a time.  For an integer
-    target the target phase is conj(z)**target, so each path costs one
-    exponential.
-    """
-    taus = np.asarray(taus, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    vals = np.empty(taus.size, dtype=np.complex128)
-    for lo in range(0, taus.size, PATH_CHUNK):
-        tau = taus[lo : lo + PATH_CHUNK]
-        z = np.exp(-1j * tau)
-        out = vals[lo : lo + PATH_CHUNK]
-        out[:] = coeffs[-1]
-        for c in coeffs[-2::-1]:
-            out *= z
-            out += c
-        phase = np.conj(z) ** int(target) if float(target).is_integer() else np.exp(1j * target * tau)
-        # phase * vals in this operand order: numpy's SIMD complex product is not bitwise
-        # commutative, and the recorded check values follow this order
-        np.multiply(phase, out, out=out)
-    return vals

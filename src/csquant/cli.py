@@ -40,7 +40,7 @@ from .coherent import coherent_vector
 
 DEFAULT_SEED = 20260810
 MAX_SEED = 2**64 - 1  # the seed is one uint64 word of the Philox key
-# wiener holds 24 bytes per path (48 MiB at the cap; tracemalloc) plus one chunk: the cap bounds run time
+# wiener streams its paths one chunk at a time in fixed memory (~3.5 MiB; tracemalloc): the cap bounds run time
 WIENER_MAX_PATHS = 2**21
 # wiener's one-mode cutoff: its state is fixed at alpha = 1, whose Poisson(1) tail is 8.3e-10 above level 11
 # and 6.4e-11 above 12, so 12 is the smallest cutoff under coherent.TAIL_WARN (a higher one moves rows ~1e-13)

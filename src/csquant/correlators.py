@@ -28,6 +28,7 @@ import numpy as np
 from .coherent import single_mode_amplitudes
 
 RATIO_FLOOR = 1e-300
+CONDITION_LIMIT = 1e-12  # largest eps x condition number of an overlap sum: its relative roundoff bound
 LIMIT_OFFSETS = (0.0, 0.45, 0.9)  # common phase offsets of the classical-limit evaluation points
 
 
@@ -60,7 +61,10 @@ def sector_ratios(ket, evals, mprime: int) -> np.ndarray:
     sqrt(n) |n - 1, m - n> reads level n - 1 of <e|'s mode 0, a_0^dagger
     level n + 1, and H is each state's occupation m plus 1/2 per mode of ket.
     Mode 0's single_mode_amplitudes span levels n - 1..m + 1 alone, so one
-    mode costs O(1).  An overlap below RATIO_FLOOR raises ValueError.
+    mode costs O(1).  ValueError refuses an overlap below RATIO_FLOOR, or
+    one whose terms cancel (modes of different phases make the sum
+    oscillate) so far that eps times its condition number
+    sum |conj(b_n) c_n| / |sum conj(b_n) c_n| exceeds CONDITION_LIMIT.
     """
     modes = np.size(ket)
     energy = mprime + 0.5 * modes
@@ -78,8 +82,9 @@ def sector_ratios(ket, evals, mprime: int) -> np.ndarray:
         bra_0, bra_1 = factors(label)
         bra = bra_0[1:-1] * bra_1
         overlap = complex(np.vdot(bra, projected))
-        if abs(overlap) < RATIO_FLOOR:
-            raise ValueError(f"overlap {abs(overlap):.3e} below {RATIO_FLOOR:g}: the ratio is undefined")
+        terms = float(np.abs(bra) @ np.abs(projected))
+        if abs(overlap) < RATIO_FLOOR or math.ulp(1.0) * terms > CONDITION_LIMIT * abs(overlap):
+            raise ValueError(f"overlap {abs(overlap):.3e} of terms of modulus {terms:.3e}: the ratio is undefined")
         lowered = np.vdot(bra_0[:-2] * bra_1, np.sqrt(levels) * projected)
         raised = np.vdot(np.sqrt(levels + 1) * bra_0[2:] * bra_1, projected)
         q, p = math.sqrt(0.5) * (lowered + raised), 1j * math.sqrt(0.5) * (raised - lowered)

@@ -16,16 +16,16 @@ lapse law (lapse_average):
   the sinc suppresses every x != 0 by ~ 1/(window x), so for integer
   targets both approach the spectral projection.  On one mode basis
   state n is level n, with eigenvalue n - target, so the phase average
-  is a polynomial in exp(-i tau) whose coefficients are the weights
-  (_kernels.phase_samples), not one exponential per basis state.
+  is a polynomial in exp(-i tau) whose coefficients are the weights, not
+  one exponential per basis state.
 
 lapse_average takes a one-mode constraint and the weights conj(bra) * ket
 per basis state, so only the lapse law and the random stream enter it; the
 references that do not depend on the law (the spectral projection, the
 sin-kernel quadrature, the Dirichlet bound) are the caller's, built once
-for all the laws it scores.  It enforces nothing.  The phase average runs
-over chunks of paths, so n_paths costs O(n_paths) for the lapse times and
-the phase values, plus one chunk.
+for all the laws it scores.  It enforces nothing.  It is one streaming
+pass: each chunk of PATH_CHUNK lapse times is drawn, phase-averaged and
+added into two running sums, so memory is one chunk whatever n_paths is.
 
 The heat kernel takes whole batches of points, so the Simpson check of
 its semigroup rule is one array evaluation over a tensor-product grid.
@@ -43,10 +43,11 @@ import math
 import numpy as np
 from numpy.random import Generator, Philox
 
-from . import _kernels, projector
+from . import projector
 
 
 LAPSE_STEPS = 32  # lapse-walk steps of lapse_average, over unit time
+PATH_CHUNK = 16384  # paths per chunk of lapse_average's one pass
 
 
 def rng_stream(seed: int, stream: int = 0) -> Generator:
@@ -127,28 +128,31 @@ def lapse_walk_variance(nu: float) -> float:
     return nu * (1.0 / 3.0 - 1.0 / (12.0 * LAPSE_STEPS**2))
 
 
-def sample_lapse_proper_times(
-    nu: float,
-    window: float,
-    n_paths: int,
-    seed: int,
-    stream: int = 0,
-) -> np.ndarray:
-    """tau = int lambda dt of unpinned lapse walks, drawn from its exact law.
+def sample_lapse_proper_times(nu: float, window: float, n_paths: int, seed: int, stream: int = 0):
+    """tau = int lambda dt of unpinned lapse walks, drawn from its exact law, PATH_CHUNK paths at a time.
 
     lambda(0) ~ Uniform(-window, window), LAPSE_STEPS increments
     N(0, nu dt) on unit time, both ends free, tau accumulated by the
     trapezoid rule.  That tau is lambda(0) plus an independent
     N(0, lapse_walk_variance(nu)), so each path costs one uniform and one
     normal.  window = 0 and nu = 0 gives the degenerate tau = 0.
+
+    The draws equal, bit for bit, one (seed, stream) generator's n_paths
+    uniforms and then n_paths normals: the normals' generator skips the
+    uniforms' words, four per Philox counter step.
     """
-    rng = rng_stream(seed, stream)
-    tau = rng.uniform(-window, window, size=n_paths) if window > 0 else np.zeros(n_paths)
-    if nu > 0:
-        normals = rng.standard_normal(n_paths)
-        normals *= math.sqrt(lapse_walk_variance(nu))  # in place: no second n_paths buffer for the product
-        tau += normals
-    return tau
+    uniforms = rng_stream(seed, stream)
+    normals = rng_stream(seed, stream)
+    if window > 0:
+        normals.bit_generator.advance(n_paths // 4)
+        normals.bit_generator.random_raw(n_paths % 4)
+    scale = math.sqrt(lapse_walk_variance(nu))
+    for lo in range(0, n_paths, PATH_CHUNK):
+        size = min(PATH_CHUNK, n_paths - lo)
+        tau = uniforms.uniform(-window, window, size=size) if window > 0 else np.zeros(size)
+        if nu > 0:
+            tau += normals.standard_normal(size) * scale
+        yield tau
 
 
 def lapse_average(
@@ -158,17 +162,32 @@ def lapse_average(
 
     With weights conj(bra) * ket this is <bra| E[exp(-i tau Phi)] |ket>
     for tau from sample_lapse_proper_times(nu, window).  The constraint
-    must be one-mode, so weights[n] sits on level n: the weights are the
-    phase average's per-level coefficients.  Returns its closed-form
-    finite-window mean, the Monte Carlo estimate over n_paths draws of
-    (seed, stream) and that estimate's standard error; callers score them.
+    must be one-mode, so weights[n] sits on level n: the sum is
+    exp(i tau target) times a polynomial in z = exp(-i tau) whose
+    coefficient of z^n is weights[n], evaluated by Horner's rule.  Returns
+    its closed-form finite-window mean, the Monte Carlo estimate over
+    n_paths draws of (seed, stream) and that estimate's standard error;
+    callers score them.  The pass keeps running sums of v and |v|^2, v the
+    phase value less the finite-window mean: centred there, the one-pass
+    variance does not cancel when the values barely spread.
     """
     eigs = constraint.eigs
     gauss = np.exp(-0.5 * lapse_walk_variance(nu) * eigs**2)
     finite_window = complex(np.sum(weights * np.sinc(window * eigs / math.pi) * gauss))
-    # no name holds the lapse times, so they are freed before the statistics' temporaries
-    vals = _kernels.phase_samples(
-        sample_lapse_proper_times(nu, window, n_paths, seed, stream), weights, constraint.target
-    )
-    mc_se = math.sqrt((np.var(vals.real) + np.var(vals.imag)) / n_paths)
-    return finite_window, complex(np.mean(vals)), mc_se
+    target = constraint.target
+    total, total_sq = 0j, 0.0
+    for tau in sample_lapse_proper_times(nu, window, n_paths, seed, stream):
+        z = np.exp(-1j * tau)
+        vals = np.full(tau.size, weights[-1], dtype=np.complex128)
+        for c in weights[-2::-1]:
+            vals *= z
+            vals += c
+        # for an integer target the phase exp(i tau target) is conj(z)**target: one exponential per path
+        phase = np.conj(z) ** int(target) if float(target).is_integer() else np.exp(1j * target * tau)
+        vals = phase * vals - finite_window
+        total += complex(np.sum(vals))
+        total_sq += float(np.sum(vals.real**2 + vals.imag**2))
+    mean = total / n_paths
+    # equal values (the degenerate law) can round the difference below 0
+    mc_se = math.sqrt(max(total_sq / n_paths - abs(mean) ** 2, 0.0) / n_paths)
+    return finite_window, finite_window + mean, mc_se

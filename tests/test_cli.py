@@ -119,7 +119,7 @@ def _src_env(**extra):
 def test_wiener_rerun_byte_identical_across_processes(tmp_path):
     # chunk buffers must not make the output depend on heap layout: vary the hash seed
     # (dict and allocation order) and the length of the output path between processes
-    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 2 * _kernels.PATH_CHUNK + 777, "seed": 13})
+    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 2 * wiener.PATH_CHUNK + 777, "seed": 13})
     outs = []
     for hash_seed, sub in (("1", "a"), ("2024", "a-much-longer-output-directory-name")):
         out = tmp_path / sub
@@ -135,18 +135,17 @@ def test_wiener_rerun_byte_identical_across_processes(tmp_path):
 
 
 def test_wiener_memory_per_path_is_bounded(tmp_path):
-    n_paths = 200_000
-    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": n_paths})
-    tracemalloc.start()
-    try:
-        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    # O(n_paths) arrays of 24 bytes per path, plus one chunk and the fixed semigroup grid:
-    # 29.4 bytes per path at this count
-    assert peak <= 36 * n_paths
+    # one streaming pass holds one chunk of paths, not O(n_paths) arrays: the peak does not grow with n_paths
+    for n_paths in (200_000, 1_000_000):
+        cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": n_paths})
+        tracemalloc.start()
+        try:
+            code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / f"out-{n_paths}")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 8 * 2**20
 
 
 def test_largest_rise_catches_non_monotone_sequence():
@@ -295,7 +294,10 @@ def test_unusable_config_exit_3_naming_field(tmp_path, capsys, payload, field, e
 
 # Library raises that no unusable config reaches but that stay, each with its reason.
 _RAISE_KEEP = {
-    ("correlators", "sector_ratios"): "RATIO_FLOOR refuses a computed overlap, not an input",
+    ("correlators", "sector_ratios"): (
+        "refuses a computed overlap, not an input: one below RATIO_FLOOR, or one whose terms cancel"
+        " past CONDITION_LIMIT, which no config reaches since every CLI label pair shares one phase"
+    ),
     ("fock", "LinearOperator.__post_init__"): "perfbench's tracer patches the class; nothing builds one",
 }
 

@@ -140,6 +140,18 @@ def test_null_projection_flags_correlation_undefined():
         _ratio("Q", 0.0, 1.0, 2)
 
 
+@pytest.mark.parametrize("m, phi", [(100, 1.0), (1000, 1.0), (4000, 0.3), (10_000, 0.3)])
+def test_cancelling_overlap_flags_correlation_undefined(m, phi):
+    # the modes' phases differ, so the sector sum oscillates: eps x its condition number reads
+    # ~1e-10 at m = 100 and ~1-10 beyond, where the roundoff outweighs the closed-form overlap
+    r = math.sqrt(m / 2)
+    with pytest.raises(ValueError, match="undefined"):
+        sector_ratios((r, r), [(r * cmath.exp(1j * phi), r)], m)
+    # the same phase on both modes gives every term that phase: no cancellation, and no raise
+    aligned = sector_ratios((r, r), [(r * cmath.exp(1j * phi),) * 2], m)
+    assert aligned[0, 0] == pytest.approx(m + 1.0, rel=1e-12)
+
+
 def test_gauge_phase_factorization_invariance():
     m = 4
     a_ket = 1.2

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from csquant import _kernels, wiener
+from csquant import wiener
 from csquant.coherent import coherent_vector
 from csquant.fock import make_space
 from csquant.projector import build_projector, default_lam_max, number_constraint, sin_kernel_weights
@@ -141,10 +141,34 @@ def _walk_oracle_draws(nu, window, n_paths, seed, stream):
     return lam0, rng.standard_normal((n_paths, n_steps)) * math.sqrt(nu / n_steps)
 
 
+def _one_shot_lapse_oracle(nu, window, n_paths, seed, stream):
+    """Oracle: one generator draws every path's uniform, then every path's normal."""
+    rng = rng_stream(seed, stream)
+    tau = rng.uniform(-window, window, size=n_paths) if window > 0 else np.zeros(n_paths)
+    if nu > 0:
+        tau += rng.standard_normal(n_paths) * math.sqrt(wiener.lapse_walk_variance(nu))
+    return tau
+
+
+def _lapse_taus(nu, window, n_paths, seed, stream=0):
+    return np.concatenate(list(sample_lapse_proper_times(nu, window, n_paths, seed, stream)))
+
+
+@pytest.mark.parametrize("nu, window", [(1.0, 2000.0), (0.5, 0.0), (0.0, 5.0)])
+@pytest.mark.parametrize(
+    "n_paths", [100, wiener.PATH_CHUNK, wiener.PATH_CHUNK + 1, 100_000, 100_001, 100_003, 2**21]
+)
+def test_lapse_chunks_equal_one_shot_draws(n_paths, nu, window):
+    # the normals' generator skips exactly the uniforms' words, at every residue of n_paths mod 4
+    chunks = list(sample_lapse_proper_times(nu, window, n_paths, seed=7, stream=4))
+    assert [chunk.size for chunk in chunks[:-1]] == [wiener.PATH_CHUNK] * (len(chunks) - 1)
+    assert np.array_equal(np.concatenate(chunks), _one_shot_lapse_oracle(nu, window, n_paths, seed=7, stream=4))
+
+
 def test_lapse_tau_distribution_moments():
     n = 200_000
-    taus = sample_lapse_proper_times(1.0, 2.0, n, seed=11)
-    walk_var = np.var(sample_lapse_proper_times(1.0, 0.0, n, seed=12))
+    taus = _lapse_taus(1.0, 2.0, n, seed=11)
+    walk_var = np.var(_lapse_taus(1.0, 0.0, n, seed=12))
     exact_walk_var = wiener.lapse_walk_variance(1.0)
     # var = window^2/3 from the uniform prior plus the integrated-walk term
     expected = 4.0 / 3.0 + exact_walk_var
@@ -164,7 +188,7 @@ def test_lapse_weighted_sum_matches_trapezoid_oracle(nu, window):
     assert wiener.lapse_walk_variance(nu) == pytest.approx(walk_var, rel=1e-14, abs=0.0)
 
     n_paths = 100_000
-    taus = sample_lapse_proper_times(nu, window, n_paths, seed=21, stream=4)
+    taus = _lapse_taus(nu, window, n_paths, seed=21, stream=4)
     if nu == 0:
         # no walk term: tau is the prior draw of the same stream, bit for bit
         lam0, increments = _walk_oracle_draws(nu, window, n_paths, seed=21, stream=4)
@@ -222,6 +246,12 @@ def test_lambda_propagator_degenerate_tau_is_plain_overlap(propagator_setup):
     _, mc, se = _lapse_average(constraint, weights, seed=104, nu=0.0, window=0.0)
     assert mc == pytest.approx(1.0, abs=1e-7)  # <a|a> = 1 up to truncation
     assert se < 1e-12
+    # every value equal: the one-pass variance can round below 0, and the SE still reads ~0
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        weights = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        finite_window, mc, se = _lapse_average(constraint, weights, seed=104, nu=0.0, window=0.0, n_paths=1000)
+        assert abs(mc - finite_window) <= 1e-14 and se < 1e-12
 
 
 def test_lambda_propagator_window_and_nu_stability(propagator_setup):
@@ -281,17 +311,16 @@ def test_rng_stream_is_counter_based_and_stable():
     assert not np.array_equal(a, c)
 
 
-# one mode only: basis state n is level n, so the weights are the per-level coefficients
-@pytest.mark.parametrize("modes, nmax", [(1, 12)])
 @pytest.mark.parametrize("target", [0.0, 1.0, 3.0, 0.3])
-def test_phase_samples_matches_direct_sum(modes, nmax, target):
-    space = make_space(modes, nmax)
-    constraint = number_constraint(space, target)
+def test_lapse_average_matches_direct_sum(target):
+    # one mode: basis state n is level n, so the weights are the per-level coefficients
+    constraint = number_constraint(make_space(1, 12), target)
     rng = np.random.default_rng(91)
-    coeffs = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    weights = rng.standard_normal(13) + 1j * rng.standard_normal(13)
     # more than one chunk of paths, so the chunk boundary and a partial chunk are covered
-    taus = np.concatenate([[0.0, -4000.0, 4000.0], rng.uniform(-4000.0, 4000.0, _kernels.PATH_CHUNK)])
-    got = _kernels.phase_samples(taus, coeffs, target)
-    # oracle: the direct sum, one complex exponential per sample and level
-    expected = np.exp(-1j * np.outer(taus, constraint.eigs)) @ coeffs
-    assert np.max(np.abs(got - expected)) <= 1e-10 * np.sum(np.abs(coeffs))
+    n, nu, window = 2 * wiener.PATH_CHUNK + 777, 1.0, 2000.0
+    _, mc, se = lapse_average(constraint, weights, nu, window, n, 17, 4)
+    # oracle: the direct sum, one complex exponential per draw and level, and numpy's two-pass variance
+    vals = np.exp(-1j * np.outer(_one_shot_lapse_oracle(nu, window, n, 17, 4), constraint.eigs)) @ weights
+    assert abs(mc - np.mean(vals)) <= 1e-10 * np.sum(np.abs(weights))
+    assert se == pytest.approx(math.sqrt((np.var(vals.real) + np.var(vals.imag)) / n), rel=1e-9)
