@@ -3,8 +3,8 @@
 Flat-metric heat kernel (a function of the variance nu (t2 - t1)) and its
 semigroup rule, the exact variance of one time column of a pinned
 Brownian bridge (bridge_column_variance), the exact law of an unpinned
-lapse walk's proper time, and the lapse average of the propagator for one
-lapse law (lapse_average):
+lapse walk's proper time, and the lapse average of the propagator over
+each of a list of lapse laws (lapse_averages):
 
 * Monte Carlo over tau = int lambda dt of lapse walks lambda(t) of
   LAPSE_STEPS steps on t in [0, 1]: a uniform prior on [-window, window]
@@ -19,26 +19,30 @@ lapse law (lapse_average):
   is a polynomial in exp(-i tau) whose coefficients are the weights, not
   one exponential per basis state.
 
-lapse_average takes a one-mode constraint and the weights conj(bra) * ket
-per basis state, so only the lapse law and the random stream enter it; the
-references that do not depend on the law (the spectral projection, the
+lapse_averages takes a one-mode constraint and the weights conj(bra) * ket
+per basis state, so only the lapse laws and their random streams enter it;
+the references that do not depend on the law (the spectral projection, the
 sin-kernel quadrature, the Dirichlet bound) are the caller's, built once
-for all the laws it scores.  It enforces nothing.  It is one streaming
-pass: each chunk of PATH_CHUNK lapse times is drawn, phase-averaged and
-added into two running sums, so memory is one chunk whatever n_paths is.
+for all the laws it scores.  It enforces nothing.  Each law is one
+streaming pass: each chunk of PATH_CHUNK lapse times is drawn,
+phase-averaged and added into two running sums, so memory is one chunk
+per thread whatever n_paths is.
 
 The heat kernel takes whole batches of points, so the Simpson check of
 its semigroup rule is one array evaluation over a tensor-product grid.
 
 Randomness is counter-based (Philox keyed by seed and stream id), so
 reruns are reproducible bit for bit.  The CLI's wiener run uses streams
-4-7 for its four lapse laws, and every reduction runs in a fixed order.
+4-7 for its four lapse laws, two of them on a second thread; each law
+owns its stream and its buffers and every reduction runs in a fixed
+order, so its estimate does not depend on the thread that runs it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -46,8 +50,8 @@ from numpy.random import Generator, Philox
 from . import projector
 
 
-LAPSE_STEPS = 32  # lapse-walk steps of lapse_average, over unit time
-PATH_CHUNK = 16384  # paths per chunk of lapse_average's one pass
+LAPSE_STEPS = 32  # lapse-walk steps of lapse_averages, over unit time
+PATH_CHUNK = 16384  # paths per chunk of each lapse law's one pass
 
 
 def rng_stream(seed: int, stream: int = 0) -> Generator:
@@ -139,14 +143,19 @@ def sample_lapse_proper_times(nu: float, window: float, n_paths: int, seed: int,
 
     The draws equal, bit for bit, one (seed, stream) generator's n_paths
     uniforms and then n_paths normals: the normals' generator skips the
-    uniforms' words, four per Philox counter step.
+    uniforms' words, four per Philox counter step.  The generators are
+    keyed here and the returned iterator draws each chunk as it is asked
+    for, calling no public function of this module.
     """
     uniforms = rng_stream(seed, stream)
     normals = rng_stream(seed, stream)
     if window > 0:
         normals.bit_generator.advance(n_paths // 4)
         normals.bit_generator.random_raw(n_paths % 4)
-    scale = math.sqrt(lapse_walk_variance(nu))
+    return _lapse_chunks(uniforms, normals, nu, window, math.sqrt(lapse_walk_variance(nu)), n_paths)
+
+
+def _lapse_chunks(uniforms, normals, nu: float, window: float, scale: float, n_paths: int):
     for lo in range(0, n_paths, PATH_CHUNK):
         size = min(PATH_CHUNK, n_paths - lo)
         tau = uniforms.uniform(-window, window, size=size) if window > 0 else np.zeros(size)
@@ -155,39 +164,93 @@ def sample_lapse_proper_times(nu: float, window: float, n_paths: int, seed: int,
         yield tau
 
 
-def lapse_average(
-    constraint: projector.ConstraintOp, weights, nu: float, window: float, n_paths: int, seed: int, stream: int
-) -> tuple[complex, complex, float]:
-    """sum_n weights[n] E[exp(-i tau x_n)] over one lapse law, x_n the constraint's eigenvalues.
+def _chunk_sums(tau, weights, target: float, finite_window: complex) -> tuple[complex, float]:
+    """Sums of v and |v|^2 over one chunk of lapse times, v = sum_n weights[n] exp(-i tau (n - target)) - finite_window.
 
-    With weights conj(bra) * ket this is <bra| E[exp(-i tau Phi)] |ket>
-    for tau from sample_lapse_proper_times(nu, window).  The constraint
-    must be one-mode, so weights[n] sits on level n: the sum is
-    exp(i tau target) times a polynomial in z = exp(-i tau) whose
-    coefficient of z^n is weights[n], evaluated by Horner's rule.  Returns
-    its closed-form finite-window mean, the Monte Carlo estimate over
-    n_paths draws of (seed, stream) and that estimate's standard error;
-    callers score them.  The pass keeps running sums of v and |v|^2, v the
-    phase value less the finite-window mean: centred there, the one-pass
-    variance does not cancel when the values barely spread.
+    The sum is exp(i tau target) times a polynomial in z = exp(-i tau)
+    whose coefficient of z^n is weights[n], evaluated by Horner's rule.
+    The chunk's buffers die on return, so they never overlap the next
+    chunk's draws.
     """
-    eigs = constraint.eigs
-    gauss = np.exp(-0.5 * lapse_walk_variance(nu) * eigs**2)
-    finite_window = complex(np.sum(weights * np.sinc(window * eigs / math.pi) * gauss))
-    target = constraint.target
+    z = np.exp(-1j * tau)
+    vals = np.full(tau.size, weights[-1], dtype=np.complex128)
+    for c in weights[-2::-1]:
+        vals *= z
+        vals += c
+    # for an integer target the phase exp(i tau target) is conj(z)**target: one exponential per path
+    phase = np.conj(z) ** int(target) if float(target).is_integer() else np.exp(1j * target * tau)
+    vals = phase * vals - finite_window
+    return complex(np.sum(vals)), float(np.sum(vals.real**2 + vals.imag**2))
+
+
+def _law_estimate(
+    chunks, finite_window: complex, weights, target: float, n_paths: int
+) -> tuple[complex, complex, float]:
+    """(finite_window, Monte Carlo estimate, its standard error) from one law's chunks of lapse times.
+
+    The pass keeps running sums of v and |v|^2, v the phase value less the
+    finite-window mean: centred there, the one-pass variance does not
+    cancel when the values barely spread.
+    """
     total, total_sq = 0j, 0.0
-    for tau in sample_lapse_proper_times(nu, window, n_paths, seed, stream):
-        z = np.exp(-1j * tau)
-        vals = np.full(tau.size, weights[-1], dtype=np.complex128)
-        for c in weights[-2::-1]:
-            vals *= z
-            vals += c
-        # for an integer target the phase exp(i tau target) is conj(z)**target: one exponential per path
-        phase = np.conj(z) ** int(target) if float(target).is_integer() else np.exp(1j * target * tau)
-        vals = phase * vals - finite_window
-        total += complex(np.sum(vals))
-        total_sq += float(np.sum(vals.real**2 + vals.imag**2))
+    for tau in chunks:
+        chunk, chunk_sq = _chunk_sums(tau, weights, target, finite_window)
+        total += chunk
+        total_sq += chunk_sq
     mean = total / n_paths
     # equal values (the degenerate law) can round the difference below 0
     mc_se = math.sqrt(max(total_sq / n_paths - abs(mean) ** 2, 0.0) / n_paths)
     return finite_window, finite_window + mean, mc_se
+
+
+def lapse_averages(
+    constraint: projector.ConstraintOp, weights, laws, n_paths: int, seed: int
+) -> list[tuple[complex, complex, float]]:
+    """sum_n weights[n] E[exp(-i tau x_n)] over each lapse law (stream, nu, window), x_n the constraint's eigenvalues.
+
+    With weights conj(bra) * ket this is <bra| E[exp(-i tau Phi)] |ket>
+    for tau from sample_lapse_proper_times(nu, window, n_paths, seed,
+    stream).  The constraint must be one-mode, so weights[n] sits on level
+    n: the sum is exp(i tau target) times a polynomial in z = exp(-i tau)
+    whose coefficient of z^n is weights[n] (see _chunk_sums).  Returns,
+    per law, its closed-form finite-window mean, the Monte Carlo estimate
+    over n_paths draws of (seed, stream) and that estimate's standard
+    error; callers score them.
+
+    The laws run on two threads: one plain thread passes over laws 1, 3, ...
+    while the calling thread passes over laws 0, 2, ..., and numpy releases
+    the GIL in every draw and array operation of a pass.  The worker's
+    exception is re-raised here after the join.  Every public function
+    (the finite-window means' variance, the samplers' keys) is called here,
+    on the calling thread, before the worker starts; the worker runs only
+    this module's private pass, so a tracer that patches the public
+    functions with one span stack (perfbench/tracer.py) sees one thread.
+    """
+    eigs = constraint.eigs
+    passes = []
+    for stream, nu, window in laws:
+        gauss = np.exp(-0.5 * lapse_walk_variance(nu) * eigs**2)
+        finite_window = complex(np.sum(weights * np.sinc(window * eigs / math.pi) * gauss))
+        passes.append((sample_lapse_proper_times(nu, window, n_paths, seed, stream), finite_window))
+    est = [None] * len(passes)
+    failed = []
+
+    def run(indices):
+        for i in indices:
+            est[i] = _law_estimate(*passes[i], weights, constraint.target, n_paths)
+
+    def worker():
+        try:
+            run(range(1, len(passes), 2))
+        except BaseException as exc:  # re-raised on the calling thread after the join
+            failed.append(exc)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        run(range(0, len(passes), 2))
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return est

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import collections
+import inspect
 import json
 import math
 import os
@@ -8,6 +9,8 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -146,6 +149,113 @@ def test_wiener_memory_per_path_is_bounded(tmp_path):
             tracemalloc.stop()
         assert code == 0
         assert peak <= 8 * 2**20
+
+
+class _Sentinel(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing_stream", [4, 5])
+def test_wiener_lapse_law_error_is_raised_by_the_caller(tmp_path, monkeypatch, failing_stream):
+    # stream 4 is drawn on the calling thread and stream 5 on the worker: either error reaches the caller as it is,
+    # no thread outlives the run and nothing is written
+    original = wiener.sample_lapse_proper_times
+
+    def raising():
+        raise _Sentinel(f"stream {failing_stream}")
+        yield
+
+    def failing(nu, window, n_paths, seed, stream):
+        return raising() if stream == failing_stream else original(nu, window, n_paths, seed, stream)
+
+    monkeypatch.setattr(wiener, "sample_lapse_proper_times", failing)
+    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 1000})
+    threads = threading.active_count()
+    with pytest.raises(_Sentinel, match=f"stream {failing_stream}"):
+        cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert threading.active_count() == threads
+    assert not (tmp_path / "r").exists()
+
+
+def test_wiener_joins_the_worker_when_a_calling_thread_law_fails(tmp_path, monkeypatch):
+    # the worker's laws (streams 5 and 7) finish only after the calling thread's first law has raised,
+    # so the run returns before them unless it joins the worker
+    lapse_failed = threading.Event()
+    finished = []
+    original = wiener.sample_lapse_proper_times
+
+    def failing():
+        lapse_failed.set()
+        raise _Sentinel("stream 4")
+        yield
+
+    def late(chunks, stream):
+        assert lapse_failed.wait(timeout=30)
+        time.sleep(0.05)
+        yield from chunks
+        finished.append(stream)
+
+    def late_or_failing(nu, window, n_paths, seed, stream):
+        return failing() if stream == 4 else late(original(nu, window, n_paths, seed, stream), stream)
+
+    monkeypatch.setattr(wiener, "sample_lapse_proper_times", late_or_failing)
+    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 1000})
+    threads = threading.active_count()
+    with pytest.raises(_Sentinel, match="stream 4"):
+        cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert finished == [5, 7]
+    assert threading.active_count() == threads
+
+
+def test_wiener_laws_on_two_threads_equal_serial_calls(tmp_path, monkeypatch):
+    # each law owns its stream and its chunk buffers: its estimate equals a one-law call's bit for bit,
+    # also when the threads switch every microsecond
+    calls = []
+    original = wiener.lapse_averages
+
+    def recording(constraint, weights, laws, n_paths, seed):
+        calls.append(((constraint, weights, laws, n_paths, seed), original(constraint, weights, laws, n_paths, seed)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(wiener, "lapse_averages", recording)
+    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 3 * wiener.PATH_CHUNK + 11, "seed": 5})
+    interval = sys.getswitchinterval()
+    outputs = []
+    for switch in (interval, 1e-6):
+        calls.clear()
+        sys.setswitchinterval(switch)
+        try:
+            assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / f"r-{switch}")]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        outputs.append((tmp_path / f"r-{switch}" / "wiener.json").read_bytes())
+        [((constraint, weights, laws, n_paths, seed), estimates)] = calls
+        assert [law[0] for law in laws] == [4, 5, 6, 7]
+        for law, estimate in zip(laws, estimates):
+            assert original(constraint, weights, [law], n_paths, seed) == [estimate]
+    assert outputs[0] == outputs[1]
+
+
+def test_wiener_worker_calls_no_public_function(tmp_path):
+    # perfbench's tracer patches every public module-level function of csquant and keeps one span stack,
+    # so the worker thread may run only private code, or traced spans would misparent
+    public, private = [], []
+
+    def profile(frame, event, arg):
+        module = sys.modules.get(frame.f_globals.get("__name__", ""))
+        if event == "call" and module is not None and module.__name__.startswith("csquant"):
+            name = frame.f_code.co_name
+            if inspect.isfunction(vars(module).get(name)):
+                (private if name.startswith("_") else public).append(f"{module.__name__}.{name}")
+
+    cfg = _write_config(tmp_path, {"experiment": "wiener", "n_paths": 1000})
+    threading.setprofile(profile)
+    try:
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    finally:
+        threading.setprofile(None)
+    assert public == []
+    assert "csquant.wiener._chunk_sums" in private
 
 
 def test_largest_rise_catches_non_monotone_sequence():
@@ -299,6 +409,9 @@ _RAISE_KEEP = {
         " past CONDITION_LIMIT, which no config reaches since every CLI label pair shares one phase"
     ),
     ("fock", "LinearOperator.__post_init__"): "perfbench's tracer patches the class; nothing builds one",
+    ("wiener", "lapse_averages"): (
+        "re-raises, on the calling thread, what a law on the worker thread raised; no config makes a law raise"
+    ),
 }
 
 
@@ -389,7 +502,7 @@ def test_unknown_field_refused_before_the_experiment_runs(tmp_path, capsys, monk
     def never(*args, **kwargs):
         raise AssertionError("the estimator ran for a refused config")
 
-    monkeypatch.setattr(wiener, "lapse_average", never)
+    monkeypatch.setattr(wiener, "lapse_averages", never)
     # a misspelt field, and an nmax whose 10^6 levels would take ~7 min of phase sums if it were read
     for field, value in (("n_path", 10), ("nmax", 999999)):
         assert _run_unusable(tmp_path, {"experiment": "wiener", field: value}, []) == 3

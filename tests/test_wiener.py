@@ -12,7 +12,7 @@ from csquant.projector import build_projector, default_lam_max, number_constrain
 from csquant.wiener import (
     bridge_column_variance,
     heat_kernel,
-    lapse_average,
+    lapse_averages,
     rng_stream,
     sample_lapse_proper_times,
     semigroup_residual,
@@ -216,7 +216,7 @@ def _references(constraint, epsilon, a_bra, a_ket):
 
 
 def _lapse_average(constraint, weights, seed, nu=1.0, window=2000.0, n_paths=100_000):
-    return lapse_average(constraint, weights, nu, window, n_paths, seed, 0)
+    return lapse_averages(constraint, weights, [(0, nu, window)], n_paths, seed)[0]
 
 
 def test_lambda_propagator_selected_level(propagator_setup):
@@ -311,15 +311,16 @@ def test_rng_stream_is_counter_based_and_stable():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("target", [0.0, 1.0, 3.0, 0.3])
+@pytest.mark.parametrize("target", [0.0, 1.0, 3.0, 12.0, 0.3])
 def test_lapse_average_matches_direct_sum(target):
-    # one mode: basis state n is level n, so the weights are the per-level coefficients
+    # one mode: basis state n is level n, so the weights are the per-level coefficients; targets 0 and 12
+    # are the bottom and the top level, and 0.3 is no level
     constraint = number_constraint(make_space(1, 12), target)
     rng = np.random.default_rng(91)
     weights = rng.standard_normal(13) + 1j * rng.standard_normal(13)
     # more than one chunk of paths, so the chunk boundary and a partial chunk are covered
     n, nu, window = 2 * wiener.PATH_CHUNK + 777, 1.0, 2000.0
-    _, mc, se = lapse_average(constraint, weights, nu, window, n, 17, 4)
+    _, mc, se = lapse_averages(constraint, weights, [(4, nu, window)], n, 17)[0]
     # oracle: the direct sum, one complex exponential per draw and level, and numpy's two-pass variance
     vals = np.exp(-1j * np.outer(_one_shot_lapse_oracle(nu, window, n, 17, 4), constraint.eigs)) @ weights
     assert abs(mc - np.mean(vals)) <= 1e-10 * np.sum(np.abs(weights))
