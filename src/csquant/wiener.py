@@ -16,8 +16,10 @@ each of a list of lapse laws (lapse_averages):
   the sinc suppresses every x != 0 by ~ 1/(window x), so for integer
   targets both approach the spectral projection.  On one mode basis
   state n is level n, with eigenvalue n - target, so the phase average
-  is a polynomial in exp(-i tau) whose coefficients are the weights, not
-  one exponential per basis state.
+  is a Laurent polynomial in z = exp(-i tau) around the level nearest the
+  target, whose coefficients are the weights, not one exponential per
+  basis state.  z itself is one gather from a 4096-entry table times a
+  short Taylor series (_unit_phases), not a complex exponential.
 
 lapse_averages takes a one-mode constraint and the weights conj(bra) * ket
 per basis state, so only the lapse laws and their random streams enter it;
@@ -52,6 +54,41 @@ from . import projector
 
 LAPSE_STEPS = 32  # lapse-walk steps of lapse_averages, over unit time
 PATH_CHUNK = 16384  # paths per chunk of each lapse law's one pass
+
+# _phase_table's steps: h = 2 pi / _PHASE_STEPS, h = _PHASE_H_HI + _PHASE_H_LO.  _PHASE_H_HI has
+# 26 significant bits, so k * _PHASE_H_HI is exact for |k| < 2^27, |tau| < 2^27 h ~ 2.06e5;
+# _PHASE_H_LO also carries 2 pi - math.tau = 2.4492935982947064e-16.
+_PHASE_STEPS = 4096
+_PHASE_H_HI = round(math.tau * 2**23) / 2**35
+_PHASE_H_LO = (math.tau - _PHASE_STEPS * _PHASE_H_HI + 2.4492935982947064e-16) / _PHASE_STEPS
+
+
+@functools.cache
+def _phase_table():
+    """exp(-i m h) for m = 0 .. _PHASE_STEPS - 1, each within ~1 ulp, read-only.
+
+    exp(-i m h_hi) has an exact argument; the low part's factor is
+    1 - i x - x^2 / 2 with x = m h_lo <= 5.6e-8, added as one small
+    correction so only the last addition rounds (x^2 / 2 reaches 1.6e-15,
+    x^3 / 6 is 3e-23).  Built on first use, not at import: any 64 KB
+    array held from import raised a 10^6-path wiener run's peak RSS by
+    0.1-0.2 MB (glibc heap layout; 2-core Xeon, numpy 2.4).  Two threads
+    that miss the cache at once build equal tables.
+    """
+    table = np.empty(_PHASE_STEPS, dtype=np.complex128)
+    x = np.arange(_PHASE_STEPS) * _PHASE_H_HI
+    np.cos(x, out=table.real)
+    np.sin(x, out=table.imag)
+    np.negative(table.imag, out=table.imag)
+    x = np.arange(_PHASE_STEPS) * _PHASE_H_LO
+    low = np.empty(_PHASE_STEPS, dtype=np.complex128)
+    np.multiply(x, x, out=low.real)
+    low.real *= -0.5
+    np.negative(x, out=low.imag)
+    low *= table
+    table += low
+    table.flags.writeable = False
+    return table
 
 
 def rng_stream(seed: int, stream: int = 0) -> Generator:
@@ -164,23 +201,73 @@ def _lapse_chunks(uniforms, normals, nu: float, window: float, scale: float, n_p
         yield tau
 
 
+def _unit_phases(tau):
+    """exp(-i tau) without a complex exponential, within 2.5e-16 of numpy's for |tau| < 2.06e5.
+
+    tau = k h + r with k = rint(tau / h) and the Cody-Waite remainder
+    r = (tau - k h_hi) - k h_lo, |r| <= h / 2 = 7.7e-4.  exp(-i k h) is
+    one gather from _phase_table() (the index is k mod 4096, since 4096 h is
+    2 pi), and exp(-i r) - 1 is a Taylor series: cos r - 1 to r^4 (the
+    next term is 3e-22) and sin r to r^5, which keeps the imaginary part
+    exact to its last bits where the table entry is 1.  The entry plus the
+    entry times that small series rounds once.  tau = 0 gives exactly 1.
+    """
+    k = np.rint(tau * (_PHASE_STEPS / math.tau))
+    r = tau - k * _PHASE_H_HI
+    r -= k * _PHASE_H_LO
+    head = _phase_table()[k.astype(np.intp) & (_PHASE_STEPS - 1)]
+    r2 = np.multiply(r, r, out=k)
+    out = np.empty(tau.shape, dtype=np.complex128)
+    # each series runs in a contiguous scratch, and only its last step writes the strided view
+    series = r2 * (1.0 / 24.0)
+    series -= 0.5
+    np.multiply(series, r2, out=out.real)
+    np.multiply(r2, -1.0 / 120.0, out=series)
+    series += 1.0 / 6.0
+    series *= r2
+    series -= 1.0
+    np.multiply(series, r, out=out.imag)
+    out *= head
+    out += head
+    return out
+
+
+def _laurent_horner(z, weights, level: int):
+    """sum_n weights[n] z^(n - level) for unit z: Horner's rule in z over levels >= level, in conj(z) below.
+
+    z is conjugated in place; its buffer and the lower sum's die on return.
+    """
+    vals = np.full(z.size, weights[-1], dtype=np.complex128)
+    for c in weights[level:-1][::-1]:
+        vals *= z
+        vals += c
+    if level > 0:
+        zbar = np.conjugate(z, out=z)
+        below = np.full(z.size, weights[0], dtype=np.complex128)
+        for c in weights[1:level]:
+            below *= zbar
+            below += c
+        below *= zbar
+        vals += below
+    return vals
+
+
 def _chunk_sums(tau, weights, target: float, finite_window: complex) -> tuple[complex, float]:
     """Sums of v and |v|^2 over one chunk of lapse times, v = sum_n weights[n] exp(-i tau (n - target)) - finite_window.
 
-    The sum is exp(i tau target) times a polynomial in z = exp(-i tau)
-    whose coefficient of z^n is weights[n], evaluated by Horner's rule.
-    The chunk's buffers die on return, so they never overlap the next
-    chunk's draws.
+    A Laurent-Horner pass around the level j nearest the target, with
+    z = exp(-i tau), gives sum_n weights[n] z^(n - j).  Only a target that
+    is not a level multiplies that by exp(-i tau (j - target)).  The
+    chunk's buffers die on return, so they never overlap the next chunk's
+    draws.
     """
-    z = np.exp(-1j * tau)
-    vals = np.full(tau.size, weights[-1], dtype=np.complex128)
-    for c in weights[-2::-1]:
-        vals *= z
-        vals += c
-    # for an integer target the phase exp(i tau target) is conj(z)**target: one exponential per path
-    phase = np.conj(z) ** int(target) if float(target).is_integer() else np.exp(1j * target * tau)
-    vals = phase * vals - finite_window
-    return complex(np.sum(vals)), float(np.sum(vals.real**2 + vals.imag**2))
+    level = min(max(round(target), 0), len(weights) - 1)
+    vals = _laurent_horner(_unit_phases(tau), weights, level)
+    if level != target:
+        vals *= _unit_phases((level - target) * tau)
+    vals -= finite_window
+    re, im = vals.real, vals.imag
+    return complex(np.sum(vals)), float(np.sum(re * re + im * im))
 
 
 def _law_estimate(

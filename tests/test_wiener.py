@@ -311,10 +311,30 @@ def test_rng_stream_is_counter_based_and_stable():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("target", [0.0, 1.0, 3.0, 12.0, 0.3])
+def test_unit_phases_match_exp():
+    h = math.tau / wiener._PHASE_STEPS
+    rng = np.random.default_rng(33)
+    steps = np.arange(-3000, 3000)
+    # exact multiples of h, half-steps (most of them exact ties of rint, which go to even), negative k that
+    # wrap through the index mask, and the largest |k| < 2^27 whose k h_hi is exact
+    edges = np.concatenate([steps * h, (steps + 0.5) * h, (2**26 + steps) * h, (np.abs(steps) + 1 - 2**27) * h])
+    tau = np.concatenate([rng.uniform(-2e5, 2e5, 2**20), edges])
+    assert np.sum((steps + 0.5) * h * (wiener._PHASE_STEPS / math.tau) == steps + 0.5) > 1000
+    assert np.max(np.abs(wiener._unit_phases(tau) - np.exp(-1j * tau))) <= 2.5e-16
+    # tau = 0 is exactly 1, so a degenerate lapse law's values are all equal and its SE reads ~0
+    assert np.array_equal(wiener._unit_phases(np.array([0.0, -0.0])), np.ones(2, dtype=np.complex128))
+    # within h/2 of 0 the table entry is 1, and the imaginary part is -sin(tau) relative to its own size
+    small = rng.uniform(-h / 2, h / 2, 10**5)
+    phases = wiener._unit_phases(small)
+    assert np.max(np.abs(phases.imag + np.sin(small)) / np.abs(np.sin(small))) <= 4 * np.finfo(float).eps
+    assert np.max(np.abs(phases.real - np.cos(small))) <= np.finfo(float).eps
+
+
+@pytest.mark.parametrize("target", [0.0, 1.0, 3.0, 12.0, 0.3, 5.5, 11.7])
 def test_lapse_average_matches_direct_sum(target):
     # one mode: basis state n is level n, so the weights are the per-level coefficients; targets 0 and 12
-    # are the bottom and the top level, and 0.3 is no level
+    # are the bottom and the top level, and 0.3, 5.5 and 11.7 are no level: the nearest level lies above
+    # the target at 5.5 and 11.7 and below it at 0.3
     constraint = number_constraint(make_space(1, 12), target)
     rng = np.random.default_rng(91)
     weights = rng.standard_normal(13) + 1j * rng.standard_normal(13)
