@@ -14,21 +14,24 @@ each of a list of lapse laws (lapse_averages):
   exp(-i tau x) converges to the finite-window mean
   sum_n w_n sinc(window x_n) exp(-s^2 x_n^2 / 2), itself in closed form;
   the sinc suppresses every x != 0 by ~ 1/(window x), so for integer
-  targets both approach the spectral projection.  On one mode basis
-  state n is level n, with eigenvalue n - target, so the phase average
-  is a Laurent polynomial in z = exp(-i tau) around the level nearest the
-  target, whose coefficients are the weights, not one exponential per
-  basis state.  z itself is one gather from a 4096-entry table times a
-  short Taylor series (_unit_phases), not a complex exponential.
+  targets both approach the spectral projection.  Every eigenvalue x is
+  an integer, so with tau = k h + r, h = 2 pi / 4096, the phase is
+  exp(-i x k h) exp(-i x r): a 4096-entry table read at x k mod 4096
+  times a short Taylor series in r.  So the averages need, per bin
+  k mod 4096, only the sums of r^j over the paths in that bin: one
+  reduction of tau and a few bincounts per path, whatever the number of
+  levels, and no complex value per path.  The mean and E|v|^2 are then
+  sums over bins of those moments times per-bin coefficients.
 
-lapse_averages takes a one-mode constraint and the weights conj(bra) * ket
-per basis state, so only the lapse laws and their random streams enter it;
-the references that do not depend on the law (the spectral projection, the
-sin-kernel quadrature, the Dirichlet bound) are the caller's, built once
-for all the laws it scores.  It enforces nothing.  Each law is one
-streaming pass: each chunk of PATH_CHUNK lapse times is drawn,
-phase-averaged and added into two running sums, so memory is one chunk
-per thread whatever n_paths is.
+lapse_averages takes a constraint with integer eigenvalues and the
+weights conj(bra) * ket per basis state, so only the lapse laws and
+their random streams enter it; the references that do not depend on the
+law (the spectral projection, the sin-kernel quadrature, the Dirichlet
+bound) are the caller's, built once for all the laws it scores.  It
+scores nothing.  Each law is one streaming pass: each chunk of
+PATH_CHUNK lapse times is drawn and binned into the law's moments, so
+memory is one chunk and one (J + 1, 4096) moment array per thread
+whatever n_paths is.
 
 The heat kernel takes whole batches of points, so the Simpson check of
 its semigroup rule is one array evaluation over a tensor-product grid.
@@ -201,89 +204,80 @@ def _lapse_chunks(uniforms, normals, nu: float, window: float, scale: float, n_p
         yield tau
 
 
-def _unit_phases(tau):
-    """exp(-i tau) without a complex exponential, within 2.5e-16 of numpy's for |tau| < 2.06e5.
+def _taylor_order(max_abs_eig: float) -> int:
+    """Smallest J with u^(J+1) / (J+1)! <= 1e-17, u = max_abs_eig h / 2: where exp(-i x r)'s series stops.
 
-    tau = k h + r with k = rint(tau / h) and the Cody-Waite remainder
-    r = (tau - k h_hi) - k h_lo, |r| <= h / 2 = 7.7e-4.  exp(-i k h) is
-    one gather from _phase_table() (the index is k mod 4096, since 4096 h is
-    2 pi), and exp(-i r) - 1 is a Taylor series: cos r - 1 to r^4 (the
-    next term is 3e-22) and sin r to r^5, which keeps the imaginary part
-    exact to its last bits where the table entry is 1.  The entry plus the
-    entry times that small series rounds once.  tau = 0 gives exactly 1.
+    |r| <= h / 2, so |x r| <= u for every eigenvalue x, and the terms past
+    r^J add at most ~ u^(J+1) / (J+1)! per unit weight.  J = 6 for
+    max |x| = 12 (u = 9.2e-3, first term left out 1.1e-18) up to 16, and 7 at 17.
+    """
+    u = max_abs_eig * math.pi / _PHASE_STEPS
+    order, term = 0, u
+    while term > 1e-17:
+        order += 1
+        term *= u / (order + 1)
+    return order
+
+
+def _bin_moments(tau, moments) -> None:
+    """Adds sum r^j over the chunk's lapse times in bin k into moments[j, k], for tau = k h + r.
+
+    k = rint(tau / h) and the Cody-Waite remainder r = (tau - k h_hi) - k h_lo,
+    |r| <= h / 2 = 7.7e-4, exact to ~1 ulp of tau for |tau| < 2.06e5.  The
+    bin is k mod 4096: 4096 h is 2 pi, and every eigenvalue x is an integer,
+    so exp(-i x k h) depends on k only through it.  This is the only
+    per-path work; nothing in it is complex or depends on the levels.
     """
     k = np.rint(tau * (_PHASE_STEPS / math.tau))
     r = tau - k * _PHASE_H_HI
     r -= k * _PHASE_H_LO
-    head = _phase_table()[k.astype(np.intp) & (_PHASE_STEPS - 1)]
-    r2 = np.multiply(r, r, out=k)
-    out = np.empty(tau.shape, dtype=np.complex128)
-    # each series runs in a contiguous scratch, and only its last step writes the strided view
-    series = r2 * (1.0 / 24.0)
-    series -= 0.5
-    np.multiply(series, r2, out=out.real)
-    np.multiply(r2, -1.0 / 120.0, out=series)
-    series += 1.0 / 6.0
-    series *= r2
-    series -= 1.0
-    np.multiply(series, r, out=out.imag)
-    out *= head
-    out += head
-    return out
+    bins = k.astype(np.intp)
+    bins &= _PHASE_STEPS - 1
+    moments[0] += np.bincount(bins, minlength=_PHASE_STEPS)
+    power = r.copy()
+    for row in moments[1:]:
+        row += np.bincount(bins, weights=power, minlength=_PHASE_STEPS)
+        power *= r
 
 
-def _laurent_horner(z, weights, level: int):
-    """sum_n weights[n] z^(n - level) for unit z: Horner's rule in z over levels >= level, in conj(z) below.
+def _bin_coefficients(levels, level_weights, finite_window: complex, order: int):
+    """G[j, k] = sum_x W_x (-i x)^j / j! exp(-i x k h) over the distinct eigenvalues x, less finite_window in G[0].
 
-    z is conjugated in place; its buffer and the lower sum's die on return.
+    So v = sum_x W_x exp(-i tau x) - finite_window = sum_j G[j, k] r^j for
+    tau = k h + r, up to the remainder _taylor_order bounds.  Built one
+    eigenvalue row at a time, so no (levels, 4096) array is held.
     """
-    vals = np.full(z.size, weights[-1], dtype=np.complex128)
-    for c in weights[level:-1][::-1]:
-        vals *= z
-        vals += c
-    if level > 0:
-        zbar = np.conjugate(z, out=z)
-        below = np.full(z.size, weights[0], dtype=np.complex128)
-        for c in weights[1:level]:
-            below *= zbar
-            below += c
-        below *= zbar
-        vals += below
-    return vals
+    coeffs = np.zeros((order + 1, _PHASE_STEPS), dtype=np.complex128)
+    steps = np.arange(_PHASE_STEPS)
+    for x, weight in zip(levels, level_weights):
+        row = _phase_table()[(int(x) * steps) & (_PHASE_STEPS - 1)]
+        factor = complex(weight)
+        for j in range(order + 1):
+            coeffs[j] += factor * row
+            factor *= -1j * x / (j + 1)
+    coeffs[0] -= finite_window
+    return coeffs
 
 
-def _chunk_sums(tau, weights, target: float, finite_window: complex) -> tuple[complex, float]:
-    """Sums of v and |v|^2 over one chunk of lapse times, v = sum_n weights[n] exp(-i tau (n - target)) - finite_window.
-
-    A Laurent-Horner pass around the level j nearest the target, with
-    z = exp(-i tau), gives sum_n weights[n] z^(n - j).  Only a target that
-    is not a level multiplies that by exp(-i tau (j - target)).  The
-    chunk's buffers die on return, so they never overlap the next chunk's
-    draws.
-    """
-    level = min(max(round(target), 0), len(weights) - 1)
-    vals = _laurent_horner(_unit_phases(tau), weights, level)
-    if level != target:
-        vals *= _unit_phases((level - target) * tau)
-    vals -= finite_window
-    re, im = vals.real, vals.imag
-    return complex(np.sum(vals)), float(np.sum(re * re + im * im))
-
-
-def _law_estimate(
-    chunks, finite_window: complex, weights, target: float, n_paths: int
-) -> tuple[complex, complex, float]:
+def _law_estimate(chunks, finite_window: complex, levels, level_weights, order: int, n_paths: int):
     """(finite_window, Monte Carlo estimate, its standard error) from one law's chunks of lapse times.
 
-    The pass keeps running sums of v and |v|^2, v the phase value less the
-    finite-window mean: centred there, the one-pass variance does not
-    cancel when the values barely spread.
+    With v = sum_j G[j, k] r^j (_bin_coefficients) and S[j, k] the bins'
+    moments of r (_bin_moments), sum v = sum_{j, k} G[j, k] S[j, k] and
+    sum |v|^2 = sum_k sum_{a + b <= J} Re(G[a, k] conj(G[b, k])) S[a + b, k];
+    the terms with a + b > J are below the remainder.  v is centred at the
+    finite-window mean, so the one-pass variance does not cancel when the
+    values barely spread.
     """
-    total, total_sq = 0j, 0.0
+    moments = np.zeros((order + 1, _PHASE_STEPS))
     for tau in chunks:
-        chunk, chunk_sq = _chunk_sums(tau, weights, target, finite_window)
-        total += chunk
-        total_sq += chunk_sq
+        _bin_moments(tau, moments)
+    coeffs = _bin_coefficients(levels, level_weights, finite_window, order)
+    total, total_sq = 0j, 0.0
+    for m in range(order + 1):
+        total += complex(np.sum(coeffs[m] * moments[m]))
+        cross = sum(coeffs[a].real * coeffs[m - a].real + coeffs[a].imag * coeffs[m - a].imag for a in range(m + 1))
+        total_sq += float(np.sum(cross * moments[m]))
     mean = total / n_paths
     # equal values (the degenerate law) can round the difference below 0
     mc_se = math.sqrt(max(total_sq / n_paths - abs(mean) ** 2, 0.0) / n_paths)
@@ -297,12 +291,13 @@ def lapse_averages(
 
     With weights conj(bra) * ket this is <bra| E[exp(-i tau Phi)] |ket>
     for tau from sample_lapse_proper_times(nu, window, n_paths, seed,
-    stream).  The constraint must be one-mode, so weights[n] sits on level
-    n: the sum is exp(i tau target) times a polynomial in z = exp(-i tau)
-    whose coefficient of z^n is weights[n] (see _chunk_sums).  Returns,
-    per law, its closed-form finite-window mean, the Monte Carlo estimate
-    over n_paths draws of (seed, stream) and that estimate's standard
-    error; callers score them.
+    stream).  Every eigenvalue must be an integer (ValueError otherwise):
+    the phase exp(-i tau x) is then a table entry of tau's bin times a
+    short series in its remainder (_law_estimate), and the weights of
+    equal eigenvalues are summed first.  Returns, per law, its
+    closed-form finite-window mean, the Monte Carlo estimate over n_paths
+    draws of (seed, stream) and that estimate's standard error; callers
+    score them.
 
     The laws run on two threads: one plain thread passes over laws 1, 3, ...
     while the calling thread passes over laws 0, 2, ..., and numpy releases
@@ -314,6 +309,12 @@ def lapse_averages(
     functions with one span stack (perfbench/tracer.py) sees one thread.
     """
     eigs = constraint.eigs
+    if not np.array_equal(eigs, np.rint(eigs)):
+        raise ValueError("lapse_averages needs integer constraint eigenvalues")
+    levels, where = np.unique(eigs, return_inverse=True)
+    level_weights = np.zeros(levels.size, dtype=np.complex128)
+    np.add.at(level_weights, where, weights)
+    order = _taylor_order(float(np.max(np.abs(levels))))
     passes = []
     for stream, nu, window in laws:
         gauss = np.exp(-0.5 * lapse_walk_variance(nu) * eigs**2)
@@ -324,7 +325,7 @@ def lapse_averages(
 
     def run(indices):
         for i in indices:
-            est[i] = _law_estimate(*passes[i], weights, constraint.target, n_paths)
+            est[i] = _law_estimate(*passes[i], levels, level_weights, order, n_paths)
 
     def worker():
         try:

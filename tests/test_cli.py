@@ -255,7 +255,7 @@ def test_wiener_worker_calls_no_public_function(tmp_path):
     finally:
         threading.setprofile(None)
     assert public == []
-    assert "csquant.wiener._chunk_sums" in private
+    assert "csquant.wiener._bin_moments" in private
 
 
 def test_largest_rise_catches_non_monotone_sequence():

@@ -230,8 +230,9 @@ def test_lambda_propagator_selected_level(propagator_setup):
 
 
 def test_lambda_propagator_null_window(propagator_setup):
+    # target 17 lies one above the top level, so no eigenvalue is 0
     space, alpha = propagator_setup
-    constraint = number_constraint(space, 0.5)
+    constraint = number_constraint(space, 17.0)
     weights, spectral, quadrature = _references(constraint, 0.1, alpha, alpha)
     _, mc, se = _lapse_average(constraint, weights, seed=103)
     assert spectral == 0.0
@@ -311,37 +312,65 @@ def test_rng_stream_is_counter_based_and_stable():
     assert not np.array_equal(a, c)
 
 
-def test_unit_phases_match_exp():
+def test_phase_table_matches_exp():
     h = math.tau / wiener._PHASE_STEPS
-    rng = np.random.default_rng(33)
-    steps = np.arange(-3000, 3000)
-    # exact multiples of h, half-steps (most of them exact ties of rint, which go to even), negative k that
-    # wrap through the index mask, and the largest |k| < 2^27 whose k h_hi is exact
-    edges = np.concatenate([steps * h, (steps + 0.5) * h, (2**26 + steps) * h, (np.abs(steps) + 1 - 2**27) * h])
-    tau = np.concatenate([rng.uniform(-2e5, 2e5, 2**20), edges])
-    assert np.sum((steps + 0.5) * h * (wiener._PHASE_STEPS / math.tau) == steps + 0.5) > 1000
-    assert np.max(np.abs(wiener._unit_phases(tau) - np.exp(-1j * tau))) <= 2.5e-16
-    # tau = 0 is exactly 1, so a degenerate lapse law's values are all equal and its SE reads ~0
-    assert np.array_equal(wiener._unit_phases(np.array([0.0, -0.0])), np.ones(2, dtype=np.complex128))
-    # within h/2 of 0 the table entry is 1, and the imaginary part is -sin(tau) relative to its own size
-    small = rng.uniform(-h / 2, h / 2, 10**5)
-    phases = wiener._unit_phases(small)
-    assert np.max(np.abs(phases.imag + np.sin(small)) / np.abs(np.sin(small))) <= 4 * np.finfo(float).eps
-    assert np.max(np.abs(phases.real - np.cos(small))) <= np.finfo(float).eps
+    table = wiener._phase_table()
+    # oracle: exp(-i m h) as a quarter turn times np.exp of |s h| <= pi / 4; np.exp(-1j * m * h) itself is off by
+    # up to 7e-16 near m = 4095, where the rounding of m * h and of 2 pi in h adds up
+    m = np.arange(wiener._PHASE_STEPS)
+    quarter = (m + 512) // 1024
+    oracle = np.array([1, -1j, -1, 1j])[quarter % 4] * np.exp(-1j * (m - 1024 * quarter) * h)
+    assert np.max(np.abs(table - oracle)) <= 2.5e-16
+    assert table[0] == 1.0
+    # a path's bin is k & 4095 and _bin_coefficients reads exp(-i x k h) at (x bin) & 4095: both are x k mod 4096
+    # for negative x and k too
+    k = np.arange(-5000, 5000)
+    bins = np.arange(wiener._PHASE_STEPS)
+    for x in (-17, -12, -1, 1, 5, 16):
+        assert np.array_equal((x * (k & (wiener._PHASE_STEPS - 1))) & (wiener._PHASE_STEPS - 1), (x * k) % wiener._PHASE_STEPS)
+        coeffs = wiener._bin_coefficients(np.array([float(x)]), np.ones(1, dtype=np.complex128), 0j, 0)
+        assert np.array_equal(coeffs[0], table[(x * bins) % wiener._PHASE_STEPS])
 
 
-@pytest.mark.parametrize("target", [0.0, 1.0, 3.0, 12.0, 0.3, 5.5, 11.7])
-def test_lapse_average_matches_direct_sum(target):
-    # one mode: basis state n is level n, so the weights are the per-level coefficients; targets 0 and 12
-    # are the bottom and the top level, and 0.3, 5.5 and 11.7 are no level: the nearest level lies above
-    # the target at 5.5 and 11.7 and below it at 0.3
-    constraint = number_constraint(make_space(1, 12), target)
+@pytest.mark.parametrize(
+    "modes, nmax, target, order",
+    [pytest.param(1, 12, target, 6, id=str(target)) for target in (0.0, 1.0, 3.0, 12.0)]
+    + [pytest.param(1, 16, target, order, id=f"17-levels-{target}") for target, order in ((0.0, 6), (16.0, 6), (17.0, 7))]
+    + [pytest.param(2, 6, 3.0, 6, id="two-modes-3.0")],
+)
+def test_lapse_average_matches_direct_sum(modes, nmax, target, order):
+    # one mode: basis state n is level n, with eigenvalue n - target; targets 0 and nmax are the bottom and the
+    # top level, and 17 lies above the top of 17 levels, where max |x| = 17 needs one more Taylor term; two modes
+    # put several basis states on one eigenvalue
+    constraint = number_constraint(make_space(modes, nmax), target)
+    assert wiener._taylor_order(np.max(np.abs(constraint.eigs))) == order
     rng = np.random.default_rng(91)
-    weights = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+    weights = rng.standard_normal(constraint.space.dim) + 1j * rng.standard_normal(constraint.space.dim)
     # more than one chunk of paths, so the chunk boundary and a partial chunk are covered
     n, nu, window = 2 * wiener.PATH_CHUNK + 777, 1.0, 2000.0
     _, mc, se = lapse_averages(constraint, weights, [(4, nu, window)], n, 17)[0]
     # oracle: the direct sum, one complex exponential per draw and level, and numpy's two-pass variance
     vals = np.exp(-1j * np.outer(_one_shot_lapse_oracle(nu, window, n, 17, 4), constraint.eigs)) @ weights
-    assert abs(mc - np.mean(vals)) <= 1e-10 * np.sum(np.abs(weights))
-    assert se == pytest.approx(math.sqrt((np.var(vals.real) + np.var(vals.imag)) / n), rel=1e-9)
+    assert abs(mc - np.mean(vals)) <= 1e-14 * np.sum(np.abs(weights))
+    assert se == pytest.approx(math.sqrt((np.var(vals.real) + np.var(vals.imag)) / n), rel=1e-13, abs=0.0)
+
+
+def test_law_estimate_series_holds_at_the_bin_edge():
+    # every path at |r| ~ h / 2, where the Taylor series in r is at its worst, on the largest |x| of each order
+    h = math.tau / wiener._PHASE_STEPS
+    tau = np.repeat([0.4999 * h, -0.4999 * h, 0.3 * h], [500, 300, 200])
+    for x in (16.0, 17.0):
+        vals = 0.25 * np.exp(1j * x * tau) + np.exp(-1j * x * tau)
+        # centred at the mean, as lapse_averages centres at the finite-window mean
+        centre = complex(np.mean(vals))
+        levels, weights = np.array([-x, x]), np.array([0.25, 1.0 + 0j])
+        _, mc, se = wiener._law_estimate(iter([tau]), centre, levels, weights, wiener._taylor_order(x), tau.size)
+        assert abs(mc - np.mean(vals)) <= 1e-15
+        assert se == pytest.approx(math.sqrt((np.var(vals.real) + np.var(vals.imag)) / tau.size), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("target", [0.3, 5.5, 11.7])
+def test_lapse_average_refuses_non_integer_eigenvalues(target):
+    constraint = number_constraint(make_space(1, 12), target)
+    with pytest.raises(ValueError, match="integer"):
+        lapse_averages(constraint, np.ones(13, dtype=np.complex128), [(4, 1.0, 2000.0)], 1000, 17)
