@@ -334,7 +334,7 @@ def _exp_wiener(cfg, seed):
     dirichlet = float(np.sum(np.abs(weights[off] / eigs[off])))  # / window bounds |finite_window - spectral|
     # (stream, nu, window): the reference law, its window doubled, and nu halved and doubled
     laws = ((4, 1.0, 2000.0), (5, 1.0, 4000.0), (6, 0.5, 2000.0), (7, 2.0, 2000.0))
-    est = wiener.lapse_averages(constraint, weights, laws, n_paths, seed)
+    est = wiener.lapse_averages(eigs, weights, laws, n_paths, seed)
     spectral_errors = [abs(mc - spectral) - 3.0 * se for _, mc, se in est]
     window_errors = [abs(mc - finite) - 3.0 * se for finite, mc, se in est]
     rows = [

@@ -43,7 +43,6 @@ _SI_SERIES = np.array([(-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for
 # 60-node Gauss-Laguerre rule for f and g past |x| = 4: it matches Si to ~2e-15 there
 _LAGUERRE_NODES, _LAGUERRE_WEIGHTS = laggauss(60)
 _LAGUERRE_NODES_SQ = _LAGUERRE_NODES**2
-_SI_CHUNK = 4096  # arguments per (chunk x nodes) block of the Laguerre sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,14 +111,12 @@ def _sine_integral(x: np.ndarray) -> np.ndarray:
         series *= x2
         series += c
     out[small] = series * ax[small]
-    large = np.flatnonzero(~small)
-    for lo in range(0, large.size, _SI_CHUNK):
-        idx = large[lo : lo + _SI_CHUNK]
-        xl = ax[idx]
-        inv = _LAGUERRE_WEIGHTS / (xl[:, None] ** 2 + _LAGUERRE_NODES_SQ)
-        f = xl * inv.sum(axis=1)
-        g = inv @ _LAGUERRE_NODES
-        out[idx] = 0.5 * math.pi - f * np.cos(xl) - g * np.sin(xl)
+    large = ~small
+    xl = ax[large]
+    inv = _LAGUERRE_WEIGHTS / (xl[:, None] ** 2 + _LAGUERRE_NODES_SQ)
+    f = xl * inv.sum(axis=1)
+    g = inv @ _LAGUERRE_NODES
+    out[large] = 0.5 * math.pi - f * np.cos(xl) - g * np.sin(xl)
     return np.copysign(out, x)
 
 

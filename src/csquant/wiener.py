@@ -23,18 +23,19 @@ each of a list of lapse laws (lapse_averages):
   levels, and no complex value per path.  The mean and E|v|^2 are then
   sums over bins of those moments times per-bin coefficients.
 
-lapse_averages takes a constraint with integer eigenvalues and the
-weights conj(bra) * ket per basis state, so only the lapse laws and
-their random streams enter it; the references that do not depend on the
-law (the spectral projection, the sin-kernel quadrature, the Dirichlet
-bound) are the caller's, built once for all the laws it scores.  It
-scores nothing.  Each law is one streaming pass: each chunk of
-PATH_CHUNK lapse times is drawn and binned into the law's moments, so
-memory is one chunk and one (J + 1, 4096) moment array per thread
-whatever n_paths is.
+lapse_averages takes the integer eigenvalues and the weights
+conj(bra) * ket per basis state, so only the lapse laws and their random
+streams enter it; the references that do not depend on the law (the
+spectral projection, the sin-kernel quadrature, the Dirichlet bound) are
+the caller's, built once for all the laws it scores.  It scores nothing.
+It builds the per-bin coefficient table once per call, before any law
+runs.  Each law is one streaming pass: each chunk of PATH_CHUNK lapse
+times is drawn and binned into the law's moments, so memory is one chunk
+and one (J + 1, 4096) moment array per thread whatever n_paths is.
 
-The heat kernel takes whole batches of points, so the Simpson check of
-its semigroup rule is one array evaluation over a tensor-product grid.
+The heat kernel takes whole batches of points.  It and the Simpson rule
+of its semigroup check factor over the axes, so the check's integral is
+a product of one 1-d sum per axis.
 
 Randomness is counter-based (Philox keyed by seed and stream id), so
 reruns are reproducible bit for bit.  The CLI's wiener run uses streams
@@ -51,8 +52,6 @@ import threading
 
 import numpy as np
 from numpy.random import Generator, Philox
-
-from . import projector
 
 
 LAPSE_STEPS = 32  # lapse-walk steps of lapse_averages, over unit time
@@ -125,23 +124,23 @@ def _simpson_grid(center: float, half_width: float, n: int):
     return x, w
 
 
-def _simpson_product_grid(centers, half_width: float, n: int):
-    """Tensor-product Simpson rule in d = 1 or 2: points (n, ..., n, d), weights (n, ..., n)."""
-    grids = [_simpson_grid(c, half_width, n) for c in centers]
-    points = np.stack(np.meshgrid(*(x for x, _ in grids), indexing="ij"), axis=-1)
-    weights = functools.reduce(np.multiply.outer, (w for _, w in grids))
-    return points, weights
-
-
 def semigroup_residual(nu: float, t1: float, t2: float, t3: float, x1, x3, n_nodes: int = 257) -> float:
-    """|int rho(t3,t2) rho(t2,t1) dx2 - rho(t3,t1)| at one endpoint pair."""
+    """|int rho(t3,t2) rho(t2,t1) dx2 - rho(t3,t1)| at one endpoint pair.
+
+    The integral is a tensor-product Simpson rule, taken as the product of
+    one sum of 1-d kernels per axis; the direct term is the d-dimensional kernel.
+    """
     x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
     x3 = np.atleast_1d(np.asarray(x3, dtype=np.float64))
     direct = heat_kernel(nu * (t3 - t1), x1, x3)
     spread = 8.0 * math.sqrt(nu * (t3 - t1)) + float(np.max(np.abs(x3 - x1)))
-    points, weights = _simpson_product_grid(0.5 * (x1 + x3), spread, n_nodes)
-    integrand = heat_kernel(nu * (t2 - t1), x1, points) * heat_kernel(nu * (t3 - t2), points, x3)
-    return abs(float(np.sum(weights * integrand)) - direct)
+    integral = 1.0
+    for start, end in zip(x1, x3):
+        points, weights = _simpson_grid(0.5 * (start + end), spread, n_nodes)
+        points = points[:, None]
+        integrand = heat_kernel(nu * (t2 - t1), [start], points) * heat_kernel(nu * (t3 - t2), points, [end])
+        integral *= float(np.sum(weights * integrand))
+    return abs(integral - direct)
 
 
 def bridge_column_variance(nu: float, n_steps: int, column: int) -> float:
@@ -240,39 +239,40 @@ def _bin_moments(tau, moments) -> None:
         power *= r
 
 
-def _bin_coefficients(levels, level_weights, finite_window: complex, order: int):
-    """G[j, k] = sum_x W_x (-i x)^j / j! exp(-i x k h) over the distinct eigenvalues x, less finite_window in G[0].
+def _bin_coefficients(eigs, weights, order: int):
+    """G[j, k] = sum_n w_n (-i x_n)^j / j! exp(-i x_n k h) over the basis states n, read-only.
 
-    So v = sum_x W_x exp(-i tau x) - finite_window = sum_j G[j, k] r^j for
-    tau = k h + r, up to the remainder _taylor_order bounds.  Built one
-    eigenvalue row at a time, so no (levels, 4096) array is held.
+    So sum_n w_n exp(-i tau x_n) = sum_j G[j, k] r^j for tau = k h + r, up
+    to the remainder _taylor_order bounds: one product of the (J + 1, states)
+    factors and the table read at (x_n k) mod 4096.  States that share an
+    eigenvalue add their terms in it.
     """
-    coeffs = np.zeros((order + 1, _PHASE_STEPS), dtype=np.complex128)
-    steps = np.arange(_PHASE_STEPS)
-    for x, weight in zip(levels, level_weights):
-        row = _phase_table()[(int(x) * steps) & (_PHASE_STEPS - 1)]
-        factor = complex(weight)
-        for j in range(order + 1):
-            coeffs[j] += factor * row
-            factor *= -1j * x / (j + 1)
-    coeffs[0] -= finite_window
+    j = np.arange(order + 1)[:, None]
+    factors = weights * (-1j * eigs) ** j / [[math.factorial(n)] for n in range(order + 1)]
+    bins = (eigs.astype(np.intp)[:, None] * np.arange(_PHASE_STEPS)) & (_PHASE_STEPS - 1)
+    # einsum, not @: numpy's BLAS product rounds differently with its thread count, so a pinned run would differ
+    coeffs = np.einsum("jn,nk->jk", factors, _phase_table()[bins])
+    coeffs.flags.writeable = False
     return coeffs
 
 
-def _law_estimate(chunks, finite_window: complex, levels, level_weights, order: int, n_paths: int):
+def _law_estimate(chunks, coeffs, finite_window: complex, n_paths: int):
     """(finite_window, Monte Carlo estimate, its standard error) from one law's chunks of lapse times.
 
-    With v = sum_j G[j, k] r^j (_bin_coefficients) and S[j, k] the bins'
-    moments of r (_bin_moments), sum v = sum_{j, k} G[j, k] S[j, k] and
+    With v = sum_j G[j, k] r^j (_bin_coefficients less finite_window in
+    G[0]) and S[j, k] the bins' moments of r (_bin_moments),
+    sum v = sum_{j, k} G[j, k] S[j, k] and
     sum |v|^2 = sum_k sum_{a + b <= J} Re(G[a, k] conj(G[b, k])) S[a + b, k];
     the terms with a + b > J are below the remainder.  v is centred at the
     finite-window mean, so the one-pass variance does not cancel when the
     values barely spread.
     """
+    order = coeffs.shape[0] - 1
     moments = np.zeros((order + 1, _PHASE_STEPS))
     for tau in chunks:
         _bin_moments(tau, moments)
-    coeffs = _bin_coefficients(levels, level_weights, finite_window, order)
+    coeffs = coeffs.copy()
+    coeffs[0] -= finite_window
     total, total_sq = 0j, 0.0
     for m in range(order + 1):
         total += complex(np.sum(coeffs[m] * moments[m]))
@@ -284,20 +284,18 @@ def _law_estimate(chunks, finite_window: complex, levels, level_weights, order: 
     return finite_window, finite_window + mean, mc_se
 
 
-def lapse_averages(
-    constraint: projector.ConstraintOp, weights, laws, n_paths: int, seed: int
-) -> list[tuple[complex, complex, float]]:
-    """sum_n weights[n] E[exp(-i tau x_n)] over each lapse law (stream, nu, window), x_n the constraint's eigenvalues.
+def lapse_averages(eigs, weights, laws, n_paths: int, seed: int) -> list[tuple[complex, complex, float]]:
+    """sum_n weights[n] E[exp(-i tau eigs[n])] over each lapse law (stream, nu, window).
 
-    With weights conj(bra) * ket this is <bra| E[exp(-i tau Phi)] |ket>
-    for tau from sample_lapse_proper_times(nu, window, n_paths, seed,
-    stream).  Every eigenvalue must be an integer (ValueError otherwise):
-    the phase exp(-i tau x) is then a table entry of tau's bin times a
-    short series in its remainder (_law_estimate), and the weights of
-    equal eigenvalues are summed first.  Returns, per law, its
-    closed-form finite-window mean, the Monte Carlo estimate over n_paths
-    draws of (seed, stream) and that estimate's standard error; callers
-    score them.
+    With eigs a constraint's eigenvalues and weights conj(bra) * ket this
+    is <bra| E[exp(-i tau Phi)] |ket> for tau from
+    sample_lapse_proper_times(nu, window, n_paths, seed, stream).  Every
+    eigenvalue must be an integer (ValueError otherwise): the phase
+    exp(-i tau x) is then a table entry of tau's bin times a short series
+    in its remainder, whose per-bin coefficients (_bin_coefficients) are
+    built once here for all the laws.  Returns, per law, its closed-form
+    finite-window mean, the Monte Carlo estimate over n_paths draws of
+    (seed, stream) and that estimate's standard error; callers score them.
 
     The laws run on two threads: one plain thread passes over laws 1, 3, ...
     while the calling thread passes over laws 0, 2, ..., and numpy releases
@@ -308,24 +306,20 @@ def lapse_averages(
     this module's private pass, so a tracer that patches the public
     functions with one span stack (perfbench/tracer.py) sees one thread.
     """
-    eigs = constraint.eigs
     if not np.array_equal(eigs, np.rint(eigs)):
         raise ValueError("lapse_averages needs integer constraint eigenvalues")
-    levels, where = np.unique(eigs, return_inverse=True)
-    level_weights = np.zeros(levels.size, dtype=np.complex128)
-    np.add.at(level_weights, where, weights)
-    order = _taylor_order(float(np.max(np.abs(levels))))
+    coeffs = _bin_coefficients(eigs, weights, _taylor_order(float(np.max(np.abs(eigs)))))
     passes = []
     for stream, nu, window in laws:
         gauss = np.exp(-0.5 * lapse_walk_variance(nu) * eigs**2)
         finite_window = complex(np.sum(weights * np.sinc(window * eigs / math.pi) * gauss))
-        passes.append((sample_lapse_proper_times(nu, window, n_paths, seed, stream), finite_window))
+        passes.append((sample_lapse_proper_times(nu, window, n_paths, seed, stream), coeffs, finite_window))
     est = [None] * len(passes)
     failed = []
 
     def run(indices):
         for i in indices:
-            est[i] = _law_estimate(*passes[i], levels, level_weights, order, n_paths)
+            est[i] = _law_estimate(*passes[i], n_paths)
 
     def worker():
         try:

@@ -8,6 +8,7 @@ it runs in an experiment; each function is the slow or closed-form side of
 a comparison.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -202,10 +203,29 @@ def dense_ratios(ket, evals, mprime: int, nmax: int) -> np.ndarray:
 # heat kernel
 
 
+def simpson_product_grid(centers, half_width: float, n: int):
+    """Tensor-product Simpson rule in d = 1 or 2: points (n, ..., n, d), weights (n, ..., n)."""
+    grids = [wiener._simpson_grid(c, half_width, n) for c in centers]
+    points = np.stack(np.meshgrid(*(x for x, _ in grids), indexing="ij"), axis=-1)
+    weights = functools.reduce(np.multiply.outer, (w for _, w in grids))
+    return points, weights
+
+
+def semigroup_grid_residual(nu, t1, t2, t3, x1, x3, n_nodes: int = 257) -> float:
+    """semigroup_residual's quadrature as one d-dimensional kernel evaluation over the whole tensor-product grid."""
+    x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
+    x3 = np.atleast_1d(np.asarray(x3, dtype=np.float64))
+    direct = wiener.heat_kernel(nu * (t3 - t1), x1, x3)
+    spread = 8.0 * math.sqrt(nu * (t3 - t1)) + float(np.max(np.abs(x3 - x1)))
+    points, weights = simpson_product_grid(0.5 * (x1 + x3), spread, n_nodes)
+    integrand = wiener.heat_kernel(nu * (t2 - t1), x1, points) * wiener.heat_kernel(nu * (t3 - t2), points, x3)
+    return abs(float(np.sum(weights * integrand)) - direct)
+
+
 def kernel_normalization_residual(variance, x1, n_nodes: int = 513) -> float:
     """|int rho(x1, x2) dx2 - 1| by Simpson quadrature over +-8 standard deviations."""
     x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
-    points, weights = wiener._simpson_product_grid(x1, 8.0 * math.sqrt(variance), n_nodes)
+    points, weights = simpson_product_grid(x1, 8.0 * math.sqrt(variance), n_nodes)
     return abs(float(np.sum(weights * wiener.heat_kernel(variance, x1, points))) - 1.0)
 
 

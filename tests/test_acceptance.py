@@ -198,7 +198,7 @@ def test_criterion_8_wiener_machinery():
     mc_ok = True
     # (seed, nu, window): the reference law, its window doubled, and nu halved and doubled
     for seed, nu, window in ((101, 1.0, 2000.0), (102, 1.0, 4000.0), (103, 0.5, 2000.0), (104, 2.0, 2000.0)):
-        _, mc, se = wiener.lapse_averages(constraint, weights, [(0, nu, window)], n, seed)[0]
+        _, mc, se = wiener.lapse_averages(eigs, weights, [(0, nu, window)], n, seed)[0]
         mc_ok &= abs(mc - spectral) <= 3.0 * se
     elapsed = time.perf_counter() - start
     _report(

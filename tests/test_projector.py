@@ -298,8 +298,9 @@ def test_sin_kernel_weights_match_simpson_oracle(lam_max, target):
 def test_sine_integral_matches_scipy_sici():
     # the series (|x| <= 4) and Gauss-Laguerre (|x| > 4) branches, and their seam
     linear = np.concatenate([np.linspace(-50.0, 50.0, 20001), np.linspace(3.99, 4.01, 2001)])
-    # the largest argument the CLI can reach: lam_max at the 1e-6 gap guard (~7e9) times the
-    # largest |eigenvalue| + eps of a space with MAX_DIM basis states
+    # far past the largest argument the CLI reaches, ~8.4e7: wiener's 13 levels give |x| + eps <= 12.5,
+    # and its epsilon >= 1e-3 keeps lam_max <= ~7e6; the range runs to lam_max at a 1e-6 gap (~7e9)
+    # times the largest |eigenvalue| + eps of a space with MAX_DIM basis states (~7e15)
     top = default_lam_max(0.25, np.array([0.25 + 1.000001e-6])) * (fock.MAX_DIM + 0.5)
     logs = np.geomspace(1e-12, top, 4001)
     for x in (linear, logs, -logs):

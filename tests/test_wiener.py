@@ -17,7 +17,7 @@ from csquant.wiener import (
     sample_lapse_proper_times,
     semigroup_residual,
 )
-from reference import kernel_normalization_residual, kernel_variance
+from reference import kernel_normalization_residual, kernel_variance, semigroup_grid_residual
 
 
 def test_heat_kernel_symmetric_in_displacement():
@@ -43,6 +43,7 @@ def test_heat_kernel_batch_equals_scalar_calls():
 
 
 def test_semigroup_2d_heat_kernel_call_count(monkeypatch):
+    # the d-dimensional direct term, then the two 1-d kernels of each axis's sum
     calls = []
     original = wiener.heat_kernel
 
@@ -51,8 +52,21 @@ def test_semigroup_2d_heat_kernel_call_count(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(wiener, "heat_kernel", counting)
-    assert semigroup_residual(0.7, 0.0, 0.4, 1.0, [0.1, -0.2], [0.5, 0.3]) < 1e-8
-    assert len(calls) <= 3
+    for x1, x3 in (([0.1, -0.2], [0.5, 0.3]), ([0.1], [0.5])):
+        calls.clear()
+        assert semigroup_residual(0.7, 0.0, 0.4, 1.0, x1, x3) < 1e-8
+        assert len(calls) == 1 + 2 * len(x1)
+
+
+def test_semigroup_per_axis_sum_matches_tensor_grid():
+    # the product of per-axis Simpson sums is the tensor-product rule's sum over the whole grid, up to roundoff
+    rng = np.random.default_rng(45)
+    cases = [(0.7, 0.4, [0.1, -0.2], [0.5, 0.3]), (1.3, 0.5, [0.0, 0.0], [0.0, 0.0]), (0.5, 0.02, [0.1], [0.4])]
+    for d in (1, 2, 2, 1, 2):
+        cases.append((rng.uniform(0.3, 2.0), rng.uniform(0.1, 0.9), rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)))
+    for nu, t2, x1, x3 in cases:
+        per_axis = semigroup_residual(nu, 0.0, t2, 1.0, x1, x3)
+        assert abs(per_axis - semigroup_grid_residual(nu, 0.0, t2, 1.0, x1, x3)) <= 1e-15
 
 
 def test_heat_kernel_normalization_by_quadrature():
@@ -216,7 +230,7 @@ def _references(constraint, epsilon, a_bra, a_ket):
 
 
 def _lapse_average(constraint, weights, seed, nu=1.0, window=2000.0, n_paths=100_000):
-    return lapse_averages(constraint, weights, [(0, nu, window)], n_paths, seed)[0]
+    return lapse_averages(constraint.eigs, weights, [(0, nu, window)], n_paths, seed)[0]
 
 
 def test_lambda_propagator_selected_level(propagator_setup):
@@ -328,7 +342,7 @@ def test_phase_table_matches_exp():
     bins = np.arange(wiener._PHASE_STEPS)
     for x in (-17, -12, -1, 1, 5, 16):
         assert np.array_equal((x * (k & (wiener._PHASE_STEPS - 1))) & (wiener._PHASE_STEPS - 1), (x * k) % wiener._PHASE_STEPS)
-        coeffs = wiener._bin_coefficients(np.array([float(x)]), np.ones(1, dtype=np.complex128), 0j, 0)
+        coeffs = wiener._bin_coefficients(np.array([float(x)]), np.ones(1, dtype=np.complex128), 0)
         assert np.array_equal(coeffs[0], table[(x * bins) % wiener._PHASE_STEPS])
 
 
@@ -348,7 +362,7 @@ def test_lapse_average_matches_direct_sum(modes, nmax, target, order):
     weights = rng.standard_normal(constraint.space.dim) + 1j * rng.standard_normal(constraint.space.dim)
     # more than one chunk of paths, so the chunk boundary and a partial chunk are covered
     n, nu, window = 2 * wiener.PATH_CHUNK + 777, 1.0, 2000.0
-    _, mc, se = lapse_averages(constraint, weights, [(4, nu, window)], n, 17)[0]
+    _, mc, se = lapse_averages(constraint.eigs, weights, [(4, nu, window)], n, 17)[0]
     # oracle: the direct sum, one complex exponential per draw and level, and numpy's two-pass variance
     vals = np.exp(-1j * np.outer(_one_shot_lapse_oracle(nu, window, n, 17, 4), constraint.eigs)) @ weights
     assert abs(mc - np.mean(vals)) <= 1e-14 * np.sum(np.abs(weights))
@@ -363,8 +377,8 @@ def test_law_estimate_series_holds_at_the_bin_edge():
         vals = 0.25 * np.exp(1j * x * tau) + np.exp(-1j * x * tau)
         # centred at the mean, as lapse_averages centres at the finite-window mean
         centre = complex(np.mean(vals))
-        levels, weights = np.array([-x, x]), np.array([0.25, 1.0 + 0j])
-        _, mc, se = wiener._law_estimate(iter([tau]), centre, levels, weights, wiener._taylor_order(x), tau.size)
+        coeffs = wiener._bin_coefficients(np.array([-x, x]), np.array([0.25, 1.0 + 0j]), wiener._taylor_order(x))
+        _, mc, se = wiener._law_estimate(iter([tau]), coeffs, centre, tau.size)
         assert abs(mc - np.mean(vals)) <= 1e-15
         assert se == pytest.approx(math.sqrt((np.var(vals.real) + np.var(vals.imag)) / tau.size), rel=1e-12, abs=0.0)
 
@@ -373,4 +387,4 @@ def test_law_estimate_series_holds_at_the_bin_edge():
 def test_lapse_average_refuses_non_integer_eigenvalues(target):
     constraint = number_constraint(make_space(1, 12), target)
     with pytest.raises(ValueError, match="integer"):
-        lapse_averages(constraint, np.ones(13, dtype=np.complex128), [(4, 1.0, 2000.0)], 1000, 17)
+        lapse_averages(constraint.eigs, np.ones(13, dtype=np.complex128), [(4, 1.0, 2000.0)], 1000, 17)
