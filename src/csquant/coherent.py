@@ -231,17 +231,26 @@ def resolution_of_unity_check(space: FockSpace, radius: float) -> ResolutionRepo
     return _resolution_on_grid(space, radius, n_radial, n_angular)
 
 
+def _product_grid_closure(amplitudes: np.ndarray, weights, angles, spacing: float) -> np.ndarray:
+    """Entry (n, m): sum over nodes i and angles phi of weights[i] spacing a_n a_m e^{i(n-m)phi}, factored.
+
+    amplitudes[i, n] is level n's real amplitude at polar node i, and the
+    angles are uniform nodes `spacing` apart.  The product-grid sum is the
+    polar Gram of the amplitudes times the angular sums of e^{i(n-m)phi},
+    gathered at n - m.
+    """
+    gram = (amplitudes.T * weights) @ amplitudes
+    top = amplitudes.shape[1] - 1
+    angular = spacing * np.exp(1j * np.outer(np.arange(-top, top + 1), angles)).sum(axis=1)
+    levels = np.arange(top + 1)
+    return gram * angular[levels[:, None] - levels[None, :] + top]
+
+
 def _resolution_on_grid(space: FockSpace, radius: float, n_radial: int, n_angular: int) -> ResolutionReport:
     """resolution_of_unity_check on an n_radial x n_angular polar grid."""
     r, dr, th, dth = _polar_nodes(radius, n_radial, n_angular)
-    # the closure sum over the polar nodes, factored: node (r, theta) contributes
-    # (r dr dtheta / pi) amp_n(r) amp_m(r) e^{i(n-m)theta} to entry (n, m)
-    radial = _kernels.coherent_amp_matrix(r, space.nmax)
-    radial_gram = (radial.T * (r * dr / math.pi)) @ radial
-    shifts = np.arange(-space.nmax, space.nmax + 1)
-    angular = dth * np.exp(1j * np.outer(shifts, th)).sum(axis=1)
-    levels = np.arange(space.nmax + 1)
-    mat = radial_gram * angular[levels[:, None] - levels[None, :] + space.nmax]
+    # node (r, theta) contributes (r dr dtheta / pi) amp_n(r) amp_m(r) e^{i(n-m)theta} to entry (n, m)
+    mat = _product_grid_closure(_kernels.coherent_amp_matrix(r, space.nmax), r * dr / math.pi, th, dth)
 
     diag_expected, deficit = _poisson_tails(radius**2, space.nmax)
     qualifying = np.nonzero(deficit < CLOSURE_TAIL)[0]

@@ -81,14 +81,16 @@ def sector_ratios(ket, evals, mprime: int) -> np.ndarray:
     for i, label in enumerate(evals):
         bra_0, bra_1 = factors(label)
         bra = bra_0[1:-1] * bra_1
-        overlap = complex(np.vdot(bra, projected))
-        terms = float(np.abs(bra) @ np.abs(projected))
+        # sums of products, not np.vdot or @: BLAS splits a long sum by its thread count, and each split rounds
+        # differently
+        overlap = complex((bra.conj() * projected).sum())
+        terms = float((np.abs(bra) * np.abs(projected)).sum())
         if abs(overlap) < RATIO_FLOOR or math.ulp(1.0) * terms > CONDITION_LIMIT * abs(overlap):
             raise ValueError(f"overlap {abs(overlap):.3e} of terms of modulus {terms:.3e}: the ratio is undefined")
-        lowered = np.vdot(bra_0[:-2] * bra_1, np.sqrt(levels) * projected)
-        raised = np.vdot(np.sqrt(levels + 1) * bra_0[2:] * bra_1, projected)
+        lowered = ((bra_0[:-2] * bra_1).conj() * (np.sqrt(levels) * projected)).sum()
+        raised = ((np.sqrt(levels + 1) * bra_0[2:] * bra_1).conj() * projected).sum()
         q, p = math.sqrt(0.5) * (lowered + raised), 1j * math.sqrt(0.5) * (raised - lowered)
-        ratios[i] = [complex(element) / overlap for element in (np.vdot(bra, energy * projected), q, p)]
+        ratios[i] = [complex(element) / overlap for element in ((bra.conj() * (energy * projected)).sum(), q, p)]
     return ratios
 
 

@@ -51,7 +51,6 @@ class ConstraintOp:
 
     space: FockSpace
     eigs: np.ndarray
-    target: float
 
     def __post_init__(self):
         eigs = np.array(self.eigs, dtype=np.float64)
@@ -65,7 +64,7 @@ class ConstraintOp:
 
 def number_constraint(space: FockSpace, target: float) -> ConstraintOp:
     """Total number operator of the space's modes minus target: one mode for the single model, two for the double."""
-    return ConstraintOp(space, space.total_occupations() - target, float(target))
+    return ConstraintOp(space, space.total_occupations() - target)
 
 
 def default_lam_max(epsilon: float, eigs: np.ndarray) -> float:

@@ -18,7 +18,7 @@ identity with weight (2j+1)/pi * d^2xi / (1+|xi|^2)^2.  The closure check
 integrates that on a Gauss-Legendre (cos theta) x uniform (phi) product
 grid; because the rule is a tensor product, the node sum factors into a
 theta Gram matrix of real amplitudes times the phi sums of e^{i(k-l)phi},
-as in the canonical resolution check.
+one function shared with the canonical resolution check.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 
+from .coherent import _product_grid_closure
 from .fock import FockSpace
 
 
@@ -87,15 +88,11 @@ def _closure_matrix(twoj: int, n_theta: int, n_phi: int) -> np.ndarray:
     At xi = tan(theta/2) e^{i phi} the amplitude of |j, -j+k> is the real
     half-angle amplitude (as in su2_coherent) times e^{i k phi}, so the node
     sum is a theta Gram of the real amplitudes times the phi sums of
-    e^{i(k-l)phi}.
+    e^{i(k-l)phi} (coherent._product_grid_closure).
     """
     x, wx = np.polynomial.legendre.leggauss(n_theta)
     sin_half = np.sqrt(0.5 * (1.0 - x))[:, None]
     cos_half = np.sqrt(0.5 * (1.0 + x))[:, None]
-    radial = _half_angle_amplitudes(twoj, sin_half, cos_half)
-    k = np.arange(twoj + 1)
-    gram = (radial.T * wx) @ radial
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    shifts = np.arange(-twoj, twoj + 1)
-    angular = (2.0 * math.pi / n_phi) * np.exp(1j * np.outer(shifts, phi)).sum(axis=1)
-    return (twoj + 1) / (4.0 * math.pi) * gram * angular[k[:, None] - k[None, :] + twoj]
+    closure = _product_grid_closure(_half_angle_amplitudes(twoj, sin_half, cos_half), wx, phi, 2.0 * math.pi / n_phi)
+    return (twoj + 1) / (4.0 * math.pi) * closure

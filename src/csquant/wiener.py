@@ -16,12 +16,13 @@ each of a list of lapse laws (lapse_averages):
   the sinc suppresses every x != 0 by ~ 1/(window x), so for integer
   targets both approach the spectral projection.  Every eigenvalue x is
   an integer, so with tau = k h + r, h = 2 pi / 4096, the phase is
-  exp(-i x k h) exp(-i x r): a 4096-entry table read at x k mod 4096
+  exp(-i x k h) exp(-i x r), which depends on k only through k mod 4096,
   times a short Taylor series in r.  So the averages need, per bin
   k mod 4096, only the sums of r^j over the paths in that bin: one
   reduction of tau and a few bincounts per path, whatever the number of
   levels, and no complex value per path.  The mean and E|v|^2 are then
-  sums over bins of those moments times per-bin coefficients.
+  sums over bins of those moments times per-bin coefficients, one
+  length-4096 FFT of the level weights per Taylor order.
 
 lapse_averages takes the integer eigenvalues and the weights
 conj(bra) * ket per basis state, so only the lapse laws and their random
@@ -46,7 +47,6 @@ order, so its estimate does not depend on the thread that runs it.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 
@@ -57,40 +57,12 @@ from numpy.random import Generator, Philox
 LAPSE_STEPS = 32  # lapse-walk steps of lapse_averages, over unit time
 PATH_CHUNK = 16384  # paths per chunk of each lapse law's one pass
 
-# _phase_table's steps: h = 2 pi / _PHASE_STEPS, h = _PHASE_H_HI + _PHASE_H_LO.  _PHASE_H_HI has
+# tau = k h + r with h = 2 pi / _PHASE_STEPS = _PHASE_H_HI + _PHASE_H_LO (_bin_moments).  _PHASE_H_HI has
 # 26 significant bits, so k * _PHASE_H_HI is exact for |k| < 2^27, |tau| < 2^27 h ~ 2.06e5;
 # _PHASE_H_LO also carries 2 pi - math.tau = 2.4492935982947064e-16.
 _PHASE_STEPS = 4096
 _PHASE_H_HI = round(math.tau * 2**23) / 2**35
 _PHASE_H_LO = (math.tau - _PHASE_STEPS * _PHASE_H_HI + 2.4492935982947064e-16) / _PHASE_STEPS
-
-
-@functools.cache
-def _phase_table():
-    """exp(-i m h) for m = 0 .. _PHASE_STEPS - 1, each within ~1 ulp, read-only.
-
-    exp(-i m h_hi) has an exact argument; the low part's factor is
-    1 - i x - x^2 / 2 with x = m h_lo <= 5.6e-8, added as one small
-    correction so only the last addition rounds (x^2 / 2 reaches 1.6e-15,
-    x^3 / 6 is 3e-23).  Built on first use, not at import: any 64 KB
-    array held from import raised a 10^6-path wiener run's peak RSS by
-    0.1-0.2 MB (glibc heap layout; 2-core Xeon, numpy 2.4).  Two threads
-    that miss the cache at once build equal tables.
-    """
-    table = np.empty(_PHASE_STEPS, dtype=np.complex128)
-    x = np.arange(_PHASE_STEPS) * _PHASE_H_HI
-    np.cos(x, out=table.real)
-    np.sin(x, out=table.imag)
-    np.negative(table.imag, out=table.imag)
-    x = np.arange(_PHASE_STEPS) * _PHASE_H_LO
-    low = np.empty(_PHASE_STEPS, dtype=np.complex128)
-    np.multiply(x, x, out=low.real)
-    low.real *= -0.5
-    np.negative(x, out=low.imag)
-    low *= table
-    table += low
-    table.flags.writeable = False
-    return table
 
 
 def rng_stream(seed: int, stream: int = 0) -> Generator:
@@ -240,18 +212,19 @@ def _bin_moments(tau, moments) -> None:
 
 
 def _bin_coefficients(eigs, weights, order: int):
-    """G[j, k] = sum_n w_n (-i x_n)^j / j! exp(-i x_n k h) over the basis states n, read-only.
+    """G[j, k] = sum_n w_n (-i x_n)^j / j! exp(-2 pi i x_n k / 4096) over the basis states n, read-only.
 
     So sum_n w_n exp(-i tau x_n) = sum_j G[j, k] r^j for tau = k h + r, up
-    to the remainder _taylor_order bounds: one product of the (J + 1, states)
-    factors and the table read at (x_n k) mod 4096.  States that share an
-    eigenvalue add their terms in it.
+    to the remainder _taylor_order bounds.  Row j is the length-4096 DFT of
+    the factors w_n (-i x_n)^j / j! placed at column x_n mod 4096: exact for
+    every integer x, as exp(-2 pi i 4096 k / 4096) = 1.  States that share
+    an eigenvalue add up in their column.
     """
     j = np.arange(order + 1)[:, None]
     factors = weights * (-1j * eigs) ** j / [[math.factorial(n)] for n in range(order + 1)]
-    bins = (eigs.astype(np.intp)[:, None] * np.arange(_PHASE_STEPS)) & (_PHASE_STEPS - 1)
-    # einsum, not @: numpy's BLAS product rounds differently with its thread count, so a pinned run would differ
-    coeffs = np.einsum("jn,nk->jk", factors, _phase_table()[bins])
+    placed = np.zeros((order + 1, _PHASE_STEPS), dtype=np.complex128)
+    np.add.at(placed, (slice(None), eigs.astype(np.intp) & (_PHASE_STEPS - 1)), factors)
+    coeffs = np.fft.fft(placed)
     coeffs.flags.writeable = False
     return coeffs
 
@@ -291,7 +264,7 @@ def lapse_averages(eigs, weights, laws, n_paths: int, seed: int) -> list[tuple[c
     is <bra| E[exp(-i tau Phi)] |ket> for tau from
     sample_lapse_proper_times(nu, window, n_paths, seed, stream).  Every
     eigenvalue must be an integer (ValueError otherwise): the phase
-    exp(-i tau x) is then a table entry of tau's bin times a short series
+    exp(-i tau x) is then a phase of tau's bin times a short series
     in its remainder, whose per-bin coefficients (_bin_coefficients) are
     built once here for all the laws.  Returns, per law, its closed-form
     finite-window mean, the Monte Carlo estimate over n_paths draws of

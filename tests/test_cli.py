@@ -137,6 +137,24 @@ def test_wiener_rerun_byte_identical_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_classical_limit_double_byte_identical_across_blas_thread_counts(tmp_path):
+    # the two-mode sector sums run over 10^5 terms: a BLAS product splits such a sum by its thread count and
+    # each split rounds differently, a fixed-order sum does not
+    cfg = _write_config(tmp_path, {"experiment": "classical-limit", "model": "double", "m_values": [4, 100_000]})
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        run = "import sys; from csquant.cli import main; sys.exit(main(sys.argv[1:]))"
+        subprocess.run(
+            [sys.executable, "-c", run, "run", "--config", cfg, "--out", str(out)],
+            capture_output=True,
+            env=_src_env(OPENBLAS_NUM_THREADS=threads),
+            check=True,
+        )
+        outs.append([(out / name).read_bytes() for name in ("classical-limit.json", "classical-limit_deviation.csv")])
+    assert outs[0] == outs[1]
+
+
 def test_wiener_memory_per_path_is_bounded(tmp_path):
     # one streaming pass holds one chunk of paths, not O(n_paths) arrays: the peak does not grow with n_paths
     for n_paths in (200_000, 1_000_000):
@@ -621,6 +639,13 @@ _DEFECTS = {
         "coherent_amp_matrix",
         lambda original: lambda alphas, nmax: 1.001 * original(alphas, nmax),  # scaled radial amplitudes
     ),
+    "resolution:offdiagonal_max": _Defect(
+        {"experiment": "resolution"},
+        coherent,
+        "_resolution_on_grid",
+        # nmax angular nodes alias e^{i(n-m)theta} for |n - m| = nmax back to a constant
+        lambda original: lambda space, radius, n_radial, n_angular: original(space, radius, n_radial, space.nmax),
+    ),
     "project-single:null_norm_fractional_targets": _Defect(
         {"experiment": "project-single"},
         projector,
@@ -633,6 +658,13 @@ _DEFECTS = {
         "su2_coherent",
         lambda original: lambda twoj, xi: original(twoj, xi) * cmath.exp(0.1j),  # a wrong overall phase
     ),
+    "spin-overlap:projected_vs_su2_overlap": _Defect(
+        {"experiment": "spin-overlap"},
+        spin,
+        "su2_overlap",
+        # the closed form without the conjugate on the bra's label
+        lambda original: lambda twoj, xi_bra, xi_ket: original(twoj, complex(xi_bra).conjugate(), xi_ket),
+    ),
     "spin-overlap:su2_resolution_residual": _Defect(
         {"experiment": "spin-overlap"},
         spin,
@@ -641,6 +673,13 @@ _DEFECTS = {
         lambda original: lambda twoj, n_theta, n_phi: original(twoj, twoj // 2, n_phi),
     ),
     "correlations:h_ratio_error": _Defect({"experiment": "correlations"}, correlators, "sector_ratios", _no_zero_point),
+    "correlations:qp_bracket_vs_matrix": _Defect(
+        {"experiment": "correlations"},
+        correlators,
+        "oracle_ratio",
+        # the closed-form P bracket with its sign flipped
+        lambda original: lambda operator, *args: (-1 if operator[0] == "P" else 1) * original(operator, *args),
+    ),
     "classical-limit:h_ratio_error": _Defect(
         {"experiment": "classical-limit"}, correlators, "sector_ratios", _no_zero_point
     ),

@@ -326,24 +326,32 @@ def test_rng_stream_is_counter_based_and_stable():
     assert not np.array_equal(a, c)
 
 
-def test_phase_table_matches_exp():
-    h = math.tau / wiener._PHASE_STEPS
-    table = wiener._phase_table()
+def test_bin_coefficients_match_the_phases():
+    steps = wiener._PHASE_STEPS
+    h = math.tau / steps
     # oracle: exp(-i m h) as a quarter turn times np.exp of |s h| <= pi / 4; np.exp(-1j * m * h) itself is off by
     # up to 7e-16 near m = 4095, where the rounding of m * h and of 2 pi in h adds up
-    m = np.arange(wiener._PHASE_STEPS)
+    m = np.arange(steps)
     quarter = (m + 512) // 1024
-    oracle = np.array([1, -1j, -1, 1j])[quarter % 4] * np.exp(-1j * (m - 1024 * quarter) * h)
-    assert np.max(np.abs(table - oracle)) <= 2.5e-16
-    assert table[0] == 1.0
-    # a path's bin is k & 4095 and _bin_coefficients reads exp(-i x k h) at (x bin) & 4095: both are x k mod 4096
+    phase = np.array([1, -1j, -1, 1j])[quarter % 4] * np.exp(-1j * (m - 1024 * quarter) * h)
+    # a path's bin is k & 4095, and exp(-i x k h) depends on k only through (x (k & 4095)) & 4095 = x k mod 4096,
     # for negative x and k too
     k = np.arange(-5000, 5000)
-    bins = np.arange(wiener._PHASE_STEPS)
     for x in (-17, -12, -1, 1, 5, 16):
-        assert np.array_equal((x * (k & (wiener._PHASE_STEPS - 1))) & (wiener._PHASE_STEPS - 1), (x * k) % wiener._PHASE_STEPS)
+        assert np.array_equal((x * (k & (steps - 1))) & (steps - 1), (x * k) % steps)
         coeffs = wiener._bin_coefficients(np.array([float(x)]), np.ones(1, dtype=np.complex128), 0)
-        assert np.array_equal(coeffs[0], table[(x * bins) % wiener._PHASE_STEPS])
+        assert np.max(np.abs(coeffs[0] - phase[(x * m) % steps])) <= 1e-15
+    # every order against the direct sum over the states, several of which share an eigenvalue
+    rng = np.random.default_rng(92)
+    eigs = np.array([-17.0, -12.0, -1.0, -1.0, 0.0, 1.0, 5.0, 5.0, 5.0, 16.0, 16.0])
+    weights = rng.standard_normal(eigs.size) + 1j * rng.standard_normal(eigs.size)
+    order = wiener._taylor_order(17.0)
+    coeffs = wiener._bin_coefficients(eigs, weights, order)
+    assert coeffs.shape == (order + 1, steps) and not coeffs.flags.writeable
+    for j in range(order + 1):
+        factors = weights * (-1j * eigs) ** j / math.factorial(j)
+        direct = sum(f * phase[(int(x) * m) % steps] for f, x in zip(factors, eigs))
+        assert np.max(np.abs(coeffs[j] - direct)) <= 2e-15 * np.sum(np.abs(factors))
 
 
 @pytest.mark.parametrize(
