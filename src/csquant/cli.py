@@ -273,12 +273,21 @@ def _exp_classical_limit(cfg, seed):
     if len(m_values) < 2:
         raise ConfigError("m_values", "needs at least two distinct values to fit a scaling exponent")
     cfg.refuse_unread()
-    rows_data = correlators.classical_limit_check(1 if model == "single" else 2, m_values)
+    modes = 1 if model == "single" else 2
+    rows_data = correlators.classical_limit_check(modes, m_values)
     exponent = correlators.deviation_scaling_exponent(rows_data)
+    # dev_abs is the orbit amplitude's zero-point shift sqrt(2E/k) - sqrt(2m/k), E = m + k/2, written
+    # without cancellation as 1 / (sqrt(2E/k) + sqrt(2m/k)), since (2E - 2m)/k = 1
+    shift_err = max(
+        abs(r.dev_abs - 1.0 / (math.sqrt(2.0 * (r.m + 0.5 * modes) / modes) + math.sqrt(2.0 * r.m / modes)))
+        / r.dev_abs
+        for r in rows_data
+    )
     rows = [
         CheckRow("deviation_monotone_decrease", _largest_rise([r.dev_abs for r in rows_data]), 0.0),
         CheckRow("scaling_exponent_offset_from_-0.5", abs(exponent + 0.5), 0.2),
         CheckRow("h_ratio_error", max(r.h_ratio_error for r in rows_data), 1e-12),
+        CheckRow("dev_abs_vs_zero_point_shift", shift_err, 1e-8),
     ]
     sweep = [(r.m, r.dev_abs, r.dev_rel) for r in rows_data]
     return rows, {"deviation": (["m", "dev_abs", "dev_rel"], sweep)}
@@ -328,8 +337,7 @@ def _exp_wiener(cfg, seed):
     weights = np.conj(state) * state  # bra and ket are the one coherent state alpha = 1
     # the references no lapse law enters, built once for the four laws
     spectral = complex(np.sum(weights * projector.build_projector(constraint, eps)))
-    lam_max = projector.default_lam_max(eps, eigs)
-    quadrature = complex(np.sum(weights * projector.sin_kernel_weights(eigs, eps, lam_max)))
+    quadrature = complex(np.sum(weights * projector.sin_kernel_weights(eigs, eps)))
     off = eigs != 0
     dirichlet = float(np.sum(np.abs(weights[off] / eigs[off])))  # / window bounds |finite_window - spectral|
     # (stream, nu, window): the reference law, its window doubled, and nu halved and doubled

@@ -15,10 +15,12 @@ finite-range integral int_{-L}^{L} exp(i t Phi) sin(eps t)/(pi t) dt,
 evaluated exactly per eigenvalue x as [Si(L(x+eps)) - Si(L(x-eps))]/pi
 (DLMF 6.2), which converges to the spectral weights as L grows.  The
 integrand decays only like 1/t, so L must scale like
-1/(eps * SIN_KERNEL_TOL); default_lam_max chooses it from that bound.
-_sine_integral evaluates Si with numpy alone: its Maclaurin series up to
-|x| = 4 and, beyond, pi/2 - f(x) cos x - g(x) sin x with the auxiliary
-functions f and g (DLMF 6.2, 6.7) integrated by a Gauss-Laguerre rule.
+1/(eps * SIN_KERNEL_TOL); default_lam_max chooses it from that bound,
+and sin_kernel_weights applies it itself.  That L puts every Si argument
+at least 2.2/(pi * SIN_KERNEL_TOL) ~ 7003 from zero, where two terms of
+the asymptotic series of Si's auxiliary functions f and g (DLMF 6.2,
+6.12(ii)) are exact to roundoff, so _sine_integral is one numpy
+expression.
 
 Projecting a coherent state keeps one total-occupation sector: empty when
 the target is not near an integer, which is how energy quantization shows
@@ -31,18 +33,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from .fock import FockSpace
 
 BOUNDARY_TOL = 1e-12
 SIN_KERNEL_TOL = 1e-4
-
-# Si's Maclaurin coefficients (-1)^k / ((2k+1) (2k+1)!): at |x| = 4 the last term is below 1e-24
-_SI_SERIES = np.array([(-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(20)])
-# 60-node Gauss-Laguerre rule for f and g past |x| = 4: it matches Si to ~2e-15 there
-_LAGUERRE_NODES, _LAGUERRE_WEIGHTS = laggauss(60)
-_LAGUERRE_NODES_SQ = _LAGUERRE_NODES**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,43 +74,33 @@ def default_lam_max(epsilon: float, eigs: np.ndarray) -> float:
     return 2.2 / (math.pi * SIN_KERNEL_TOL * gap)
 
 
-def sin_kernel_weights(eigs: np.ndarray, eps: float, lam_max: float) -> np.ndarray:
-    """int_{-L}^{L} e^{i t x} sin(eps t)/(pi t) dt per eigenvalue x, in closed form.
+def sin_kernel_weights(eigs: np.ndarray, eps: float) -> np.ndarray:
+    """int_{-L}^{L} e^{i t x} sin(eps t)/(pi t) dt per eigenvalue x, in closed form, at L = default_lam_max.
 
     The integrand's odd part cancels, leaving
     (1/pi) int_0^L [sin((x+eps) t) - sin((x-eps) t)]/t dt
     = [Si(L(x+eps)) - Si(L(x-eps))]/pi, which is real.
     """
     eigs = np.asarray(eigs, dtype=np.float64)
+    lam_max = default_lam_max(eps, eigs)
     return (_sine_integral(lam_max * (eigs + eps)) - _sine_integral(lam_max * (eigs - eps))) / math.pi
 
 
 def _sine_integral(x: np.ndarray) -> np.ndarray:
-    """Si(x) = int_0^x sin(t)/t dt, elementwise, to ~2e-15 absolute.
+    """Si(x) = int_0^x sin(t)/t dt, elementwise, for |x| >= 2.2/(pi * SIN_KERNEL_TOL) ~ 7003 only.
 
-    |x| <= 4: the Maclaurin series sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!),
-    by Horner's rule in x^2.  |x| > 4: Si(x) = pi/2 - f(x) cos x - g(x) sin x
-    with f(x) = int_0^inf e^(-u) x / (x^2 + u^2) du and
-    g(x) = int_0^inf e^(-u) u / (x^2 + u^2) du (DLMF 6.7(iii) with t = u/x),
-    both smooth in u for |x| > 4, by the 60-node Gauss-Laguerre rule.  Si is
-    odd, so negative arguments take the sign of x.
+    That floor is L times the spectrum's gap to the window edges at
+    L = default_lam_max, so sin_kernel_weights forms no smaller argument
+    (to the one rounding of L).  Si(x) = pi/2 - f(x) cos x - g(x) sin x for
+    x > 0, with two terms each of f ~ (1 - 2/x^2 + 24/x^4 ...)/x and
+    g ~ (1 - 6/x^2 + 120/x^4 ...)/x^2 (DLMF 6.2, 6.12(ii)); each remainder
+    is bounded by its first neglected term, 24/|x|^5 <= 1.5e-18 and
+    120/x^6 <= 1e-21 here.  Si is odd, so negative arguments take the sign of x.
     """
     x = np.asarray(x, dtype=np.float64)
     ax = np.abs(x)
-    out = np.empty_like(ax)
-    small = ax <= 4.0
-    x2 = ax[small] ** 2
-    series = np.full_like(x2, _SI_SERIES[-1])
-    for c in _SI_SERIES[-2::-1]:
-        series *= x2
-        series += c
-    out[small] = series * ax[small]
-    large = ~small
-    xl = ax[large]
-    inv = _LAGUERRE_WEIGHTS / (xl[:, None] ** 2 + _LAGUERRE_NODES_SQ)
-    f = xl * inv.sum(axis=1)
-    g = inv @ _LAGUERRE_NODES
-    out[large] = 0.5 * math.pi - f * np.cos(xl) - g * np.sin(xl)
+    inv2 = 1.0 / ax**2
+    out = 0.5 * math.pi - (1.0 - 2.0 * inv2) * np.cos(ax) / ax - (1.0 - 6.0 * inv2) * np.sin(ax) * inv2
     return np.copysign(out, x)
 
 

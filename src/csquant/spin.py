@@ -27,6 +27,7 @@ import cmath
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .coherent import _product_grid_closure
 from .fock import FockSpace
@@ -90,7 +91,7 @@ def _closure_matrix(twoj: int, n_theta: int, n_phi: int) -> np.ndarray:
     sum is a theta Gram of the real amplitudes times the phi sums of
     e^{i(k-l)phi} (coherent._product_grid_closure).
     """
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
+    x, wx = leggauss(n_theta)
     sin_half = np.sqrt(0.5 * (1.0 - x))[:, None]
     cos_half = np.sqrt(0.5 * (1.0 + x))[:, None]
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi

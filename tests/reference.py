@@ -16,7 +16,7 @@ import numpy as np
 from csquant import _kernels, wiener
 from csquant.coherent import coherent_vector
 from csquant.fock import make_space
-from csquant.projector import build_projector, default_lam_max, number_constraint, sin_kernel_weights
+from csquant.projector import build_projector, number_constraint, sin_kernel_weights
 
 # ---------------------------------------------------------------------------
 # Fock space and dense operators
@@ -167,7 +167,7 @@ def projected_propagator(constraint, alphas_bra, alphas_ket, epsilon=0.1) -> com
 def sin_kernel_residual(constraint, epsilon) -> float:
     """max |sin-kernel weights - spectral weights| at the constraint's spectrum."""
     eigs = constraint.eigs
-    w_sin = sin_kernel_weights(eigs, epsilon, default_lam_max(epsilon, eigs))
+    w_sin = sin_kernel_weights(eigs, epsilon)
     return float(np.max(np.abs(w_sin - build_projector(constraint, epsilon))))
 
 

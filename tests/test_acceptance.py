@@ -15,7 +15,7 @@ import pytest
 from csquant import cli, classical, correlators, spin, wiener
 from csquant.coherent import coherent_vector, resolution_of_unity_check
 from csquant.fock import make_space
-from csquant.projector import build_projector, default_lam_max, number_constraint, sin_kernel_weights
+from csquant.projector import build_projector, number_constraint, sin_kernel_weights
 from reference import (
     commutator,
     ho_hamiltonian,
@@ -194,7 +194,7 @@ def test_criterion_8_wiener_machinery():
     weights = np.conj(state) * state
     spectral = np.sum(weights * build_projector(constraint, 0.45))
     eigs = constraint.eigs
-    quadrature = np.sum(weights * sin_kernel_weights(eigs, 0.45, default_lam_max(0.45, eigs)))
+    quadrature = np.sum(weights * sin_kernel_weights(eigs, 0.45))
     mc_ok = True
     # (seed, nu, window): the reference law, its window doubled, and nu halved and doubled
     for seed, nu, window in ((101, 1.0, 2000.0), (102, 1.0, 4000.0), (103, 0.5, 2000.0), (104, 2.0, 2000.0)):

@@ -155,6 +155,28 @@ def test_classical_limit_double_byte_identical_across_blas_thread_counts(tmp_pat
     assert outs[0] == outs[1]
 
 
+def test_sector_ratios_bit_identical_across_blas_thread_counts():
+    # every sum of the two-mode sector ratios at m = 10^5, not only the digits a run writes: the classical-limit
+    # points, and an evaluation point whose modes differ in phase by 0.01 (its overlap's condition number is ~3.5,
+    # far inside CONDITION_LIMIT)
+    code = (
+        "import math, numpy as np; from csquant import correlators; "
+        "m = 100_000; r = math.sqrt(m / 2); "
+        "evals = [(r * np.exp(1j * off),) * 2 for off in correlators.LIMIT_OFFSETS]; "
+        "evals.append((r * np.exp(0.305j), r * np.exp(0.295j))); "
+        "print([repr(complex(v)) for v in correlators.sector_ratios((r, r), evals, m).ravel()])"
+    )
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(OPENBLAS_NUM_THREADS=threads),
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].count("j)") == 12
+
+
 def test_wiener_memory_per_path_is_bounded(tmp_path):
     # one streaming pass holds one chunk of paths, not O(n_paths) arrays: the peak does not grow with n_paths
     for n_paths in (200_000, 1_000_000):
@@ -610,6 +632,11 @@ def _no_zero_point(original):
     return lambda ket, evals, mprime: original(ket, evals, mprime) - [0.5 * np.size(ket), 0.0, 0.0]
 
 
+def _q_offset(original):
+    # 0.05 / sqrt(m) added to the Q ratio: a deviation that still falls monotonically, like m^-1/2
+    return lambda ket, evals, mprime: original(ket, evals, mprime) + [0.0, 0.05 / math.sqrt(mprime), 0.0]
+
+
 def _squeezed(original):
     # q1 scaled by 1/sqrt(2) scales dq1 ^ dp1, and so the patch area, by the same factor
     def squeezed(*args):
@@ -685,6 +712,9 @@ _DEFECTS = {
     ),
     "classical-limit-double:h_ratio_error": _Defect(
         {"experiment": "classical-limit", "model": "double"}, correlators, "sector_ratios", _no_zero_point
+    ),
+    "classical-limit:dev_abs_vs_zero_point_shift": _Defect(
+        {"experiment": "classical-limit"}, correlators, "sector_ratios", _q_offset
     ),
     "geometry:energy_quantization_residual": _Defect(
         {"experiment": "geometry"}, correlators, "sector_ratios", _no_zero_point
@@ -826,8 +856,9 @@ def test_every_public_definition_is_reached_from_cli():
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # numpy is the only runtime dependency: with a `scipy` that cannot be imported first on the path,
-    # importing csquant.cli loads no scipy module and the eight default experiments pass; numpy.random
-    # loads at import, so the first seeded run does not pay for the Generator import inside its own run time
+    # importing csquant.cli loads no scipy module and the eight default experiments pass; numpy.random and
+    # numpy.polynomial (spin's Gauss-Legendre rule; numpy loads it lazily) load at import, so the first seeded
+    # run and the first SU(2) closure check do not pay for those imports inside their own run time
     blocked = tmp_path / "blocked" / "scipy"
     blocked.mkdir(parents=True)
     (blocked / "__init__.py").write_text("raise ImportError('scipy is blocked')\n")
@@ -835,7 +866,8 @@ def test_cli_import_loads_no_scipy(tmp_path):
         _write_config(tmp_path, {"experiment": name}, name=f"{name}.json")
     code = (
         "import json, sys, warnings, csquant.cli as cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy.random' in sys.modules); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy.random' in sys.modules, "
+        "'numpy.polynomial' in sys.modules); "
         "warnings.simplefilter('ignore'); "
         "print(json.dumps([cli.main(['run', '--config', f'{sys.argv[1]}/{n}.json', '--out', f'{sys.argv[1]}/out'])"
         " for n in cli.EXPERIMENTS]))"
@@ -846,7 +878,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
         [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, check=True
     )
     lines = result.stdout.strip().splitlines()
-    assert lines[0] == "[] True"
+    assert lines[0] == "[] True True"
     assert json.loads(lines[-1]) == [0] * 8
 
 

@@ -11,6 +11,7 @@ from csquant import cli, fock
 from csquant.coherent import coherent_vector
 from csquant.fock import make_space
 from csquant.projector import (
+    SIN_KERNEL_TOL,
     _sine_integral,
     build_projector,
     default_lam_max,
@@ -63,7 +64,7 @@ def test_epsilon_validation(tmp_path, capsys):
 
 def _sin_kernel_oracle(constraint, epsilon):
     eigs = constraint.eigensystem()
-    return sin_kernel_weights(eigs, epsilon, default_lam_max(epsilon, eigs))
+    return sin_kernel_weights(eigs, epsilon)
 
 
 def test_sin_kernel_matches_spectral():
@@ -285,24 +286,40 @@ def _simpson_sin_kernel_weights(eigs, eps, lam_max):
     return (simp * measure) @ np.exp(1j * np.outer(t, eigs))
 
 
-@pytest.mark.parametrize("lam_max", [50.0, 400.0])
-@pytest.mark.parametrize("target", [2.0, 2.5, 2.05])
-def test_sin_kernel_weights_match_simpson_oracle(lam_max, target):
-    eigs = np.arange(13.0) - target
-    eps = 0.1
-    closed = sin_kernel_weights(eigs, eps, lam_max)
-    oracle = _simpson_sin_kernel_weights(eigs, eps, lam_max)
+@pytest.mark.parametrize(
+    "eigs, eps",
+    [([-1.0, 0.0, 1.0], 0.45), ([-1.0, 0.0, 1.0], 0.1), ([-1.5, -0.5, 0.5, 1.5], 0.1)],
+    ids=["integer-levels-eps0.45", "integer-levels-eps0.1", "half-integer-levels-eps0.1"],
+)
+def test_sin_kernel_weights_match_simpson_oracle(eigs, eps):
+    # short spectra keep the oracle's node count, which grows with the folded L ~ 7003 / gap, near 10^6
+    eigs = np.array(eigs)
+    closed = sin_kernel_weights(eigs, eps)
+    oracle = _simpson_sin_kernel_weights(eigs, eps, default_lam_max(eps, eigs))
     assert np.max(np.abs(closed - oracle)) <= 1e-8
 
 
+def test_sin_kernel_weights_reach_si_only_past_its_floor():
+    # wiener's 13 levels at every mprime and across its epsilon range: every Si argument L (x +- eps) lies past
+    # the floor of _sine_integral's domain (L gap rounds to within an ulp of it), and the weights equal the
+    # closed form on scipy's Si
+    floor = 2.2 / (math.pi * SIN_KERNEL_TOL)
+    for mprime in range(13):
+        eigs = np.arange(13.0) - mprime
+        for eps in np.linspace(1e-3, 0.499, 25):
+            lam_max = default_lam_max(eps, eigs)
+            args = np.concatenate([lam_max * (eigs + eps), lam_max * (eigs - eps)])
+            assert np.min(np.abs(args)) >= floor * (1.0 - 2.0 * np.finfo(float).eps)
+            closed = (special.sici(lam_max * (eigs + eps))[0] - special.sici(lam_max * (eigs - eps))[0]) / math.pi
+            assert np.max(np.abs(sin_kernel_weights(eigs, eps) - closed)) <= 1e-15
+
+
 def test_sine_integral_matches_scipy_sici():
-    # the series (|x| <= 4) and Gauss-Laguerre (|x| > 4) branches, and their seam
-    linear = np.concatenate([np.linspace(-50.0, 50.0, 20001), np.linspace(3.99, 4.01, 2001)])
-    # far past the largest argument the CLI reaches, ~8.4e7: wiener's 13 levels give |x| + eps <= 12.5,
-    # and its epsilon >= 1e-3 keeps lam_max <= ~7e6; the range runs to lam_max at a 1e-6 gap (~7e9)
-    # times the largest |eigenvalue| + eps of a space with MAX_DIM basis states (~7e15)
+    # over its domain |x| >= 2.2 / (pi SIN_KERNEL_TOL) ~ 7003, far past the largest argument the CLI reaches,
+    # ~8.4e7: wiener's 13 levels give |x| + eps <= 12.5, and its epsilon >= 1e-3 keeps lam_max <= ~7e6; the
+    # range runs to lam_max at a 1e-6 gap (~7e9) times the largest |eigenvalue| + eps of a space with MAX_DIM
+    # basis states (~7e15)
     top = default_lam_max(0.25, np.array([0.25 + 1.000001e-6])) * (fock.MAX_DIM + 0.5)
-    logs = np.geomspace(1e-12, top, 4001)
-    for x in (linear, logs, -logs):
-        assert np.max(np.abs(_sine_integral(x) - special.sici(x)[0])) <= 1e-14
-    assert _sine_integral(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    logs = np.geomspace(2.2 / (math.pi * SIN_KERNEL_TOL), top, 4001)
+    for x in (logs, -logs):
+        assert np.max(np.abs(_sine_integral(x) - special.sici(x)[0])) <= 1e-15

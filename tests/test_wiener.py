@@ -8,7 +8,7 @@ from scipy.stats import ks_2samp
 from csquant import wiener
 from csquant.coherent import coherent_vector
 from csquant.fock import make_space
-from csquant.projector import build_projector, default_lam_max, number_constraint, sin_kernel_weights
+from csquant.projector import build_projector, number_constraint, sin_kernel_weights
 from csquant.wiener import (
     bridge_column_variance,
     heat_kernel,
@@ -225,7 +225,7 @@ def _references(constraint, epsilon, a_bra, a_ket):
     weights = np.conj(coherent_vector(constraint.space, a_bra)) * coherent_vector(constraint.space, a_ket)
     spectral = complex(np.sum(weights * build_projector(constraint, epsilon)))
     eigs = constraint.eigs
-    quadrature = complex(np.sum(weights * sin_kernel_weights(eigs, epsilon, default_lam_max(epsilon, eigs))))
+    quadrature = complex(np.sum(weights * sin_kernel_weights(eigs, epsilon)))
     return weights, spectral, quadrature
 
 
