@@ -218,7 +218,8 @@ def _exp_spin_overlap(cfg, seed):
         ph = rng.uniform(0.0, 2.0 * math.pi, size=4)
         a1, b1, a2, b2 = (r * np.exp(1j * p) for r, p in zip(re, ph))
         bra, ket = (_gauge_fixed_projection(weights, space, pair, mprime, "mprime") for pair in ((a1, b1), (a2, b2)))
-        worst = max(worst, abs(np.vdot(bra, ket) - spin.su2_overlap(mprime, a1 / b1, a2 / b2)))
+        # a fixed-order sum, not np.vdot: a BLAS reduction may round by the thread count
+        worst = max(worst, abs((bra.conj() * ket).sum() - spin.su2_overlap(mprime, a1 / b1, a2 / b2)))
     resolution = spin.su2_resolution_check(mprime)
     rows = [
         CheckRow("projected_vs_su2_overlap", worst, 1e-10),

@@ -15,8 +15,9 @@ uses a midpoint product rule in polar coordinates; uniform angular nodes
 integrate the e^{i(n-m)theta} factors exactly below the aliasing order, so
 off-diagonal number-basis elements vanish to roundoff.  Because the rule is
 a tensor product, the closure sum factors into a radial Gram matrix times
-the angular sums of e^{i(n-m)theta}, which the resolution check evaluates
-separately instead of summing over every disc node.
+the angular sums of e^{i(n-m)theta}.  The Gram follows from 2 nmax + 1
+radial sums of adjacent-level products (_product_grid_closure), which the
+resolution check streams over the radial nodes in a fixed order.
 
 |<n|a>|^2 is the Poisson(|a|^2) probability of n, so the norm lost above
 the cutoff and the closure of the disc at finite radius R are Poisson
@@ -35,12 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .fock import FockSpace
 
 TAIL_WARN = 1e-10
 TAIL_ERROR = 1e-6
-RESOLUTION_MAX_BYTES = 64 * 2**20  # radial amplitude block (and its weighted copy) of the resolution check
+RESOLUTION_MAX_BYTES = 64 * 2**20  # radial vectors and (nmax + 1)^2 closure arrays of the resolution check
 CLOSURE_TAIL = 1e-8  # Poisson lower tail (closure deficit) below which a level counts as closed
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -186,12 +186,6 @@ def coherent_vector(space: FockSpace, alphas) -> np.ndarray:
 
 def _polar_nodes(radius: float, n_radial: int, n_angular: int):
     """Midpoint radii and angles of the polar rule, with their spacings."""
-    # >= 2 quadrature points per unit phase-space cell (disc holds R^2 cells)
-    if n_radial * n_angular < 2.0 * radius**2:
-        raise ValueError(
-            f"grid {n_radial}x{n_angular} has fewer than 2 points per phase-space cell "
-            f"(need >= {2.0 * radius ** 2:.0f} nodes for radius {radius})"
-        )
     dr = radius / n_radial
     dth = 2.0 * math.pi / n_angular
     r = (np.arange(n_radial) + 0.5) * dr
@@ -215,52 +209,70 @@ def resolution_of_unity_check(space: FockSpace, radius: float) -> ResolutionRepo
     the block n <= n_keep, where n_keep is the largest level whose closure
     deficit Q(n+1, R^2) = Pr[Poisson(R^2) <= n] stays below CLOSURE_TAIL.
     The exact diagonal at finite radius is P(n+1, R^2) = Pr[Poisson(R^2) > n],
-    returned for finite-radius checks.  A real radial amplitude block and
-    its weighted copy (16 n_radial (nmax + 1) bytes together) larger than
-    RESOLUTION_MAX_BYTES are refused with ValueError before they are built.
+    returned for finite-radius checks.  A check whose arrays would exceed
+    RESOLUTION_MAX_BYTES is refused with ValueError before any is built: at
+    most six float64 radial vectors live at once (48 bytes per node), and
+    three (nmax + 1)^2 closure arrays, the real Gram, the complex matrix and
+    its magnitudes (32 bytes per entry).
     """
     n_angular = max(8 * space.nmax, 16)
     # midpoint error ~ h^2/12 from the n = 0 integrand; keep it near 1e-7
     n_radial = max(256, int(512 * radius))
-    block_bytes = 16 * n_radial * (space.nmax + 1)
-    if block_bytes > RESOLUTION_MAX_BYTES:
+    needed = 48 * n_radial + 32 * (space.nmax + 1) ** 2
+    if needed > RESOLUTION_MAX_BYTES:
         raise ValueError(
-            f"radial amplitude block of {n_radial} nodes x {space.nmax + 1} levels needs "
-            f"{block_bytes / 2**20:.0f} MiB (> {RESOLUTION_MAX_BYTES / 2**20:.0f} MiB); lower radius or nmax"
+            f"{n_radial} radial nodes and {space.nmax + 1} levels need {needed / 2**20:.0f} MiB "
+            f"(> {RESOLUTION_MAX_BYTES / 2**20:.0f} MiB); lower radius or nmax"
         )
     return _resolution_on_grid(space, radius, n_radial, n_angular)
 
 
-def _product_grid_closure(amplitudes: np.ndarray, weights, angles, spacing: float) -> np.ndarray:
-    """Entry (n, m): sum over nodes i and angles phi of weights[i] spacing a_n a_m e^{i(n-m)phi}, factored.
+def _product_grid_closure(pair_sums: np.ndarray, log_scale: np.ndarray, angles, spacing: float) -> np.ndarray:
+    """Entry (n, m): sum over nodes i and angles phi of w_i A_n(i) A_m(i) spacing e^{i(n-m)phi}, factored.
 
-    amplitudes[i, n] is level n's real amplitude at polar node i, and the
-    angles are uniform nodes `spacing` apart.  The product-grid sum is the
-    polar Gram of the amplitudes times the angular sums of e^{i(n-m)phi},
-    gathered at n - m.
+    The real amplitudes are A_n = c_n g^n h with log_scale[n] = ln c_n concave
+    in n, and pair_sums[k] = sum_i w_i A_a(i) A_b(i), a = k // 2, b = k - a,
+    so the node Gram at (n, m) is pair_sums[n + m] c_n c_m / (c_a c_b), a
+    factor <= 1 and exactly 1 where {n, m} = {a, b}.  The angular sums of
+    e^{ik phi} over nodes `spacing` apart stay numeric; k < 0 conjugates -k.
     """
-    gram = (amplitudes.T * weights) @ amplitudes
-    top = amplitudes.shape[1] - 1
-    angular = spacing * np.exp(1j * np.outer(np.arange(-top, top + 1), angles)).sum(axis=1)
-    levels = np.arange(top + 1)
-    return gram * angular[levels[:, None] - levels[None, :] + top]
+    top = log_scale.size - 1
+    k = np.arange(2 * top + 1)
+    hankel = np.lib.stride_tricks.sliding_window_view  # hankel(x, top + 1)[n, m] = x[n + m]
+    gram = np.add.outer(log_scale, log_scale)
+    gram -= hankel(log_scale[k // 2] + log_scale[k - k // 2], top + 1)
+    np.exp(gram, out=gram)
+    gram *= hankel(pair_sums, top + 1)
+    angular = spacing * np.array([np.exp(1j * (j * angles)).sum() for j in range(top + 1)])
+    angular = np.concatenate((angular[:0:-1].conj(), angular))
+    return gram * hankel(angular, top + 1)[:, ::-1]  # [n, m] -> angular[top + n - m]
 
 
 def _resolution_on_grid(space: FockSpace, radius: float, n_radial: int, n_angular: int) -> ResolutionReport:
     """resolution_of_unity_check on an n_radial x n_angular polar grid."""
     r, dr, th, dth = _polar_nodes(radius, n_radial, n_angular)
-    # node (r, theta) contributes (r dr dtheta / pi) amp_n(r) amp_m(r) e^{i(n-m)theta} to entry (n, m)
-    mat = _product_grid_closure(_kernels.coherent_amp_matrix(r, space.nmax), r * dr / math.pi, th, dth)
+    # node (r, theta) adds (r dr dtheta / pi) amp_n amp_m e^{i(n-m)theta} to (n, m); amp_n = e^{-r^2/2} r^n / sqrt(n!)
+    weights = r * dr / math.pi
+    amp = np.exp(-0.5 * r**2)
+    pair_sums = np.empty(2 * space.nmax + 1)
+    pair_sums[0] = np.sum(weights * amp * amp)
+    for n in range(1, space.nmax + 1):
+        prev, amp = amp, amp * r / math.sqrt(n)
+        pair_sums[2 * n - 1] = np.sum(weights * prev * amp)
+        pair_sums[2 * n] = np.sum(weights * amp * amp)
+    log_scale = np.array([-0.5 * math.lgamma(n + 1) for n in range(space.nmax + 1)])
+    mat = _product_grid_closure(pair_sums, log_scale, th, dth)
 
     diag_expected, deficit = _poisson_tails(radius**2, space.nmax)
     qualifying = np.nonzero(deficit < CLOSURE_TAIL)[0]
     n_keep = int(qualifying.max()) if qualifying.size else -1
 
-    offdiag = mat - np.diag(np.diag(mat))
-    max_offdiag = float(np.max(np.abs(offdiag)))
+    magnitude = np.abs(mat)
+    np.fill_diagonal(magnitude, 0.0)
+    max_offdiag = float(magnitude.max())
     if n_keep >= 0:
-        block = mat[: n_keep + 1, : n_keep + 1]
-        resid = float(np.max(np.abs(block - np.eye(n_keep + 1))))
+        diag_error = np.abs(np.diag(mat)[: n_keep + 1] - 1.0)
+        resid = float(max(magnitude[: n_keep + 1, : n_keep + 1].max(), diag_error.max()))
     else:
         resid = math.nan
     return ResolutionReport(

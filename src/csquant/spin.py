@@ -18,7 +18,8 @@ identity with weight (2j+1)/pi * d^2xi / (1+|xi|^2)^2.  The closure check
 integrates that on a Gauss-Legendre (cos theta) x uniform (phi) product
 grid; because the rule is a tensor product, the node sum factors into a
 theta Gram matrix of real amplitudes times the phi sums of e^{i(k-l)phi},
-one function shared with the canonical resolution check.
+one function shared with the canonical resolution check, which builds
+the Gram from 4j + 1 theta sums of adjacent-level amplitude products.
 """
 
 from __future__ import annotations
@@ -89,11 +90,15 @@ def _closure_matrix(twoj: int, n_theta: int, n_phi: int) -> np.ndarray:
     At xi = tan(theta/2) e^{i phi} the amplitude of |j, -j+k> is the real
     half-angle amplitude (as in su2_coherent) times e^{i k phi}, so the node
     sum is a theta Gram of the real amplitudes times the phi sums of
-    e^{i(k-l)phi} (coherent._product_grid_closure).
+    e^{i(k-l)phi} (coherent._product_grid_closure, with c_k = sqrt(C(2j,k))).
     """
     x, wx = leggauss(n_theta)
     sin_half = np.sqrt(0.5 * (1.0 - x))[:, None]
     cos_half = np.sqrt(0.5 * (1.0 + x))[:, None]
+    amps = _half_angle_amplitudes(twoj, sin_half, cos_half)
+    k = np.arange(2 * twoj + 1)
+    pair_sums = np.sum(wx[:, None] * amps[:, k // 2] * amps[:, k - k // 2], axis=0)
+    log_scale = np.array([0.5 * math.log(math.comb(twoj, kk)) for kk in range(twoj + 1)])
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    closure = _product_grid_closure(_half_angle_amplitudes(twoj, sin_half, cos_half), wx, phi, 2.0 * math.pi / n_phi)
+    closure = _product_grid_closure(pair_sums, log_scale, phi, 2.0 * math.pi / n_phi)
     return (twoj + 1) / (4.0 * math.pi) * closure

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from csquant import _kernels, wiener
+from csquant import wiener
 from csquant.coherent import coherent_vector
 from csquant.fock import make_space
 from csquant.projector import build_projector, number_constraint, sin_kernel_weights
@@ -101,6 +101,20 @@ def overlap_alpha(a_bra: complex, a_ket: complex) -> complex:
     return complex(np.exp(-0.5 * abs(a - b) ** 2 + 1j * (a.conjugate() * b).imag))
 
 
+def coherent_amp_matrix(alphas, nmax):
+    """Row k holds the number-basis amplitudes exp(-|a|^2/2) a^n / sqrt(n!) of the coherent state alphas[k].
+
+    Built by the recurrence amp[:, n] = amp[:, n-1] * a / sqrt(n), node by
+    node: the dense side of the closure comparisons.
+    """
+    alphas = np.asarray(alphas, dtype=np.complex128)
+    out = np.empty((alphas.size, nmax + 1), dtype=np.complex128)
+    out[:, 0] = np.exp(-0.5 * np.abs(alphas) ** 2)
+    for n in range(1, nmax + 1):
+        out[:, n] = out[:, n - 1] * alphas / np.sqrt(n)
+    return out
+
+
 def polar_disc_grid(radius: float, n_radial: int, n_angular: int):
     """Nodes and weights (r dr dtheta) of the midpoint polar rule over |alpha| <= radius."""
     dr, dth = radius / n_radial, 2.0 * math.pi / n_angular
@@ -113,10 +127,10 @@ def polar_disc_grid(radius: float, n_radial: int, n_angular: int):
 def reproducing_propagation(psi: np.ndarray, nodes, weights, probes):
     """((1/pi) sum_k w_k <a'|a_k> <a_k|psi>, <a'|psi>) at each probe a', over node chunks."""
     nmax = psi.size - 1
-    probe_amps = _kernels.coherent_amp_matrix(probes, nmax)
+    probe_amps = coherent_amp_matrix(probes, nmax)
     reproduced = np.zeros(len(probes), dtype=np.complex128)
     for lo in range(0, nodes.size, 65536):
-        node_amps = _kernels.coherent_amp_matrix(nodes[lo : lo + 65536], nmax)
+        node_amps = coherent_amp_matrix(nodes[lo : lo + 65536], nmax)
         kernel = probe_amps.conj() @ node_amps.T
         reproduced += kernel @ (weights[lo : lo + 65536] / math.pi * (node_amps.conj() @ psi))
     return reproduced, probe_amps.conj() @ psi

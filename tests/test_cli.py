@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from csquant import _kernels, classical, cli, coherent, correlators, projector, spin, wiener
+from csquant import classical, cli, coherent, correlators, projector, spin, wiener
+from csquant.fock import make_space
 
 
 def _write_config(tmp_path, payload, name="cfg.json"):
@@ -175,6 +176,63 @@ def test_sector_ratios_bit_identical_across_blas_thread_counts():
     ]
     assert outs[0] == outs[1]
     assert outs[0].count("j)") == 12
+
+
+def test_resolution_byte_identical_across_blas_thread_counts(tmp_path):
+    # the closure's sums run in a fixed order: a BLAS product rounds by its thread count
+    cfg = _write_config(tmp_path, {"experiment": "resolution"})
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        run = "import sys; from csquant.cli import main; sys.exit(main(sys.argv[1:]))"
+        subprocess.run(
+            [sys.executable, "-c", run, "run", "--config", cfg, "--out", str(out)],
+            capture_output=True,
+            env=_src_env(OPENBLAS_NUM_THREADS=threads),
+            check=True,
+        )
+        outs.append([(out / name).read_bytes() for name in ("resolution.json", "resolution_diagonal.csv")])
+    assert outs[0] == outs[1]
+
+
+def test_resolution_guard_bounds_peak_rss(tmp_path, monkeypatch):
+    # the largest nmax the guard accepts at the default radius, and the largest radius at nmax 40, each raise
+    # the peak RSS of a run by at most RESOLUTION_MAX_BYTES over a process that only imports the CLI
+    monkeypatch.setattr(coherent, "_resolution_on_grid", lambda *args: None)
+
+    def largest(accepted, lo, hi, step):
+        while hi - lo > step:
+            mid = (lo + hi) / 2 if step < 1 else (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        return lo
+
+    def accepted(nmax, radius):
+        try:
+            coherent.resolution_of_unity_check(make_space(1, nmax), radius)
+        except ValueError:
+            return False
+        return True
+
+    nmax = largest(lambda n: accepted(n, 8.0), 40, 10**5, 1)
+    radius = largest(lambda r: accepted(40, r), 8.0, 1e5, 1e-3)
+    run = (
+        "import resource, sys; from csquant.cli import main; "
+        "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+
+    def peak_kib(*args):
+        out = subprocess.run(
+            [sys.executable, "-c", run, *args], capture_output=True, text=True, env=_src_env(), check=True
+        ).stdout.splitlines()[-1].split()
+        assert out[0] == "0"
+        return int(out[1])  # ru_maxrss is in KiB on Linux
+
+    base = peak_kib()
+    for payload in ({"experiment": "resolution", "nmax": nmax}, {"experiment": "resolution", "radius": radius}):
+        cfg = _write_config(tmp_path, payload)
+        rise = 1024 * (peak_kib("run", "--config", cfg, "--out", str(tmp_path / "r")) - base)
+        assert rise <= coherent.RESOLUTION_MAX_BYTES, (payload, rise)
 
 
 def test_wiener_memory_per_path_is_bounded(tmp_path):
@@ -365,8 +423,6 @@ _UNUSABLE = [
     ("wiener-nmax", {"experiment": "wiener", "nmax": 5, "n_paths": 1000}, "nmax", []),
     ("wiener-mprime-above-cutoff", {"experiment": "wiener", "mprime": 13}, "mprime", []),
     ("resolution-grid", {"experiment": "resolution", "nmax": 1, "radius": 10000}, "radius", []),
-    # the radial block is exactly at its 64 MiB bound, and 16 angular nodes leave < 2 nodes per phase-space cell
-    ("resolution-grid-density", {"experiment": "resolution", "nmax": 1, "radius": 4096.001}, "radius", []),
     ("resolution-unclosed", {"experiment": "resolution", "radius": 3.57}, "radius", []),
     ("beta-zero", {"experiment": "project-double", "beta_re": 0, "beta_im": 0}, "beta_re", []),
     ("beta-ratio-overflow", {"experiment": "project-double", "beta_re": 1e-310, "beta_im": 0}, "beta_re", []),
@@ -662,9 +718,10 @@ _Defect = collections.namedtuple("_Defect", "config module name defect also_fail
 _DEFECTS = {
     "resolution:identity_block_residual": _Defect(
         {"experiment": "resolution"},
-        _kernels,
-        "coherent_amp_matrix",
-        lambda original: lambda alphas, nmax: 1.001 * original(alphas, nmax),  # scaled radial amplitudes
+        coherent,
+        "_polar_nodes",
+        # the radial spacing 0.1% high scales every node weight, so the diagonal reads 1.001
+        lambda original: lambda *args: (lambda r, dr, th, dth: (r, 1.001 * dr, th, dth))(*original(*args)),
     ),
     "resolution:offdiagonal_max": _Defect(
         {"experiment": "resolution"},
@@ -672,6 +729,13 @@ _DEFECTS = {
         "_resolution_on_grid",
         # nmax angular nodes alias e^{i(n-m)theta} for |n - m| = nmax back to a constant
         lambda original: lambda space, radius, n_radial, n_angular: original(space, radius, n_radial, space.nmax),
+    ),
+    "project-single:projected_component_residual": _Defect(
+        {"experiment": "project-single"},
+        projector,
+        "build_projector",
+        # a phase on every weight moves the projected amplitude, not its norm or the null norms
+        lambda original: lambda *args: original(*args) * cmath.exp(0.1j),
     ),
     "project-single:null_norm_fractional_targets": _Defect(
         {"experiment": "project-single"},
@@ -715,6 +779,12 @@ _DEFECTS = {
     ),
     "classical-limit:dev_abs_vs_zero_point_shift": _Defect(
         {"experiment": "classical-limit"}, correlators, "sector_ratios", _q_offset
+    ),
+    "geometry:curvature_residual": _Defect(
+        {"experiment": "geometry"},
+        classical,
+        "scalar_curvature_fd",
+        lambda original: lambda *args: 0.5 * original(*args),  # the Gauss curvature, without the factor 2
     ),
     "geometry:energy_quantization_residual": _Defect(
         {"experiment": "geometry"}, correlators, "sector_ratios", _no_zero_point

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from scipy import special
 
-from csquant import _kernels
+from csquant import coherent
 from csquant.coherent import (
     TAIL_ERROR,
     TAIL_WARN,
     TruncationLeakageError,
     _poisson_tails,
-    _polar_nodes,
     _resolution_on_grid,
     coherent_vector,
     log_poisson_term,
@@ -22,7 +21,13 @@ from csquant.coherent import (
     truncation_tail,
 )
 from csquant.fock import FockSpace, make_space
-from reference import kernel_composition_residual, overlap_alpha, polar_disc_grid, reproducing_propagation
+from reference import (
+    coherent_amp_matrix,
+    kernel_composition_residual,
+    overlap_alpha,
+    polar_disc_grid,
+    reproducing_propagation,
+)
 
 
 def test_vacuum_coherent_state():
@@ -221,11 +226,6 @@ def test_overlap_bound_symmetry_and_gaussian_factorization():
         assert abs(overlap_alpha(a1, a2)) < 1.0
 
 
-def test_grid_density_guard():
-    with pytest.raises(ValueError, match="phase-space cell"):
-        _polar_nodes(8.0, 8, 8)
-
-
 def test_resolution_large_radius_block():
     s = make_space(1, 40)
     report = resolution_of_unity_check(s, 8.0)
@@ -236,13 +236,19 @@ def test_resolution_large_radius_block():
 
 
 def test_resolution_refuses_radial_block_over_budget(monkeypatch):
-    # radius 2000 at nmax 40 needs a 1,024,000 x 41 complex block (~670 MB)
+    # RESOLUTION_MAX_BYTES counts 48 bytes per radial node and 32 per closure entry: at the default radius 8
+    # (4096 radial nodes) nmax 1445 fits and 1446 does not; at nmax 40 radius 2728.47 fits and 2728.48 does not
     def never(*args):
-        raise AssertionError("the amplitude block was built")
+        raise AssertionError("the check ran past its guard")
 
-    monkeypatch.setattr(_kernels, "coherent_amp_matrix", never)
-    with pytest.raises(ValueError, match="MiB"):
-        resolution_of_unity_check(make_space(1, 40), 2000.0)
+    monkeypatch.setattr(coherent, "_resolution_on_grid", lambda *args: "ran")
+    assert resolution_of_unity_check(make_space(1, 1445), 8.0) == "ran"
+    assert resolution_of_unity_check(make_space(1, 40), 2728.47) == "ran"
+    monkeypatch.setattr(coherent, "_resolution_on_grid", never)
+    monkeypatch.setattr(coherent, "_polar_nodes", never)
+    for nmax, radius in ((1446, 8.0), (40, 2728.48), (40, 4.0e6)):
+        with pytest.raises(ValueError, match="MiB"):
+            resolution_of_unity_check(make_space(1, nmax), radius)
 
 
 def test_resolution_finite_radius_diagonal_is_incomplete_gamma():
@@ -254,23 +260,17 @@ def test_resolution_finite_radius_diagonal_is_incomplete_gamma():
 
 
 def test_resolution_separable_gram_matches_dense_closure_sum():
-    # same polar rule summed node by node: (1/pi) sum_k w_k |a_k><a_k|
-    s = make_space(1, 12)
-    report = resolution_of_unity_check(s, 2.0)
-    nodes, weights = polar_disc_grid(2.0, 1024, 96)  # the check's default node counts at nmax=12, radius 2
-    vecs = _kernels.coherent_amp_matrix(nodes, 12)
-    dense = (vecs.T * (weights / math.pi)) @ vecs.conj()
-    assert np.max(np.abs(report.matrix - dense)) <= 1e-13
-    assert report.max_offdiag > 0.0  # off-diagonals come from numeric angular sums
-
-
-def test_amp_matrix_keeps_the_kind_of_its_labels():
-    # radii give real rows, so the resolution Gram is a real matmul on contiguous rows
-    radii = np.linspace(0.01, 8.0, 64)
-    real = _kernels.coherent_amp_matrix(radii, 40)
-    cplx = _kernels.coherent_amp_matrix(radii.astype(np.complex128), 40)
-    assert real.dtype == np.float64 and cplx.dtype == np.complex128
-    assert np.max(np.abs(real - cplx.real)) <= 1e-15 and not cplx.imag.any()
+    # same polar rule summed node by node: (1/pi) sum_k w_k |a_k><a_k|; the default grid at nmax 12, radius 2,
+    # and smaller grids at nmax 40 and 200, whose levels reach pair sums far from the diagonal's
+    for nmax, radius, n_radial, n_angular in ((12, 2.0, 1024, 96), (40, 8.0, 256, 320), (200, 16.0, 32, 402)):
+        report = _resolution_on_grid(make_space(1, nmax), radius, n_radial, n_angular)
+        nodes, weights = polar_disc_grid(radius, n_radial, n_angular)
+        dense = np.zeros((nmax + 1, nmax + 1), dtype=np.complex128)
+        for lo in range(0, nodes.size, 4096):
+            vecs = coherent_amp_matrix(nodes[lo : lo + 4096], nmax)
+            dense += (vecs.T * (weights[lo : lo + 4096] / math.pi)) @ vecs.conj()
+        assert np.max(np.abs(report.matrix - dense)) <= 1e-13
+        assert report.max_offdiag > 0.0  # off-diagonals come from numeric angular sums
 
 
 def test_resolution_quadrature_second_order_convergence():

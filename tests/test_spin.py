@@ -151,7 +151,7 @@ def _closure_matrix_per_node(twoj, n_theta, n_phi):
 
 
 @pytest.mark.parametrize(
-    "j, n_theta, n_phi", [(0.5, 5, 5), (3.0, 10, 10), (3.0, 4, 8), (12.0, 28, 28)]
+    "j, n_theta, n_phi", [(0.0, 3, 3), (0.5, 5, 5), (3.0, 10, 10), (3.0, 4, 8), (12.0, 28, 28), (30.0, 40, 64)]
 )
 def test_su2_closure_factoring_matches_per_node_sum(j, n_theta, n_phi):
     twoj = round(2 * j)
